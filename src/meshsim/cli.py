@@ -42,7 +42,9 @@ def _add_common_flags(parser):
     parser.add_argument("--config", metavar="PATH", help="campaign config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", help="artifact output directory")
-    parser.add_argument("--workers", type=int, help="parallel worker count")
+    parser.add_argument(
+        "--workers", type=int, help="worker threads (default: run serially)"
+    )
     parser.add_argument(
         "--format",
         choices=("json", "csv"),

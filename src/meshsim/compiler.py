@@ -20,6 +20,7 @@ from .mesh import (
     CellSetting,
     MeshSettings,
     Unitary,
+    cell_index,
     cell_transfer,
     mesh_unitary,
 )
@@ -104,8 +105,8 @@ def clements_decompose(u):
     n = target.shape[0]
     if n == 1:
         return DecompositionReport(
-            settings=MeshSettings(
-                n=1, cells={}, output_phases=np.array([np.angle(target[0, 0])])
+            settings=MeshSettings.from_phases(
+                1, [], [], output_phases=[np.angle(target[0, 0])]
             ),
             residual=0.0,
             nulling_sequence=(),
@@ -173,18 +174,24 @@ def clements_decompose(u):
 
     # as-soon-as-possible column scheduling tiles the checkerboard exactly
     next_free = [0] * n
-    cells = {}
+    index = cell_index(n)
+    thetas = np.empty(len(index))
+    phis = np.empty(len(index))
     for mode, theta, phi in ordered:
         column = max(next_free[mode], next_free[mode + 1])
         if (column - mode) % 2 != 0:
             raise AssertionError(
                 f"scheduling parity violation at mode {mode}, column {column}"
             )
-        cells[CellAddress(column, mode)] = CellSetting(theta, wrap_phase(phi))
+        i = index[CellAddress(column, mode)]
+        thetas[i] = theta
+        phis[i] = wrap_phase(phi)
         next_free[mode] = column + 1
         next_free[mode + 1] = column + 1
 
-    settings = MeshSettings(n=n, cells=cells, output_phases=wrap_phase(mu))
+    settings = MeshSettings.from_phases(
+        n, thetas, phis, output_phases=wrap_phase(mu)
+    )
     residual = float(np.max(np.abs(mesh_unitary(settings).elements - target)))
     return DecompositionReport(
         settings=settings, residual=residual, nulling_sequence=tuple(nulling)

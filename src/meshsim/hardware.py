@@ -13,6 +13,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Mapping
 
 import numpy as np
@@ -21,13 +22,10 @@ from scipy.optimize import curve_fit
 from . import analysis
 from .mesh import (
     CellAddress,
-    CellSetting,
     MeshSettings,
-    TransferMatrix,
     apply_loss,
     bar_settings,
     cell_addresses,
-    rows_in_column,
 )
 from .util import (
     TWO_PI,
@@ -84,13 +82,14 @@ def parse_heater_id(hid):
     return CellAddress(int(m.group(1)), int(m.group(2))), m.group(3)
 
 
+@lru_cache(maxsize=None)
 def heater_order(n):
     """Canonical heater ids: cells sorted by (col, row), theta before phi."""
-    ids = []
-    for addr in cell_addresses(n):
-        for kind in HEATER_KINDS:
-            ids.append(heater_id(addr.column, addr.row, kind))
-    return tuple(ids)
+    return tuple(
+        heater_id(addr.column, addr.row, kind)
+        for addr in cell_addresses(n)
+        for kind in HEATER_KINDS
+    )
 
 
 @dataclass(frozen=True)
@@ -537,26 +536,23 @@ class DriveSolution:
 
 def heater_targets(settings):
     """Commanded heater phases of a compiled program, canonical order."""
-    values = []
-    for addr in cell_addresses(settings.n):
-        cell = settings.cells[addr]
-        values.extend([cell.theta, cell.phi])
-    return np.array(values)
+    values = np.empty(2 * settings.theta.size)
+    values[0::2] = settings.theta
+    values[1::2] = settings.phi
+    return values
 
 
 def settings_from_heater_phases(n, phases, output_phases=None):
     """Inverse of heater_targets: canonical phase vector to MeshSettings."""
     phases = np.asarray(phases, dtype=float)
-    addrs = cell_addresses(n)
-    if phases.shape != (2 * len(addrs),):
+    count = 2 * len(cell_addresses(n))
+    if phases.shape != (count,):
         raise ValidationError(
-            f"expected {2 * len(addrs)} heater phases, got {phases.shape}"
+            f"expected {count} heater phases, got {phases.shape}"
         )
-    cells = {
-        addr: CellSetting(phases[2 * i], phases[2 * i + 1])
-        for i, addr in enumerate(addrs)
-    }
-    return MeshSettings(n=n, cells=cells, output_phases=output_phases)
+    return MeshSettings.from_phases(
+        n, phases[0::2], phases[1::2], output_phases=output_phases
+    )
 
 
 def _target_vector(profile, target):
@@ -625,16 +621,6 @@ def solve_voltages(profile, calibration, target):
     )
 
 
-def powers_from_voltages(profile, voltages):
-    order = profile.heater_ids
-    if isinstance(voltages, Mapping):
-        v = np.array([float(voltages[h]) for h in order])
-    else:
-        v = np.asarray(voltages, dtype=float)
-    resistances = profile.heater_array("resistance_ohm")
-    return v**2 / resistances
-
-
 def realized_heater_phases(profile, powers_w):
     """True phases produced by a power vector, including crosstalk."""
     p = np.asarray(powers_w, dtype=float)
@@ -646,68 +632,59 @@ def realized_heater_phases(profile, powers_w):
 # realized (noisy, lossy) transfers
 
 
-def _coupler(kappa):
-    c = np.cos(kappa)
-    s = 1j * np.sin(kappa)
-    return np.array([[c, s], [s, c]], dtype=complex)
+def _couplers(kappa):
+    """Stacked 2x2 directional couplers, one per coupling angle."""
+    out = np.empty(kappa.shape + (2, 2), dtype=complex)
+    out[:, 0, 0] = out[:, 1, 1] = np.cos(kappa)
+    out[:, 0, 1] = out[:, 1, 0] = 1j * np.sin(kappa)
+    return out
 
 
-def _noisy_cell(theta, phi, eps, jitter):
-    """Physical unit cell: two imperfect 50:50 couplers around the theta
-    shifter, preceded by the phi shifter, with per-run phase jitter."""
-    inner = _coupler(np.pi / 4 + eps[0])
-    outer = _coupler(np.pi / 4 + eps[1])
-    p_theta = np.diag([np.exp(1j * (theta + jitter[0])), 1.0])
-    p_phi = np.diag([np.exp(1j * (phi + jitter[1])), 1.0])
-    return np.exp(-0.5j * np.pi) * (outer @ p_theta @ inner @ p_phi)
+def _phase_shifters(phase):
+    """Stacked diag(exp(i * phase), 1) shifters on the upper mode."""
+    out = np.zeros(phase.shape + (2, 2), dtype=complex)
+    out[:, 0, 0] = np.exp(1j * phase)
+    out[:, 1, 1] = 1.0
+    return out
+
+
+def _noisy_transfers(theta, phi, eps):
+    """Physical unit cells: two imperfect 50:50 couplers (splitting errors
+    eps[:, 0] inner, eps[:, 1] outer) around the theta shifter, preceded by
+    the phi shifter. Returns the (k, 2, 2) stack mesh.propagate takes."""
+    inner = _couplers(np.pi / 4 + eps[:, 0])
+    outer = _couplers(np.pi / 4 + eps[:, 1])
+    return np.exp(-0.5j * np.pi) * (
+        outer @ _phase_shifters(theta) @ inner @ _phase_shifters(phi)
+    )
 
 
 def realized_transfer(profile, settings, seed=0):
     """Transfer matrix the device actually implements for a program.
 
     Static splitting-ratio errors are drawn once per disorder seed, phase
-    jitter fresh per run seed, and the loss model matches apply_loss. With
-    an ideal profile this equals the programmed mesh to rounding error.
+    jitter fresh per run seed, and the loss model is apply_loss. With an
+    ideal profile this equals the programmed mesh to rounding error.
     """
     if settings.n != profile.n:
         raise ValidationError(
             f"settings are for n={settings.n}, profile for n={profile.n}"
         )
-    n = profile.n
-    addrs = cell_addresses(n)
+    count = len(cell_addresses(profile.n))
     static_rng = np.random.default_rng(
         np.random.SeedSequence([int(profile.disorder_seed), _STATIC_STREAM])
     )
-    eps = static_rng.normal(
-        0.0, profile.splitter_error_sigma_rad, (len(addrs), 2)
-    )
+    eps = static_rng.normal(0.0, profile.splitter_error_sigma_rad, (count, 2))
     jitter_rng = np.random.default_rng(
         np.random.SeedSequence([int(seed), _JITTER_STREAM])
     )
-    jitter = jitter_rng.standard_normal((len(addrs), 2))
+    jitter = jitter_rng.standard_normal((count, 2))
     jitter[:, 0] *= profile.theta_noise_sigma_rad
     jitter[:, 1] *= profile.phi_noise_sigma_rad
-    cell_index = {addr: i for i, addr in enumerate(addrs)}
-
-    facet_amp = 10.0 ** (-profile.coupling_loss_db_per_facet / 20.0)
-    paths = np.broadcast_to(
-        np.asarray(profile.path_length_cm, dtype=float), (n,)
+    transfers = _noisy_transfers(
+        settings.theta + jitter[:, 0], settings.phi + jitter[:, 1], eps
     )
-    col_amp = 10.0 ** (
-        -(profile.propagation_loss_db_per_cm * paths / n) / 20.0
-    )
-
-    out = np.eye(n, dtype=complex) * facet_amp
-    for column in range(n):
-        for row in rows_in_column(n, column):
-            i = cell_index[CellAddress(column, row)]
-            cell = settings.cells[CellAddress(column, row)]
-            t = _noisy_cell(cell.theta, cell.phi, eps[i], jitter[i])
-            out[row : row + 2, :] = t @ out[row : row + 2, :]
-        out *= col_amp[:, None]
-    out = np.exp(1j * settings.output_phases)[:, None] * out
-    out *= facet_amp
-    return TransferMatrix(n, out, sub_unitary=True)
+    return apply_loss(settings, profile, transfers=transfers)
 
 
 def measure_amplitude_matrix(profile, settings, seed=0):

@@ -16,8 +16,10 @@ operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,56 +103,131 @@ def rows_in_column(n, column):
     return range(column % 2, n - 1, 2)
 
 
+@lru_cache(maxsize=None)
 def cell_addresses(n):
-    """All N(N-1)/2 cell addresses for an n-mode mesh, sorted by (col, row)."""
+    """All N(N-1)/2 cell addresses for an n-mode mesh, sorted by (col, row).
+
+    This order indexes every per-cell phase vector and transfer stack.
+    """
     if n < 1:
         raise ValidationError("mode count must be >= 1")
-    return [
+    return tuple(
         CellAddress(column, row)
         for column in range(n)
         for row in rows_in_column(n, column)
-    ]
+    )
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=None)
+def cell_address_set(n):
+    """cell_addresses(n) as a frozenset, for membership tests."""
+    return frozenset(cell_addresses(n))
+
+
+@lru_cache(maxsize=None)
+def cell_index(n):
+    """Read-only map from cell address to its position in cell_addresses(n)."""
+    return MappingProxyType({addr: i for i, addr in enumerate(cell_addresses(n))})
+
+
+@lru_cache(maxsize=None)
+def _column_bounds(n):
+    """(start, stop) of each column's cells within cell_addresses(n)."""
+    bounds = []
+    start = 0
+    for column in range(n):
+        stop = start + len(rows_in_column(n, column))
+        bounds.append((start, stop))
+        start = stop
+    return tuple(bounds)
+
+
+def _phase_vector(values, count, label):
+    arr = np.array(values, dtype=float)
+    if arr.shape != (count,):
+        raise StructureError(
+            f"{label} must have length {count}, got shape {arr.shape}"
+        )
+    return arr
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MeshSettings:
-    """Compiled program: one CellSetting per cell plus N output phases."""
+    """Compiled program: per-cell theta and phi plus N output phases.
+
+    The phases live in read-only vectors ordered as cell_addresses(n). Build
+    from a {CellAddress: CellSetting} mapping, or from the vectors with
+    MeshSettings.from_phases. `cells` gives the mapping view back.
+    """
 
     n: int
-    cells: Dict[CellAddress, CellSetting]
-    output_phases: np.ndarray = field(default=None)
+    theta: np.ndarray
+    phi: np.ndarray
+    output_phases: np.ndarray
 
-    def __post_init__(self):
-        expected = set(cell_addresses(self.n))
-        got = set(self.cells)
+    def __init__(self, n, cells, output_phases=None):
+        got = set(cells)
+        expected = cell_address_set(n)
         if got != expected:
             missing = sorted(expected - got)[:3]
             extra = sorted(got - expected)[:3]
             raise StructureError(
-                f"settings for n={self.n} need {len(expected)} cells, got "
+                f"settings for n={n} need {len(expected)} cells, got "
                 f"{len(got)} (missing {missing}, unexpected {extra})"
             )
-        phases = (
-            np.zeros(self.n)
-            if self.output_phases is None
-            else wrap_phase(np.asarray(self.output_phases, dtype=float))
+        addrs = cell_addresses(n)
+        self._set(
+            n,
+            [cells[addr].theta for addr in addrs],
+            [cells[addr].phi for addr in addrs],
+            output_phases,
         )
-        if phases.shape != (self.n,):
-            raise StructureError(
-                f"output_phases must have length {self.n}, got {phases.shape}"
-            )
-        phases.setflags(write=False)
-        object.__setattr__(self, "cells", dict(self.cells))
-        object.__setattr__(self, "output_phases", phases)
+
+    @classmethod
+    def from_phases(cls, n, theta, phi, output_phases=None):
+        """Settings from theta and phi vectors in cell_addresses(n) order."""
+        self = cls.__new__(cls)
+        self._set(
+            n,
+            wrap_phase(np.asarray(theta, dtype=float)),
+            wrap_phase(np.asarray(phi, dtype=float)),
+            output_phases,
+        )
+        return self
+
+    def _set(self, n, theta, phi, output_phases):
+        count = len(cell_addresses(n))
+        if output_phases is None:
+            output_phases = np.zeros(n)
+        vectors = {
+            "theta": _phase_vector(theta, count, "theta"),
+            "phi": _phase_vector(phi, count, "phi"),
+            "output_phases": _phase_vector(
+                wrap_phase(np.asarray(output_phases, dtype=float)), n, "output_phases"
+            ),
+        }
+        object.__setattr__(self, "n", n)
+        for name, arr in vectors.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def cells(self):
+        """Read-only {CellAddress: CellSetting} view of the phase vectors."""
+        return MappingProxyType(
+            {
+                addr: CellSetting(theta, phi)
+                for addr, theta, phi in zip(
+                    cell_addresses(self.n), self.theta.tolist(), self.phi.tolist()
+                )
+            }
+        )
 
 
 def bar_settings(n):
     """Settings with every cell in the bar state and zero output phases."""
-    return MeshSettings(
-        n=n,
-        cells={addr: CellSetting(np.pi, 0.0) for addr in cell_addresses(n)},
-        output_phases=np.zeros(n),
-    )
+    count = len(cell_addresses(n))
+    return MeshSettings.from_phases(n, np.full(count, np.pi), np.zeros(count))
 
 
 def cell_transfer(setting):
@@ -163,12 +240,41 @@ def cell_transfer(setting):
     return pre * np.array([[ephi * s, c], [ephi * c, -s]], dtype=complex)
 
 
-def _apply_columns(settings, out, col_start, col_stop):
-    """Left-multiply `out` by the cells of columns [col_start, col_stop)."""
-    for column in range(col_start, col_stop):
-        for row in rows_in_column(settings.n, column):
-            t = cell_transfer(settings.cells[CellAddress(column, row)])
-            out[row : row + 2, :] = t @ out[row : row + 2, :]
+def cell_transfers(theta, phi):
+    """cell_transfer of every (theta, phi) pair at once: shape (k, 2, 2)."""
+    theta = np.asarray(theta, dtype=float)
+    half = 0.5 * theta
+    s = np.sin(half)
+    c = np.cos(half)
+    ephi = np.exp(1j * np.asarray(phi, dtype=float))
+    out = np.empty(theta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = ephi * s
+    out[..., 0, 1] = c
+    out[..., 1, 0] = ephi * c
+    out[..., 1, 1] = -s
+    return np.exp(0.5j * theta)[..., None, None] * out
+
+
+def propagate(transfers, out, col_start=0, col_stop=None, col_amp=None):
+    """Left-multiply `out` in place by the cell columns [col_start, col_stop).
+
+    `transfers` stacks one 2x2 matrix per cell in cell_addresses(n) order.
+    The cells of a column act on disjoint mode pairs, so each column is one
+    batched product over its pairs. With `col_amp`, every row is scaled by
+    its per-mode amplitude after each column.
+    """
+    n = out.shape[0]
+    bounds = _column_bounds(n)
+    for column in range(col_start, n if col_stop is None else col_stop):
+        start, stop = bounds[column]
+        if stop > start:
+            upper = slice(column % 2, n - 1, 2)
+            lower = slice(column % 2 + 1, n, 2)
+            pairs = transfers[start:stop] @ np.stack((out[upper], out[lower]), axis=1)
+            out[upper] = pairs[:, 0]
+            out[lower] = pairs[:, 1]
+        if col_amp is not None:
+            out *= col_amp[:, None]
     return out
 
 
@@ -177,8 +283,9 @@ def partial_mesh_product(settings, col_start, col_stop):
 
     Exposed so column-splitting composition can be checked directly.
     """
+    transfers = cell_transfers(settings.theta, settings.phi)
     out = np.eye(settings.n, dtype=complex)
-    return _apply_columns(settings, out, col_start, col_stop)
+    return propagate(transfers, out, col_start, col_stop)
 
 
 def mesh_unitary(settings):
@@ -188,18 +295,19 @@ def mesh_unitary(settings):
     is  diag(exp(i * output_phases)) . T_last ... T_first.
     """
     out = np.eye(settings.n, dtype=complex)
-    _apply_columns(settings, out, 0, settings.n)
+    propagate(cell_transfers(settings.theta, settings.phi), out)
     out = np.exp(1j * settings.output_phases)[:, None] * out
     return Unitary(settings.n, out)
 
 
-def apply_loss(settings, profile):
+def apply_loss(settings, profile, transfers=None):
     """Lossy transfer matrix: facet coupling loss at both ends plus uniform
     per-column propagation loss derived from each mode's path length.
 
     With all loss parameters zero the result equals mesh_unitary exactly.
     `profile` needs coupling_loss_db_per_facet, propagation_loss_db_per_cm
-    and path_length_cm (scalar or per-mode) attributes.
+    and path_length_cm (scalar or per-mode) attributes. `transfers` replaces
+    the programmed cells with another (k, 2, 2) stack, such as noisy ones.
     """
     n = settings.n
     facet_db = float(profile.coupling_loss_db_per_facet)
@@ -214,12 +322,10 @@ def apply_loss(settings, profile):
     # each of the n columns carries an equal share of the mode's path
     col_amp = 10.0 ** (-(prop_db * paths / n) / 20.0)
 
+    if transfers is None:
+        transfers = cell_transfers(settings.theta, settings.phi)
     out = np.eye(n, dtype=complex) * facet_amp
-    for column in range(n):
-        for row in rows_in_column(n, column):
-            t = cell_transfer(settings.cells[CellAddress(column, row)])
-            out[row : row + 2, :] = t @ out[row : row + 2, :]
-        out *= col_amp[:, None]
+    propagate(transfers, out, col_amp=col_amp)
     out = np.exp(1j * settings.output_phases)[:, None] * out
     out *= facet_amp
     return TransferMatrix(n, out, sub_unitary=True)
@@ -233,10 +339,14 @@ def settings_to_json_dict(settings):
             {
                 "col": addr.column,
                 "row": addr.row,
-                "theta": settings.cells[addr].theta,
-                "phi": settings.cells[addr].phi,
+                "theta": theta,
+                "phi": phi,
             }
-            for addr in sorted(settings.cells)
+            for addr, theta, phi in zip(
+                cell_addresses(settings.n),
+                settings.theta.tolist(),
+                settings.phi.tolist(),
+            )
         ],
         "output_phases": [float(p) for p in settings.output_phases],
     }

@@ -7,6 +7,7 @@ mesh-wide interferometer.
 """
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -41,6 +42,10 @@ BASELINE_FRACTION = 0.2
 MIN_FIT_SAMPLES = 10
 
 _COUNT_STREAM = 404
+
+# warnings.catch_warnings swaps process-wide filter state, so concurrent dip
+# fits must not interleave their suppression blocks
+_FIT_WARNINGS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -161,9 +166,7 @@ class RoutingPlan:
 
 
 def _validate_plan_shape(plan):
-    expected = set(mesh.cell_addresses(plan.n))
-    got = set(plan.cell_states)
-    if got != expected:
+    if plan.cell_states.keys() != mesh.cell_address_set(plan.n):
         raise ValidationError(
             f"plan must assign a state to every cell of an n={plan.n} mesh"
         )
@@ -188,10 +191,10 @@ def route_to_tbs(n, target):
     the target.
     """
     target = mesh.CellAddress(int(target[0]), int(target[1]))
-    if target not in set(mesh.cell_addresses(n)):
+    if target not in mesh.cell_address_set(n):
         raise ValidationError(f"no cell at {tuple(target)} in an n={n} mesh")
     column, row = target
-    states = {addr: BAR for addr in mesh.cell_addresses(n)}
+    states = dict.fromkeys(mesh.cell_addresses(n), BAR)
     states[target] = HALF
     if column == 0:
         in_a, in_b = row, row + 1
@@ -301,11 +304,9 @@ def verify_routing(plan, strict=True):
 def plan_to_settings(plan):
     """Mesh program for a routing plan: pinned thetas, all phis zero."""
     _validate_plan_shape(plan)
-    cells = {
-        addr: mesh.CellSetting(theta=_THETA_BY_STATE[state], phi=0.0)
-        for addr, state in plan.cell_states.items()
-    }
-    return mesh.MeshSettings(n=plan.n, cells=cells, output_phases=np.zeros(plan.n))
+    addrs = mesh.cell_addresses(plan.n)
+    theta = [_THETA_BY_STATE[plan.cell_states[addr]] for addr in addrs]
+    return mesh.MeshSettings.from_phases(plan.n, theta, np.zeros(len(addrs)))
 
 
 def default_delay_grid(center_um=0.0):
@@ -393,7 +394,7 @@ def fit_gaussian_dip(delays_um, values):
     w0 = float(np.ptp(below)) / 2.355 if below.size >= 2 else span / 8.0
     w0 = max(w0, span / d.size)
     try:
-        with warnings.catch_warnings():
+        with _FIT_WARNINGS_LOCK, warnings.catch_warnings():
             warnings.simplefilter("ignore", OptimizeWarning)
             popt1, _ = curve_fit(
                 _dip_model, d, v, p0=[b0, v0, float(d[i0]), w0], maxfev=20000
@@ -415,7 +416,7 @@ def fit_gaussian_dip(delays_um, values):
         return _dip_model(t, baseline, visibility, center, width)
 
     try:
-        with warnings.catch_warnings():
+        with _FIT_WARNINGS_LOCK, warnings.catch_warnings():
             warnings.simplefilter("ignore", OptimizeWarning)
             popt2, pcov2 = curve_fit(
                 fixed_model,
@@ -619,7 +620,7 @@ def hom_visibility_map(
     """
     if profile.n != n:
         raise ValidationError(f"profile is for n={profile.n}, not n={n}")
-    cells = tuple(mesh.cell_addresses(n))
+    cells = mesh.cell_addresses(n)
 
     def job(item):
         index, addr = item
@@ -674,7 +675,7 @@ def diagonal_interferometer_plan(n):
     """
     if n < 3:
         raise ValidationError("diagonal interferometer needs n >= 3")
-    states = {addr: BAR for addr in mesh.cell_addresses(n)}
+    states = dict.fromkeys(mesh.cell_addresses(n), BAR)
     for c in range(1, n - 2):
         states[mesh.CellAddress(c, c)] = CROSS
     for c in range(2, n - 1):

@@ -106,12 +106,13 @@ def parallel_map(fn, items, workers=None):
     """Order-preserving map, optionally over a thread pool.
 
     Every item must carry its own seed, so the worker count can never change
-    the result, only the wall-clock time.
+    the result, only the wall-clock time. The default (None) runs serially:
+    the campaign items are short numpy calls that hold the GIL, and measured
+    thread pools ran them slower than one thread. `workers=N` still starts N
+    threads.
     """
     items = list(items)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
+    workers = 1 if workers is None else max(1, int(workers))
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -78,3 +78,58 @@ def fock_two_photon_distribution(u, a, b, x):
     return {
         key: (1.0 - x) * classical[key] + x * bosonic[key] for key in bosonic
     }
+
+
+def _coupler(kappa):
+    c = np.cos(kappa)
+    s = 1j * np.sin(kappa)
+    return np.array([[c, s], [s, c]], dtype=complex)
+
+
+def _noisy_cell(theta, phi, eps, jitter):
+    """Physical unit cell: two imperfect 50:50 couplers around the theta
+    shifter, preceded by the phi shifter, with per-run phase jitter."""
+    inner = _coupler(np.pi / 4 + eps[0])
+    outer = _coupler(np.pi / 4 + eps[1])
+    p_theta = np.diag([np.exp(1j * (theta + jitter[0])), 1.0])
+    p_phi = np.diag([np.exp(1j * (phi + jitter[1])), 1.0])
+    return np.exp(-0.5j * np.pi) * (outer @ p_theta @ inner @ p_phi)
+
+
+def per_cell_realized_transfer(profile, settings, seed):
+    """Noisy lossy transfer built one cell at a time, as a 2x2 update of the
+    cell's row pair per cell, from the same disorder and jitter draws as
+    hardware.realized_transfer. Returns the raw complex matrix."""
+    from meshsim.hardware import _JITTER_STREAM, _STATIC_STREAM
+    from meshsim.mesh import cell_addresses, rows_in_column
+
+    n = profile.n
+    addrs = cell_addresses(n)
+    static_rng = np.random.default_rng(
+        np.random.SeedSequence([int(profile.disorder_seed), _STATIC_STREAM])
+    )
+    eps = static_rng.normal(0.0, profile.splitter_error_sigma_rad, (len(addrs), 2))
+    jitter_rng = np.random.default_rng(
+        np.random.SeedSequence([int(seed), _JITTER_STREAM])
+    )
+    jitter = jitter_rng.standard_normal((len(addrs), 2))
+    jitter[:, 0] *= profile.theta_noise_sigma_rad
+    jitter[:, 1] *= profile.phi_noise_sigma_rad
+    cell_index = {addr: i for i, addr in enumerate(addrs)}
+
+    facet_amp = 10.0 ** (-profile.coupling_loss_db_per_facet / 20.0)
+    paths = np.broadcast_to(np.asarray(profile.path_length_cm, dtype=float), (n,))
+    col_amp = 10.0 ** (-(profile.propagation_loss_db_per_cm * paths / n) / 20.0)
+
+    out = np.eye(n, dtype=complex) * facet_amp
+    for column in range(n):
+        for row in rows_in_column(n, column):
+            addr = (column, row)
+            i = cell_index[addr]
+            cell = settings.cells[addr]
+            t = _noisy_cell(cell.theta, cell.phi, eps[i], jitter[i])
+            out[row : row + 2, :] = t @ out[row : row + 2, :]
+        out *= col_amp[:, None]
+    out = np.exp(1j * settings.output_phases)[:, None] * out
+    out *= facet_amp
+    return out

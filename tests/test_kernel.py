@@ -1,0 +1,165 @@
+"""The batched column kernel and phase-vector settings, checked against the
+per-cell and full-matrix references and by property tests."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from meshsim import compiler, hardware, mesh, quantum
+from meshsim.util import StructureError, normalize_floats, wrap_phase
+
+from oracles import per_cell_realized_transfer, slow_mesh_product
+
+N = 20
+
+PHASES = st.one_of(
+    st.sampled_from((0.0, np.pi / 2, np.pi)),
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+)
+
+
+@st.composite
+def programs(draw, min_n=2, max_n=10):
+    n = draw(st.integers(min_n, max_n))
+    count = n * (n - 1) // 2
+    theta = draw(st.lists(PHASES, min_size=count, max_size=count))
+    phi = draw(st.lists(PHASES, min_size=count, max_size=count))
+    out = draw(st.lists(PHASES, min_size=n, max_size=n))
+    return mesh.MeshSettings.from_phases(n, theta, phi, output_phases=out)
+
+
+@lru_cache(maxsize=None)
+def _calibrated(n):
+    return hardware.calibrated_profile(n, disorder_seed=n)
+
+
+def _cell_matrix(theta, phi):
+    return mesh.cell_transfer(mesh.CellSetting(theta, phi))
+
+
+@pytest.fixture(scope="module")
+def profile20():
+    return hardware.calibrated_profile(N, disorder_seed=4)
+
+
+def test_realized_transfer_equals_per_cell_reference_on_haar_programs(profile20):
+    for seed in range(6):
+        program = compiler.clements_decompose(compiler.haar_random(N, seed)).settings
+        got = hardware.realized_transfer(profile20, program, seed=seed).elements
+        want = per_cell_realized_transfer(profile20, program, seed)
+        assert np.array_equal(got, want)
+
+
+def test_realized_transfer_equals_per_cell_reference_on_routing_programs(profile20):
+    for index, addr in enumerate(mesh.cell_addresses(N)[::9]):
+        program = quantum.plan_to_settings(quantum.route_to_tbs(N, addr))
+        got = hardware.realized_transfer(profile20, program, seed=index).elements
+        want = per_cell_realized_transfer(profile20, program, index)
+        assert np.array_equal(got, want)
+
+
+def test_topology_is_computed_once_per_n():
+    assert isinstance(mesh.cell_addresses(7), tuple)
+    assert mesh.cell_addresses(7) is mesh.cell_addresses(7)
+    assert mesh.cell_address_set(7) == set(mesh.cell_addresses(7))
+    index = mesh.cell_index(7)
+    assert [index[addr] for addr in mesh.cell_addresses(7)] == list(range(21))
+    assert hardware.heater_order(7) is hardware.heater_order(7)
+
+
+def test_settings_vectors_and_cells_are_read_only():
+    program = mesh.bar_settings(4)
+    with pytest.raises(ValueError):
+        program.theta[0] = 1.0
+    with pytest.raises(TypeError):
+        program.cells[mesh.CellAddress(0, 0)] = mesh.CellSetting(0.0, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs())
+def test_mesh_unitary_matches_full_matrix_product(program):
+    stacked = mesh.cell_transfers(program.theta, program.phi)
+    for i, cell in enumerate(program.cells.values()):
+        assert np.array_equal(stacked[i], mesh.cell_transfer(cell))
+    placed = [
+        ((addr.column, addr.row), cell.theta, cell.phi)
+        for addr, cell in program.cells.items()
+    ]
+    want = slow_mesh_product(program.n, placed, program.output_phases, _cell_matrix)
+    got = mesh.mesh_unitary(program).elements
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs())
+def test_partial_products_compose_at_every_split(program):
+    n = program.n
+    full = mesh.partial_mesh_product(program, 0, n)
+    for split in range(n + 1):
+        head = mesh.partial_mesh_product(program, 0, split)
+        tail = mesh.partial_mesh_product(program, split, n)
+        assert np.max(np.abs(tail @ head - full)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs(), st.integers(0, 2**32 - 1))
+def test_realized_transfer_has_no_gain(program, seed):
+    transfer = hardware.realized_transfer(_calibrated(program.n), program, seed=seed)
+    assert np.linalg.norm(transfer.elements, 2) <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs(), st.integers(0, 2**32 - 1))
+def test_ideal_realized_transfer_is_the_programmed_mesh(program, seed):
+    profile = hardware.ideal_profile(program.n)
+    got = hardware.realized_transfer(profile, program, seed=seed).elements
+    assert np.max(np.abs(got - mesh.mesh_unitary(program).elements)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs(min_n=1))
+def test_cells_mapping_and_vectors_round_trip_exactly(program):
+    cells = {
+        addr: mesh.CellSetting(theta, phi)
+        for addr, theta, phi in zip(
+            mesh.cell_addresses(program.n), program.theta, program.phi
+        )
+    }
+    built = mesh.MeshSettings(program.n, cells, program.output_phases)
+    assert np.array_equal(built.theta, program.theta)
+    assert np.array_equal(built.phi, program.phi)
+    assert dict(built.cells) == cells
+    assert dict(program.cells) == cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs(min_n=1))
+def test_json_round_trips_are_exact(program):
+    back = mesh.settings_from_json_dict(mesh.settings_to_json_dict(program))
+    for name in ("theta", "phi", "output_phases"):
+        assert np.array_equal(getattr(back, name), getattr(program, name))
+    # the canonical text keeps 15 significant digits, and nothing else moves
+    back = mesh.settings_from_json(mesh.settings_to_json(program))
+    for name in ("theta", "phi", "output_phases"):
+        rounded = np.array(normalize_floats(getattr(program, name)), dtype=float)
+        assert np.array_equal(getattr(back, name), wrap_phase(rounded))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 10), st.sampled_from(["theta", "phi", "output_phases"]),
+       st.sampled_from([-1, 1]))
+def test_from_phases_rejects_wrong_lengths(n, name, delta):
+    count = n * (n - 1) // 2
+    sizes = {"theta": count, "phi": count, "output_phases": n}
+    sizes[name] += delta
+    if sizes[name] < 0:
+        return
+    with pytest.raises(StructureError, match=name):
+        mesh.MeshSettings.from_phases(
+            n,
+            np.zeros(sizes["theta"]),
+            np.zeros(sizes["phi"]),
+            output_phases=np.zeros(sizes["output_phases"]),
+        )

@@ -1,8 +1,14 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning
 
 from meshsim import hardware, mesh, quantum
 from meshsim.quantum import (
@@ -288,6 +294,54 @@ def test_fit_count_noise_bias_small():
         noisy = truth * (1.0 + 0.05 * rng.standard_normal(grid.size))
         fitted.append(fit_gaussian_dip(grid, noisy).visibility)
     assert abs(float(np.mean(fitted)) - 0.98) < 0.01
+
+
+def test_dip_fit_warning_suppression_is_thread_safe():
+    # one low sample on a flat scan: the fitted dip collapses between the
+    # neighbouring samples, so curve_fit cannot estimate the covariance and
+    # warns; the fit itself is stable, so every repeat must agree bit for bit
+    grid = np.arange(12.0)
+    values = np.ones(12)
+    values[5] = 0.2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # with the fit's own suppression disabled the warning shows
+        with mock.patch.object(warnings, "simplefilter"):
+            fit_gaussian_dip(grid, values)
+    assert any(issubclass(w.category, OptimizeWarning) for w in caught)
+
+    expected = fit_gaussian_dip(grid, values)
+    results, errors = [], []
+    deadline = time.monotonic() + 1.5
+
+    def worker():
+        try:
+            while time.monotonic() < deadline:
+                results.append(fit_gaussian_dip(grid, values))
+        except Exception as exc:  # collected and reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizeWarning)
+            filters = list(warnings.filters)
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            # an interleaved suppression block restores a stale filter list
+            # and leaves "ignore" behind for the whole process
+            leaked = list(warnings.filters) != filters
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert not leaked
+    assert results
+    assert all(fit == expected for fit in results)
 
 
 def test_hom_scan_ideal_dip():
