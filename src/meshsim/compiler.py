@@ -50,29 +50,15 @@ class DecompositionReport:
     nulling_sequence: Tuple[NullingStep, ...]
 
 
-def _null_right(v, r, c):
-    """Phases that zero element (r, c) by mixing columns (c, c+1)."""
-    target = v[r, c]
-    other = v[r, c + 1]
+def _null(target, other):
+    """Cell phases (theta, phi) that zero `target` against its partner entry
+    `other`. Nulling from the right mixes columns (c, c+1) and passes the
+    negated right neighbour; nulling from the left mixes rows (r-1, r) and
+    passes the entry above."""
     at = abs(target)
     ao = abs(other)
     if at <= NULLED_TOL:
         return np.pi, 0.0  # already nulled: park the cell in the bar state
-    if ao <= NULLED_TOL:
-        return 0.0, 0.0
-    theta = 2.0 * np.arctan2(ao, at)
-    phi = float(np.angle(target) - np.angle(-other))
-    return theta, phi
-
-
-def _null_left(v, r, c):
-    """Phases that zero element (r, c) by mixing rows (r-1, r)."""
-    target = v[r, c]
-    other = v[r - 1, c]
-    at = abs(target)
-    ao = abs(other)
-    if at <= NULLED_TOL:
-        return np.pi, 0.0
     if ao <= NULLED_TOL:
         return 0.0, 0.0
     theta = 2.0 * np.arctan2(ao, at)
@@ -124,7 +110,7 @@ def clements_decompose(u):
             for j in range(diag + 1):
                 r = n - 1 - j
                 c = diag - j
-                theta, phi = _null_right(v, r, c)
+                theta, phi = _null(v[r, c], -v[r, c + 1])
                 t_dag = cell_transfer(CellSetting(theta, phi)).conj().T
                 v[:, c : c + 2] = v[:, c : c + 2] @ t_dag
                 v[r, c] = 0.0
@@ -136,7 +122,7 @@ def clements_decompose(u):
             for j in range(diag + 1):
                 r = n - 1 - diag + j
                 c = j
-                theta, phi = _null_left(v, r, c)
+                theta, phi = _null(v[r, c], v[r - 1, c])
                 t = cell_transfer(CellSetting(theta, phi))
                 v[r - 1 : r + 1, :] = t @ v[r - 1 : r + 1, :]
                 v[r, c] = 0.0

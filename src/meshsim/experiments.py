@@ -7,7 +7,6 @@ so the worker count can change only the wall-clock time, never the payload.
 """
 
 import datetime
-import json
 import math
 import os
 import time
@@ -228,17 +227,6 @@ def validate_config(doc):
         params=params,
         schema_version=SCHEMA_VERSION,
     )
-
-
-def validate_config_file(path):
-    try:
-        with open(path, "r") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    return validate_config(doc)
 
 
 def config_to_dict(config):

@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import curve_fit
 
 from . import analysis
@@ -170,7 +171,12 @@ class CrosstalkMatrix:
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Full device description used by the simulator and the compiler chain."""
+    """Full device description used by the simulator and the compiler chain.
+
+    Treated as immutable, heater models included: derived arrays are cached
+    on the instance. Build a changed device with dataclasses.replace, which
+    starts with an empty cache.
+    """
 
     name: str
     n: int
@@ -183,6 +189,9 @@ class HardwareProfile:
     theta_noise_sigma_rad: float = 0.0
     phi_noise_sigma_rad: float = 0.0
     disorder_seed: int = 0
+    _arrays: Dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         order = heater_order(self.n)
@@ -221,10 +230,16 @@ class HardwareProfile:
         return heater_order(self.n)
 
     def heater_array(self, attr):
-        """One heater attribute as an ndarray in canonical order."""
-        return np.array(
-            [getattr(self.heaters[h], attr) for h in self.heater_ids]
-        )
+        """One heater attribute as a read-only ndarray in canonical order,
+        built on first use and cached per attribute."""
+        arr = self._arrays.get(attr)
+        if arr is None:
+            arr = np.array(
+                [getattr(self.heaters[h], attr) for h in self.heater_ids]
+            )
+            arr.setflags(write=False)
+            self._arrays[attr] = arr
+        return arr
 
 
 def ideal_profile(n):
@@ -447,9 +462,16 @@ def fit_phase_response(sweep, resistance_ohm):
 
 @dataclass(frozen=True)
 class CalibrationRecord:
-    """Fitted (phi0, alpha) for every heater of one device."""
+    """Fitted (phi0, alpha) for every heater of one device.
+
+    Treated as immutable, entries included: solve_voltages keeps the factored
+    drive system of the last profile it was solved against on the record.
+    """
 
     entries: Dict[str, CalibrationEntry]
+    _drive_memo: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def exact_from_profile(cls, profile):
@@ -561,13 +583,37 @@ def _target_vector(profile, target):
         missing = [h for h in order if h not in target]
         if missing:
             raise ValidationError(f"target is missing heaters {missing[:3]}")
-        return np.array([float(target[h]) for h in order])
-    arr = np.asarray(target, dtype=float)
-    if arr.shape != (len(order),):
-        raise ValidationError(
-            f"target must have {len(order)} phases, got shape {arr.shape}"
-        )
+        arr = np.array([float(target[h]) for h in order])
+    else:
+        arr = np.asarray(target, dtype=float)
+        if arr.shape != (len(order),):
+            raise ValidationError(
+                f"target must have {len(order)} phases, got shape {arr.shape}"
+            )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("target phases must be finite")
     return arr
+
+
+def _drive_system(profile, calibration):
+    """(phi0, coupling, lu_factor(coupling)) for one (profile, calibration):
+    the calibrated phi0, the coupling diag(fitted alpha) + the profile's
+    crosstalk, and its LU factor, built once per pair.
+
+    They live in a single slot on the record, keyed by the profile's
+    identity, so a record solved against another profile is refactored,
+    never served a stale factor. Concurrent first calls may each build
+    them; they build identical values, so the unlocked slot write is
+    harmless.
+    """
+    memo = calibration._drive_memo
+    if memo is not None and memo[0] is profile:
+        return memo[1]
+    phi0, alpha = calibration.arrays(profile.heater_ids)
+    coupling = np.diag(alpha) + profile.crosstalk.offdiagonal()
+    system = (phi0, coupling, lu_factor(coupling))
+    object.__setattr__(calibration, "_drive_memo", (profile, system))
+    return system
 
 
 def solve_voltages(profile, calibration, target):
@@ -579,18 +625,18 @@ def solve_voltages(profile, calibration, target):
     whose solved power comes out negative (its crosstalk background already
     overshoots the residual) is moved up one branch and the system is
     re-solved; backgrounds are bounded well below 2*pi, so each heater moves
-    at most once. Raises InfeasibleError when a required power exceeds a
-    heater's budget.
+    at most once. C is LU-factored once per (profile, calibration), so each
+    round is one pair of triangular back-substitutions. Raises
+    InfeasibleError when a required power exceeds a heater's budget.
     """
     order = profile.heater_ids
     t = _target_vector(profile, target)
-    phi0, alpha = calibration.arrays(order)
-    coupling = np.diag(alpha) + profile.crosstalk.offdiagonal()
+    phi0, coupling, lu = _drive_system(profile, calibration)
     p_max = profile.heater_array("p_max_w")
 
     residual = wrap_phase(t - phi0)
     for iterations in range(1, SOLVE_MAX_SWEEPS + 1):
-        p = np.linalg.solve(coupling, residual)
+        p = lu_solve(lu, residual)
         below = p < -1e-12
         if not np.any(below):
             break

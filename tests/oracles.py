@@ -133,3 +133,31 @@ def per_cell_realized_transfer(profile, settings, seed):
     out = np.exp(1j * settings.output_phases)[:, None] * out
     out *= facet_amp
     return out
+
+
+def dense_branch_solve(profile, calibration, target, max_rounds=500):
+    """Drive solve by the textbook loop: rebuild the power-to-phase coupling
+    (fitted alphas on the diagonal, the profile's crosstalk off it) and run a
+    fresh dense np.linalg.solve on every 2*pi-branch round. Returns
+    (powers_w, rounds, residual_rad) as hardware.solve_voltages defines them.
+    """
+    two_pi = 2.0 * np.pi
+    order = profile.heater_ids
+    t = np.asarray(target, dtype=float)
+    phi0 = np.array([calibration.entries[h].phi0_rad for h in order])
+    alpha = np.array([calibration.entries[h].alpha_rad_per_w for h in order])
+    residual = np.mod(t - phi0, two_pi)
+    for rounds in range(1, max_rounds + 1):
+        coupling = np.array(profile.crosstalk.matrix, dtype=float)
+        np.fill_diagonal(coupling, alpha)
+        p = np.linalg.solve(coupling, residual)
+        below = p < -1e-12
+        if not np.any(below):
+            break
+        residual = residual + np.where(below, two_pi, 0.0)
+    else:
+        raise AssertionError(f"branches did not settle in {max_rounds} rounds")
+    p = np.maximum(p, 0.0)
+    error = phi0 + coupling @ p - t
+    wrapped = np.pi - np.mod(np.pi - error, two_pi)
+    return p, rounds, float(np.max(np.abs(wrapped)))

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,22 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about half a second to every CLI start-up; no module
+    # on the CLI's import path may pull it in
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, meshsim.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_platform_json_to_stdout(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -32,8 +33,11 @@ from meshsim.util import (
     InfeasibleError,
     UnknownHeaterError,
     ValidationError,
+    parallel_map,
     wrap_signed,
 )
+
+from oracles import dense_branch_solve
 
 
 def test_heater_order_and_ids():
@@ -207,6 +211,91 @@ def test_solve_branch_bump():
     assert np.max(np.abs(wrap_signed(realized - target))) < 1e-9
     assert np.all(sol.powers_w >= 0)
     assert sol.iterations > 1
+    assert_matches_dense_solve(prof, cal, target, sol)
+
+
+def assert_matches_dense_solve(profile, calibration, target, sol):
+    powers, rounds, residual = dense_branch_solve(profile, calibration, target)
+    assert np.array_equal(sol.powers_w, powers)
+    assert sol.iterations == rounds
+    assert sol.residual_rad == residual
+
+
+def test_solve_matches_dense_oracle_exact_record_n20():
+    prof = calibrated_profile(20, disorder_seed=0)
+    cal = CalibrationRecord.exact_from_profile(prof)
+    for seed in range(4):
+        rep = compiler.clements_decompose(compiler.haar_random(20, seed=seed))
+        target = heater_targets(rep.settings)
+        assert_matches_dense_solve(prof, cal, target, solve_voltages(prof, cal, target))
+
+
+def test_solve_matches_dense_oracle_fitted_record():
+    prof = calibrated_profile(5, disorder_seed=2)
+    cal = calibrate_profile(prof, seed=1, detector_noise_sigma=1e-4)
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        target = rng.uniform(0, 2 * np.pi, len(prof.heater_ids))
+        assert_matches_dense_solve(prof, cal, target, solve_voltages(prof, cal, target))
+
+
+def test_solve_record_reused_across_profiles():
+    # the factored system is memoised on the record; switching the profile
+    # must refactor, never serve the first profile's coupling
+    first = calibrated_profile(5, disorder_seed=0)
+    second = calibrated_profile(5, disorder_seed=1)
+    assert not np.array_equal(first.crosstalk.matrix, second.crosstalk.matrix)
+    cal = CalibrationRecord.exact_from_profile(first)
+    rng = np.random.default_rng(5)
+    for prof in (first, second, first, second):
+        target = rng.uniform(0, 2 * np.pi, len(prof.heater_ids))
+        assert_matches_dense_solve(prof, cal, target, solve_voltages(prof, cal, target))
+
+
+def test_solve_threads_share_one_record():
+    # four threads race on one record's memo slot while the items alternate
+    # between two profiles; every result must equal the serial one
+    profiles = [calibrated_profile(20, disorder_seed=s) for s in (0, 1)]
+    rng = np.random.default_rng(40)
+    items = [
+        (profiles[i % 2], rng.uniform(0, 2 * np.pi, len(profiles[0].heater_ids)))
+        for i in range(40)
+    ]
+
+    def run(record, workers):
+        return parallel_map(
+            lambda item: solve_voltages(item[0], record, item[1]),
+            items,
+            workers=workers,
+        )
+
+    serial = run(CalibrationRecord.exact_from_profile(profiles[0]), 1)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        threaded = run(CalibrationRecord.exact_from_profile(profiles[0]), 4)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a.powers_w, b.powers_w)
+        assert a.voltages_v == b.voltages_v
+        assert (a.iterations, a.residual_rad) == (b.iterations, b.residual_rad)
+
+
+def test_heater_array_cached_read_only():
+    prof = calibrated_profile(3, disorder_seed=2)
+    expected = [prof.heaters[h].phi0_rad for h in prof.heater_ids]
+    phi0 = prof.heater_array("phi0_rad")
+    with pytest.raises(ValueError):
+        phi0[0] = 0.0
+    assert np.array_equal(prof.heater_array("phi0_rad"), expected)
+    # a replaced profile starts with its own cache
+    first = prof.heater_ids[0]
+    heaters = dict(prof.heaters)
+    heaters[first] = dataclasses.replace(heaters[first], phi0_rad=0.25)
+    changed = dataclasses.replace(prof, heaters=heaters)
+    assert changed.heater_array("phi0_rad")[0] == 0.25
+    assert np.array_equal(prof.heater_array("phi0_rad"), expected)
 
 
 def test_solve_infeasible_budget():
@@ -226,6 +315,15 @@ def test_solve_infeasible_budget():
     with pytest.raises(InfeasibleError) as exc:
         solve_voltages(prof, cal, np.array([3.0, 0.1]))
     assert "c00r00.theta" in exc.value.heater_ids
+
+
+def test_solve_rejects_non_finite_target():
+    prof = calibrated_profile(2, disorder_seed=0)
+    cal = CalibrationRecord.exact_from_profile(prof)
+    with pytest.raises(ValidationError, match="finite"):
+        solve_voltages(prof, cal, np.array([np.nan, 1.0]))
+    with pytest.raises(ValidationError, match="finite"):
+        solve_voltages(prof, cal, {h: np.inf for h in prof.heater_ids})
 
 
 def test_measure_columns_normalized_and_seeded():
