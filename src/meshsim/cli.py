@@ -26,18 +26,6 @@ from .util import (
 
 OUT_DIR_ENV = "MESHSIM_OUT_DIR"
 
-# subcommand -> campaign kind ("fidelity" resolves via --ensemble)
-_CAMPAIGN_SUBCOMMANDS = {
-    "fidelity": None,
-    "calibrate": "calibration",
-    "hom-map": "hom-map",
-    "hom-scan": "hom-scan",
-    "delay-sweep": "delay-sweep",
-    "loss": "loss-report",
-    "platform": "platform",
-}
-
-
 def _add_common_flags(parser):
     parser.add_argument("--config", metavar="PATH", help="campaign config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
@@ -75,25 +63,22 @@ def build_parser():
     p.add_argument("--count", type=int, default=1, help="ensemble size (default 1)")
     _add_common_flags(p)
 
-    p = sub.add_parser("fidelity", help="run a fidelity campaign")
-    p.add_argument(
-        "--ensemble",
-        choices=("haar", "perm"),
-        default="haar",
-        help="target ensemble (default haar)",
-    )
-    p.add_argument("--count", type=int, help="override the config ensemble size")
-    _add_common_flags(p)
-
-    for name, help_text in (
-        ("calibrate", "fit heater responses and check the phase solver"),
-        ("hom-map", "two-photon visibility map over every unit cell"),
-        ("hom-scan", "single two-photon dip scan at one target cell"),
-        ("delay-sweep", "track the dip center while driving the diagonal arm"),
-        ("loss", "insertion loss budget per mode"),
-        ("platform", "cross-platform loss comparison table"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for kind, spec in experiments.CAMPAIGNS.items():
+        if spec.subcommand in sub.choices:
+            continue
+        p = sub.add_parser(spec.subcommand, help=spec.help)
+        p.set_defaults(kind=kind)
+        if spec.subcommand == "fidelity":
+            # the one subcommand serving two kinds: fidelity-haar, fidelity-perm
+            p.add_argument(
+                "--ensemble",
+                choices=("haar", "perm"),
+                default="haar",
+                help="target ensemble (default haar)",
+            )
+            p.add_argument(
+                "--count", type=int, help="override the config ensemble size"
+            )
         _add_common_flags(p)
 
     return parser
@@ -139,7 +124,7 @@ def _run_campaign_command(args, kind):
         config, workers=args.workers
     )
     if args.format == "csv":
-        sys.stdout.write(csv_files[experiments.primary_csv_name(kind)])
+        sys.stdout.write(csv_files[experiments.CAMPAIGNS[kind].primary_csv])
     else:
         sys.stdout.write(dumps_canonical(report))
     return 0
@@ -218,10 +203,8 @@ def main(argv=None):
         if args.command in ("haar", "perm"):
             return _run_ensemble(args, args.command)
         if args.command == "fidelity":
-            kind = "fidelity-haar" if args.ensemble == "haar" else "fidelity-perm"
-        else:
-            kind = _CAMPAIGN_SUBCOMMANDS[args.command]
-        return _run_campaign_command(args, kind)
+            return _run_campaign_command(args, f"fidelity-{args.ensemble}")
+        return _run_campaign_command(args, args.kind)
     except UsageError as exc:
         print(f"meshsim: error: {exc}", file=sys.stderr)
         return 2

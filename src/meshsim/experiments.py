@@ -6,12 +6,12 @@ plot-ready CSV files. Per-item seeds derive from (campaign seed, item index),
 so the worker count can change only the wall-clock time, never the payload.
 """
 
+import dataclasses
 import datetime
 import math
 import os
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,51 +29,10 @@ from .util import (
 
 SCHEMA_VERSION = 1
 
-CAMPAIGN_KINDS = (
-    "fidelity-haar",
-    "fidelity-perm",
-    "calibration",
-    "hom-map",
-    "hom-scan",
-    "delay-sweep",
-    "loss-report",
-    "platform",
-)
-
-# kinds whose `count` iterates items; the others require count = 1
-_COUNTED_KINDS = {
-    "fidelity-haar": 1000,
-    "fidelity-perm": 190,
-    "calibration": 5,
-    "hom-map": 1,
-}
-
-_CONFIG_KEYS = {
-    "schema_version",
-    "kind",
-    "n",
-    "seed",
-    "count",
-    "profile",
-    "out_dir",
-    "params",
-}
-
-_PARAM_KEYS = {
-    "fidelity-haar": frozenset(),
-    "fidelity-perm": frozenset(),
-    "calibration": frozenset({"points", "detector_noise_sigma"}),
-    "hom-map": frozenset({"overlap", "count_noise_sigma"}),
-    "hom-scan": frozenset({"target", "overlap", "count_noise_sigma", "arm_delay_um"}),
-    "delay-sweep": frozenset({"levels_rad", "overlap"}),
-    "loss-report": frozenset({"loss_per_cell_db"}),
-    "platform": frozenset(),
-}
-
 _SOLVE_CHECK_STREAM = 909
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Normalized campaign configuration (see validate_config)."""
 
@@ -87,6 +46,9 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
 
+_CONFIG_KEYS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
+
+
 def _require_int(doc, key, default, minimum):
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -96,91 +58,102 @@ def _require_int(doc, key, default, minimum):
     return value
 
 
-def _require_number(params, key, default, lo=None, hi=None):
-    value = params.get(key, default)
+def _number(value, what, lo=None, hi=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"param {key!r} must be a number")
-    value = float(value)
+        raise UsageError(f"{what} must be a number")
+    # json.load accepts Infinity, NaN and integers beyond the float range,
+    # none of which a report can serialise
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
-        raise UsageError(f"param {key!r} must be finite")
+        raise UsageError(f"{what} must be finite")
     if lo is not None and value < lo:
-        raise UsageError(f"param {key!r} must be >= {lo}, got {value}")
+        raise UsageError(f"{what} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
-        raise UsageError(f"param {key!r} must be <= {hi}, got {value}")
+        raise UsageError(f"{what} must be <= {hi}, got {value}")
     return value
 
 
-def _normalize_params(kind, params, n):
-    allowed = _PARAM_KEYS[kind]
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise UsageError(
-            f"unknown params for kind {kind!r}: {unknown} (allowed: {sorted(allowed)})"
-        )
-    out = {}
-    if kind == "calibration":
-        points = params.get("points", 64)
-        if isinstance(points, bool) or not isinstance(points, int) or points < 8:
-            raise UsageError("param 'points' must be an integer >= 8")
-        out["points"] = points
-        out["detector_noise_sigma"] = _require_number(
+def _require_number(params, key, default, lo=None, hi=None):
+    return _number(params.get(key, default), f"param {key!r}", lo, hi)
+
+
+def _require_number_list(params, key, default):
+    """Non-empty list of finite numbers >= 0."""
+    values = params.get(key, default)
+    if not isinstance(values, (list, tuple)) or not values:
+        raise UsageError(f"param {key!r} must be a non-empty list")
+    return [_number(value, f"param {key!r} entry", lo=0.0) for value in values]
+
+
+def _overlap_param(params):
+    return _require_number(
+        params, "overlap", 1.0 / quantum.DEFAULT_SCHMIDT_NUMBER, lo=0.0, hi=1.0
+    )
+
+
+def _no_params(params, n):
+    return {}
+
+
+def _calibration_params(params, n):
+    points = params.get("points", 64)
+    if isinstance(points, bool) or not isinstance(points, int) or points < 8:
+        raise UsageError("param 'points' must be an integer >= 8")
+    return {
+        "points": points,
+        "detector_noise_sigma": _require_number(
             params, "detector_noise_sigma", 0.0, lo=0.0
+        ),
+    }
+
+
+def _hom_map_params(params, n):
+    return {
+        "overlap": _overlap_param(params),
+        "count_noise_sigma": _require_number(params, "count_noise_sigma", 0.0, lo=0.0),
+    }
+
+
+def _hom_scan_params(params, n):
+    out = _hom_map_params(params, n)
+    target = params.get("target", [0, 0])
+    if (
+        not isinstance(target, (list, tuple))
+        or len(target) != 2
+        or any(isinstance(v, bool) or not isinstance(v, int) for v in target)
+    ):
+        raise UsageError("param 'target' must be [column, row] integers")
+    column, row = int(target[0]), int(target[1])
+    if not 0 <= column < n - 1 or row not in mesh.rows_in_column(n, column):
+        raise UsageError(
+            f"param 'target' ({column}, {row}) is not a cell of an n={n} mesh"
         )
-    elif kind in ("hom-map", "hom-scan"):
-        out["overlap"] = _require_number(
-            params, "overlap", 1.0 / quantum.DEFAULT_SCHMIDT_NUMBER, lo=0.0, hi=1.0
-        )
-        out["count_noise_sigma"] = _require_number(
-            params, "count_noise_sigma", 0.0, lo=0.0
-        )
-        if kind == "hom-scan":
-            target = params.get("target", [0, 0])
-            if (
-                not isinstance(target, (list, tuple))
-                or len(target) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in target)
-            ):
-                raise UsageError("param 'target' must be [column, row] integers")
-            column, row = int(target[0]), int(target[1])
-            if not 0 <= column < n - 1 or row not in mesh.rows_in_column(n, column):
-                raise UsageError(
-                    f"param 'target' ({column}, {row}) is not a cell of an"
-                    f" n={n} mesh"
-                )
-            out["target"] = [column, row]
-            out["arm_delay_um"] = _require_number(params, "arm_delay_um", 0.0)
-    elif kind == "delay-sweep":
-        out["overlap"] = _require_number(
-            params, "overlap", 1.0 / quantum.DEFAULT_SCHMIDT_NUMBER, lo=0.0, hi=1.0
-        )
-        levels = params.get(
-            "levels_rad", [k * 0.5 * math.pi for k in range(7)]  # 0 .. 3 pi
-        )
-        if not isinstance(levels, (list, tuple)) or not levels:
-            raise UsageError("param 'levels_rad' must be a non-empty list")
-        checked = []
-        for value in levels:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise UsageError("param 'levels_rad' entries must be numbers")
-            value = float(value)
-            if not math.isfinite(value) or value < 0:
-                raise UsageError("param 'levels_rad' entries must be finite and >= 0")
-            checked.append(value)
-        out["levels_rad"] = checked
-    elif kind == "loss-report":
-        losses = params.get("loss_per_cell_db", [0.1, 0.055])
-        if not isinstance(losses, (list, tuple)) or not losses:
-            raise UsageError("param 'loss_per_cell_db' must be a non-empty list")
-        checked = []
-        for value in losses:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise UsageError("param 'loss_per_cell_db' entries must be numbers")
-            value = float(value)
-            if not value > 0:
-                raise UsageError("param 'loss_per_cell_db' entries must be > 0")
-            checked.append(value)
-        out["loss_per_cell_db"] = checked
+    out["target"] = [column, row]
+    out["arm_delay_um"] = _require_number(params, "arm_delay_um", 0.0)
     return out
+
+
+def _delay_sweep_params(params, n):
+    # the diagonal interferometer recombines on a third mode
+    if n < 3:
+        raise UsageError(
+            f"config field 'n' must be >= 3 for kind 'delay-sweep', got {n}"
+        )
+    levels = [k * 0.5 * math.pi for k in range(7)]  # 0 .. 3 pi
+    return {
+        "overlap": _overlap_param(params),
+        "levels_rad": _require_number_list(params, "levels_rad", levels),
+    }
+
+
+def _loss_report_params(params, n):
+    losses = _require_number_list(params, "loss_per_cell_db", [0.1, 0.055])
+    if min(losses) == 0:
+        raise UsageError("param 'loss_per_cell_db' entries must be > 0")
+    return {"loss_per_cell_db": losses}
 
 
 def validate_config(doc):
@@ -198,14 +171,15 @@ def validate_config(doc):
     if version != SCHEMA_VERSION:
         raise UsageError(f"unsupported schema_version {version!r}")
     kind = doc.get("kind")
-    if kind not in CAMPAIGN_KINDS:
+    if kind not in CAMPAIGNS:
         raise UsageError(
-            f"config field 'kind' must be one of {list(CAMPAIGN_KINDS)}, got {kind!r}"
+            f"config field 'kind' must be one of {list(CAMPAIGNS)}, got {kind!r}"
         )
+    spec = CAMPAIGNS[kind]
     n = _require_int(doc, "n", 20, 2)
     seed = _require_int(doc, "seed", 0, 0)
-    count = _require_int(doc, "count", _COUNTED_KINDS.get(kind, 1), 1)
-    if kind not in _COUNTED_KINDS and count != 1:
+    count = _require_int(doc, "count", spec.default_count or 1, 1)
+    if spec.default_count is None and count != 1:
         raise UsageError(f"config field 'count' must be 1 for kind {kind!r}")
     profile = doc.get("profile", "ideal")
     if not isinstance(profile, str) or not profile:
@@ -216,7 +190,13 @@ def validate_config(doc):
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, dict):
         raise UsageError("config field 'params' must be an object")
-    params = _normalize_params(kind, params_doc, n)
+    params = spec.normalize(params_doc, n)
+    # a normalized params dict holds every allowed key, defaults filled in
+    unknown = sorted(set(params_doc) - set(params))
+    if unknown:
+        raise UsageError(
+            f"unknown params for kind {kind!r}: {unknown} (allowed: {sorted(params)})"
+        )
     return ExperimentConfig(
         kind=kind,
         n=n,
@@ -230,16 +210,9 @@ def validate_config(doc):
 
 
 def config_to_dict(config):
-    return {
-        "schema_version": config.schema_version,
-        "kind": config.kind,
-        "n": config.n,
-        "seed": config.seed,
-        "count": config.count,
-        "profile": config.profile,
-        "out_dir": config.out_dir,
-        "params": dict(config.params or {}),
-    }
+    doc = dataclasses.asdict(config)
+    doc["params"] = doc["params"] or {}
+    return doc
 
 
 def resolve_profile(config, repetition=0):
@@ -259,7 +232,10 @@ def resolve_profile(config, repetition=0):
         )
     if not os.path.exists(ref):
         raise UsageError(f"profile file not found: {ref}")
-    profile = hardware.load_profile(ref)
+    try:
+        profile = hardware.load_profile(ref)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read profile {ref}: {exc}") from exc
     if profile.n != config.n:
         raise UsageError(
             f"profile {ref} is for n={profile.n}, config says n={config.n}"
@@ -348,7 +324,12 @@ def _run_calibration(config, workers):
     for hid in order:
         true = profile.heaters[hid]
         fit = record.entries[hid]
-        phi0_rel = abs(fit.phi0_rad - true.phi0_rad) / abs(true.phi0_rad)
+        if true.phi0_rad == 0:
+            # no relative error exists at phi0 = 0 (every heater of the
+            # ideal profile); report the wrapped absolute error instead
+            phi0_rel = abs(float(wrap_signed(fit.phi0_rad - true.phi0_rad)))
+        else:
+            phi0_rel = abs(fit.phi0_rad - true.phi0_rad) / abs(true.phi0_rad)
         alpha_rel = abs(fit.alpha_rad_per_w - true.alpha_rad_per_w) / abs(
             true.alpha_rad_per_w
         )
@@ -384,19 +365,7 @@ def _run_calibration(config, workers):
     }
     csv_files = {
         "calibration.csv": _csv_text(
-            "heater_id,phi0_true_rad,phi0_fit_rad,alpha_true_rad_per_w,"
-            "alpha_fit_rad_per_w,residual",
-            [
-                (
-                    row["heater_id"],
-                    row["phi0_true_rad"],
-                    row["phi0_fit_rad"],
-                    row["alpha_true_rad_per_w"],
-                    row["alpha_fit_rad_per_w"],
-                    row["residual"],
-                )
-                for row in heater_rows
-            ],
+            ",".join(heater_rows[0]), [row.values() for row in heater_rows]
         )
     }
     return results, summary, csv_files
@@ -545,15 +514,84 @@ def _run_platform(config, workers):
     return report, summary, csv_files
 
 
-_RUNNERS = {
-    "fidelity-haar": _run_fidelity,
-    "fidelity-perm": _run_fidelity,
-    "calibration": _run_calibration,
-    "hom-map": _run_hom_map,
-    "hom-scan": _run_hom_scan,
-    "delay-sweep": _run_delay_sweep,
-    "loss-report": _run_loss_report,
-    "platform": _run_platform,
+@dataclasses.dataclass(frozen=True)
+class CampaignKind:
+    """What meshsim knows about one campaign kind.
+
+    `primary_csv` is the artifact that `--format csv` prints; `subcommand`
+    and `help` make the kind's CLI entry, where the two fidelity kinds share
+    `fidelity` and its --ensemble flag tells them apart. `default_count`
+    None marks a single-shot kind, whose count must be 1. `normalize(params,
+    n)` checks a params document and returns it with every allowed key
+    present, defaults filled in.
+    """
+
+    runner: Callable
+    primary_csv: str
+    subcommand: str
+    help: str
+    default_count: Optional[int] = None
+    normalize: Callable = _no_params
+
+
+CAMPAIGNS = {
+    "fidelity-haar": CampaignKind(
+        runner=_run_fidelity,
+        primary_csv="fidelities.csv",
+        subcommand="fidelity",
+        help="run a fidelity campaign",
+        default_count=1000,
+    ),
+    "fidelity-perm": CampaignKind(
+        runner=_run_fidelity,
+        primary_csv="fidelities.csv",
+        subcommand="fidelity",
+        help="run a fidelity campaign",
+        default_count=190,
+    ),
+    "calibration": CampaignKind(
+        runner=_run_calibration,
+        primary_csv="calibration.csv",
+        subcommand="calibrate",
+        help="fit heater responses and check the phase solver",
+        default_count=5,
+        normalize=_calibration_params,
+    ),
+    "hom-map": CampaignKind(
+        runner=_run_hom_map,
+        primary_csv="visibility_grid-00.csv",
+        subcommand="hom-map",
+        help="two-photon visibility map over every unit cell",
+        default_count=1,
+        normalize=_hom_map_params,
+    ),
+    "hom-scan": CampaignKind(
+        runner=_run_hom_scan,
+        primary_csv="scan.csv",
+        subcommand="hom-scan",
+        help="single two-photon dip scan at one target cell",
+        normalize=_hom_scan_params,
+    ),
+    "delay-sweep": CampaignKind(
+        runner=_run_delay_sweep,
+        primary_csv="sweep.csv",
+        subcommand="delay-sweep",
+        help="track the dip center while driving the diagonal arm",
+        normalize=_delay_sweep_params,
+    ),
+    "loss-report": CampaignKind(
+        runner=_run_loss_report,
+        primary_csv="loss.csv",
+        subcommand="loss",
+        help="insertion loss budget per mode",
+        normalize=_loss_report_params,
+    ),
+    "platform": CampaignKind(
+        runner=_run_platform,
+        primary_csv="platforms.csv",
+        subcommand="platform",
+        help="cross-platform loss comparison table",
+    ),
 }
 
 
@@ -567,8 +605,7 @@ def run_campaign_with_artifacts(config, workers=None):
     """
     started = time.time()
     started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    runner = _RUNNERS[config.kind]
-    results, summary, csv_files = runner(config, workers)
+    results, summary, csv_files = CAMPAIGNS[config.kind].runner(config, workers)
     artifact_names = ["report.json"] + sorted(csv_files)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -602,19 +639,6 @@ def report_payload_bytes(report):
     """Canonical bytes of a report with the timing metadata stripped."""
     payload = {key: value for key, value in report.items() if key != "meta"}
     return dumps_canonical(payload).encode()
-
-
-def primary_csv_name(kind):
-    return {
-        "fidelity-haar": "fidelities.csv",
-        "fidelity-perm": "fidelities.csv",
-        "calibration": "calibration.csv",
-        "hom-map": "visibility_grid-00.csv",
-        "hom-scan": "scan.csv",
-        "delay-sweep": "sweep.csv",
-        "loss-report": "loss.csv",
-        "platform": "platforms.csv",
-    }[kind]
 
 
 def unitary_to_json_dict(u):

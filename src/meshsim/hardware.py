@@ -829,7 +829,7 @@ def profile_from_json_dict(doc):
             phi_noise_sigma_rad=float(doc["phi_noise_sigma_rad"]),
             disorder_seed=int(doc["disorder_seed"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profile document: {exc}")
 
 

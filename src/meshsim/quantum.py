@@ -112,6 +112,18 @@ def _overlap_value(x):
     return x
 
 
+def _pair_terms(m, input_pair, output_pair):
+    """(|q1|^2 + |q2|^2, 2 Re(q1 q2*)) for inputs (a, b), outputs (c, d).
+
+    The coincidence at pairwise overlap x is the first plus x times the second.
+    """
+    a, b = input_pair
+    c, d = output_pair
+    q1 = m[c, a] * m[d, b]
+    q2 = m[c, b] * m[d, a]
+    return abs(q1) ** 2 + abs(q2) ** 2, 2.0 * (q1 * q2.conjugate()).real
+
+
 def two_photon_coincidence(u, input_pair, output_pair, overlap):
     """Coincidence probability for one photon at each output of a pair.
 
@@ -124,9 +136,8 @@ def two_photon_coincidence(u, input_pair, output_pair, overlap):
     a, b = _mode_pair(input_pair, m.shape[0], "input")
     c, d = _mode_pair(output_pair, m.shape[0], "output")
     x = _overlap_value(overlap)
-    q1 = m[c, a] * m[d, b]
-    q2 = m[c, b] * m[d, a]
-    return float(abs(q1) ** 2 + abs(q2) ** 2 + 2.0 * x * (q1 * q2.conjugate()).real)
+    classical, interference = _pair_terms(m, (a, b), (c, d))
+    return float(classical + x * interference)
 
 
 def two_photon_output_distribution(u, input_pair, overlap):
@@ -143,11 +154,8 @@ def two_photon_output_distribution(u, input_pair, overlap):
         amp = m[c, a] * m[c, b]
         probs[(c, c)] = float((1.0 + x) * abs(amp) ** 2)
         for d in range(c + 1, n):
-            q1 = m[c, a] * m[d, b]
-            q2 = m[c, b] * m[d, a]
-            probs[(c, d)] = float(
-                abs(q1) ** 2 + abs(q2) ** 2 + 2.0 * x * (q1 * q2.conjugate()).real
-            )
+            classical, interference = _pair_terms(m, (a, b), (c, d))
+            probs[(c, d)] = float(classical + x * interference)
     return probs
 
 
@@ -506,13 +514,9 @@ def hom_scan(
 
     settings = plan_to_settings(plan)
     transfer = hardware.realized_transfer(profile, settings, seed=seed)
-    m = transfer.elements
-    a, b = plan.input_pair
-    out_c, out_d = plan.output_pair
-    q1 = m[out_c, a] * m[out_d, b]
-    q2 = m[out_c, b] * m[out_d, a]
-    p_classical = abs(q1) ** 2 + abs(q2) ** 2
-    p_interference = 2.0 * (q1 * q2.conjugate()).real
+    p_classical, p_interference = _pair_terms(
+        transfer.elements, plan.input_pair, plan.output_pair
+    )
     counts = p_classical + source.overlap_at(d, arm_delay_um) * p_interference
     if count_noise_sigma > 0:
         rng = np.random.default_rng(
@@ -544,8 +548,8 @@ def hom_scan(
         delays_um=d,
         coincidences=normalized,
         fit=fit,
-        input_pair=(a, b),
-        output_pair=(out_c, out_d),
+        input_pair=tuple(plan.input_pair),
+        output_pair=tuple(plan.output_pair),
         metadata=metadata,
     )
 
@@ -612,9 +616,6 @@ class VisibilityMap:
     row_anova_p: float
     column_anova_p: float
     metadata: dict
-
-    def by_cell(self):
-        return dict(zip(self.cells, self.visibilities.tolist()))
 
     def to_json_dict(self):
         return {

@@ -128,6 +128,16 @@ def test_campaign_failure_exits_one(tmp_path, capsys):
     assert "campaign failed" in err
 
 
+def test_calibrate_ideal_profile_reports_finite_phi0_error(tmp_path, capsys):
+    # every heater of the ideal profile has phi0 = 0, where no relative
+    # error exists
+    cfg = write_config(tmp_path, {"kind": "calibration", "n": 3})
+    code, out, err = run_cli(["calibrate", "--config", cfg], capsys)
+    assert code == 0, err
+    error = json.loads(out)["summary"]["max_phi0_rel_error"]
+    assert np.isfinite(error) and error < 1e-6
+
+
 def test_out_flag_writes_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     cfg = write_config(tmp_path, {"kind": "loss-report", "n": 4})

@@ -4,9 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from meshsim import compiler, experiments, hardware
+from meshsim import cli, compiler, experiments, hardware
 from meshsim.experiments import (
-    CAMPAIGN_KINDS,
     ExperimentConfig,
     report_payload_bytes,
     run_campaign,
@@ -15,7 +14,7 @@ from meshsim.experiments import (
     unitary_to_json_dict,
     validate_config,
 )
-from meshsim.util import UsageError
+from meshsim.util import UsageError, ValidationError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -116,6 +115,19 @@ def test_config_rejects_bad_param_values():
     with pytest.raises(UsageError, match="target"):
         validate_config({"kind": "hom-scan", "n": 4,
                          "params": {"target": [0, 1]}})
+    # json.load accepts Infinity and integers no float can hold, neither of
+    # which a report could serialise
+    with pytest.raises(UsageError, match="loss_per_cell_db"):
+        validate_config({"kind": "loss-report",
+                         "params": {"loss_per_cell_db": [float("inf")]}})
+    with pytest.raises(UsageError, match="overlap"):
+        validate_config({"kind": "hom-map", "params": {"overlap": 10**400}})
+    with pytest.raises(UsageError, match="levels_rad"):
+        validate_config({"kind": "delay-sweep",
+                         "params": {"levels_rad": [0.0, float("nan")]}})
+    # the diagonal interferometer of a delay sweep needs n >= 3
+    with pytest.raises(UsageError, match="'n'"):
+        validate_config({"kind": "delay-sweep", "n": 2})
 
 
 def test_config_rejects_bad_schema_version():
@@ -129,6 +141,20 @@ def test_resolve_profile_rejects_n_mismatch(tmp_path):
     hardware.write_profile(profile, str(path))
     cfg = validate_config({"kind": "loss-report", "n": 6, "profile": str(path)})
     with pytest.raises(UsageError, match="n="):
+        experiments.resolve_profile(cfg)
+
+
+def test_resolve_profile_rejects_unreadable_and_malformed_files(tmp_path):
+    cfg = validate_config({"kind": "loss-report", "n": 4,
+                           "profile": str(tmp_path)})
+    with pytest.raises(UsageError, match="cannot read profile"):
+        experiments.resolve_profile(cfg)
+    doc = json.loads(hardware.profile_to_json(hardware.ideal_profile(4)))
+    doc["path_length_cm"] = "abc"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    cfg = validate_config({"kind": "loss-report", "n": 4, "profile": str(path)})
+    with pytest.raises(ValidationError, match="malformed profile"):
         experiments.resolve_profile(cfg)
 
 
@@ -264,10 +290,19 @@ def test_unitary_json_rejects_malformed():
         unitary_from_json_dict({"n": 2})
 
 
-def test_campaign_kinds_all_have_runners():
-    assert set(CAMPAIGN_KINDS) == set(experiments._RUNNERS)
-    for kind in CAMPAIGN_KINDS:
-        assert experiments.primary_csv_name(kind)
+@pytest.mark.parametrize("kind", sorted(experiments.CAMPAIGNS))
+def test_cli_csv_prints_registry_primary_csv(kind, tmp_path, capsys):
+    spec = experiments.CAMPAIGNS[kind]
+    _, csv_files = run_campaign_with_artifacts(
+        validate_config(dict(SMALL_CONFIGS[kind])))
+    assert spec.primary_csv in csv_files
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIGS[kind]))
+    argv = [spec.subcommand, "--config", str(path), "--format", "csv"]
+    if spec.subcommand == "fidelity":
+        argv += ["--ensemble", kind.split("-", 1)[1]]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == csv_files[spec.primary_csv]
 
 
 def test_config_round_trips_through_echo():

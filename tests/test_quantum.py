@@ -356,6 +356,28 @@ def test_hom_scan_ideal_dip():
     assert scan.fit.baseline == pytest.approx(1.0, abs=1e-6)
 
 
+def test_hom_scan_matches_fock_oracle_on_lossy_transfer():
+    n = 6
+    profile = hardware.calibrated_profile(n, disorder_seed=4)
+    plan = route_to_tbs(n, (1, 3))
+    source = PhotonPairSource(mutual_overlap_at_zero_delay=0.95)
+    scan = hom_scan(plan, source, profile, seed=11)
+    u = hardware.realized_transfer(profile, plan_to_settings(plan), seed=11)
+    u = u.elements
+    assert np.sum(np.abs(u) ** 2) < n - 0.5  # lossy
+    a, b = plan.input_pair
+    key = tuple(sorted(plan.output_pair))
+    raw = np.array([
+        fock_two_photon_distribution(u, a, b, x)[key]
+        for x in source.overlap_at(scan.delays_um)
+    ])
+    # the scan divides its raw coincidences by the mean of the samples
+    # farthest from zero delay
+    k = max(1, round(quantum.BASELINE_FRACTION * raw.size))
+    base = np.mean(raw[np.argsort(np.abs(scan.delays_um))[-k:]])
+    assert np.max(np.abs(scan.coincidences * base - raw)) < 1e-12
+
+
 def test_hom_scan_schmidt_limited_visibility():
     n = 6
     profile = hardware.ideal_profile(n)
