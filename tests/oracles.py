@@ -161,3 +161,83 @@ def dense_branch_solve(profile, calibration, target, max_rounds=500):
     error = phi0 + coupling @ p - t
     wrapped = np.pi - np.mod(np.pi - error, two_pi)
     return p, rounds, float(np.max(np.abs(wrapped)))
+
+
+def grid_fringe_fit(sweep, resistance_ohm):
+    """Fringe fit with the alpha grid scored one lstsq call per point: the
+    FFT seed, the 101-point loop over alpha_init * [0.75, 1.25] keeping the
+    first strictly smaller rms, and the curve_fit polish, as
+    hardware.fit_phase_response defines them. Returns a CalibrationEntry."""
+    from scipy.optimize import curve_fit
+
+    from meshsim.hardware import CalibrationEntry
+    from meshsim.util import TWO_PI, FitDegeneracyError, wrap_phase
+
+    v = np.asarray(sweep.voltages_v, dtype=float)
+    signal = np.asarray(sweep.signal, dtype=float)
+    if v.size < 8:
+        raise FitDegeneracyError(
+            f"{sweep.heater_id}: need >= 8 samples, got {v.size}"
+        )
+    power = v**2 / float(resistance_ohm)
+    span = float(np.ptp(power))
+    if span <= 0:
+        raise FitDegeneracyError(f"{sweep.heater_id}: degenerate voltage grid")
+    if float(np.ptp(signal)) < 1e-12:
+        raise FitDegeneracyError(f"{sweep.heater_id}: constant signal")
+
+    m = 8 * v.size
+    p_uniform = np.linspace(power.min(), power.max(), m)
+    resampled = np.interp(p_uniform, power, signal)
+    spectrum = np.abs(np.fft.rfft(resampled - resampled.mean()))
+    k = int(np.argmax(spectrum[1:])) + 1
+    alpha_init = TWO_PI * k / (m * (span / (m - 1)))
+
+    best = None
+    for alpha in alpha_init * np.linspace(0.75, 1.25, 101):
+        basis = np.column_stack(
+            [np.ones_like(power), np.cos(alpha * power), np.sin(alpha * power)]
+        )
+        coef, _, _, _ = np.linalg.lstsq(basis, signal, rcond=None)
+        resid = signal - basis @ coef
+        rms = float(np.sqrt(np.mean(resid**2)))
+        if best is None or rms < best[2]:
+            best = (alpha, coef, rms)
+    alpha0, (a0, c1, c2), _ = best
+
+    def model(p, a, x, y, al):
+        return a + x * np.cos(al * p) + y * np.sin(al * p)
+
+    try:
+        params, _ = curve_fit(
+            model,
+            power,
+            signal,
+            p0=(a0, c1, c2, alpha0),
+            maxfev=20000,
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+        )
+    except RuntimeError as exc:
+        raise FitDegeneracyError(f"{sweep.heater_id}: fit failed: {exc}")
+    a, c1, c2, alpha = (float(x) for x in params)
+    if alpha < 0:
+        alpha, c2 = -alpha, -c2
+    amplitude = float(np.hypot(c1, c2))
+    if amplitude < 1e-9:
+        raise FitDegeneracyError(f"{sweep.heater_id}: vanishing fringe")
+    if alpha * span < TWO_PI:
+        raise FitDegeneracyError(
+            f"{sweep.heater_id}: swept span {alpha * span:.3f} rad "
+            "covers less than one fringe period"
+        )
+    phi0 = wrap_phase(float(np.arctan2(-c2, c1)))
+    fitted = model(power, a, c1, c2, alpha)
+    rms = float(np.sqrt(np.mean((fitted - signal) ** 2)))
+    return CalibrationEntry(
+        heater_id=sweep.heater_id,
+        phi0_rad=phi0,
+        alpha_rad_per_w=alpha,
+        residual=rms,
+    )

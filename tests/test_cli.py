@@ -254,3 +254,18 @@ def test_stdout_reports_identical_across_worker_counts(tmp_path, capsys):
     strip = lambda text: {k: v for k, v in json.loads(text).items()
                           if k != "meta"}
     assert strip(out1) == strip(out2)
+
+
+def test_loss_on_non_finite_profile_exits_one(tmp_path, capsys):
+    # a profile value of Infinity fails validation (exit 1) instead of
+    # reaching the loss model
+    doc = hardware.profile_to_json_dict(hardware.calibrated_profile(4))
+    doc["path_length_cm"] = float("inf")
+    ppath = tmp_path / "inf.json"
+    ppath.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {
+        "kind": "loss-report", "n": 4, "profile": str(ppath)})
+    code, out, err = run_cli(["loss", "--config", cfg], capsys)
+    assert code == 1
+    assert out == ""
+    assert "loss figures must be finite" in err

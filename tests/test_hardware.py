@@ -1,8 +1,12 @@
 import dataclasses
+import json
 import sys
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshsim import analysis, compiler, hardware, mesh
 from meshsim.hardware import (
@@ -37,7 +41,7 @@ from meshsim.util import (
     wrap_signed,
 )
 
-from oracles import dense_branch_solve
+from oracles import dense_branch_solve, grid_fringe_fit
 
 
 def test_heater_order_and_ids():
@@ -60,6 +64,10 @@ def test_heater_model_span_and_validation():
         small.validate()
     with pytest.raises(ValidationError):
         HeaterModel(phi0_rad=0.0, alpha_rad_per_w=-1.0)
+    with pytest.raises(ValidationError):
+        HeaterModel(phi0_rad=np.nan, alpha_rad_per_w=3 * np.pi)
+    with pytest.raises(ValidationError):
+        HeaterModel(phi0_rad=0.0, alpha_rad_per_w=np.inf)
 
 
 def test_phase_from_voltage_quadratic():
@@ -152,6 +160,84 @@ def test_fit_degeneracies():
     slow = 0.5 + 0.5 * np.cos(4.0 * p + 0.2)
     with pytest.raises(FitDegeneracyError):
         fit_phase_response(SweepRecord("h", v, slow), 100.0)
+    # two distinct drive powers fit the fringe model at every alpha
+    two_level = np.repeat([0.0, 10.0], 40)
+    with pytest.raises(FitDegeneracyError, match="degenerate voltage grid"):
+        fit_phase_response(
+            SweepRecord("h", two_level, np.cos(two_level**2 / 100.0)), 100.0
+        )
+    # non-finite samples are rejected before any numerical stage can warn
+    fringe = 0.5 + 0.5 * np.cos(9.2 * p)
+    nan_signal = np.where(np.arange(80) == 17, np.nan, fringe)
+    inf_volts = np.where(np.arange(80) == 40, np.inf, v)
+    for volts, signal in ((v, nan_signal), (inf_volts, fringe)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitDegeneracyError, match="c01r02.phi: non-finite"):
+                fit_phase_response(SweepRecord("c01r02.phi", volts, signal), 100.0)
+
+
+@lru_cache(maxsize=None)
+def _calibrated20():
+    return calibrated_profile(20, disorder_seed=2)
+
+
+def _fit_outcome(fit, sweep, resistance):
+    try:
+        return fit(sweep, resistance)
+    except FitDegeneracyError as exc:
+        return f"FitDegeneracyError: {exc}"
+
+
+@pytest.mark.parametrize("points", [8, 16, 64])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.05])
+def test_fit_equals_grid_oracle_on_every_heater_n20(sigma, points):
+    prof = _calibrated20()
+    for hid in prof.heater_ids:
+        sweep = simulate_calibration_sweep(
+            prof, hid, points=points, seed=3, detector_noise_sigma=sigma
+        )
+        r = prof.heaters[hid].resistance_ohm
+        got = _fit_outcome(fit_phase_response, sweep, r)
+        assert got == _fit_outcome(grid_fringe_fit, sweep, r), hid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+    st.floats(4.0, 40.0),
+    st.floats(50.0, 200.0),
+    st.integers(8, 200),
+    st.sampled_from((0.0, 1e-3, 0.05)),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_equals_grid_oracle_property(
+    phi0, alpha, resistance, points, sigma, seed
+):
+    v = np.linspace(0.0, 10.0, points)
+    rng = np.random.default_rng(seed)
+    signal = 0.5 + 0.5 * np.cos(phi0 + alpha * v**2 / resistance)
+    signal = signal + rng.normal(0.0, sigma, points)
+    sweep = SweepRecord("h", v, signal)
+    got = _fit_outcome(fit_phase_response, sweep, resistance)
+    assert got == _fit_outcome(grid_fringe_fit, sweep, resistance)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_fit_confirms_few_grid_points(monkeypatch, sigma):
+    # the screen leaves about one exact refit per heater; a window that
+    # widened back towards the whole 101-point grid would fail here
+    calls = []
+    exact = hardware._fringe_lstsq
+
+    def counted(*args):
+        calls.append(args[2])
+        return exact(*args)
+
+    monkeypatch.setattr(hardware, "_fringe_lstsq", counted)
+    prof = _calibrated20()
+    calibrate_profile(prof, detector_noise_sigma=sigma)
+    assert len(calls) <= 2 * len(prof.heater_ids)
 
 
 def test_noiseless_calibration_recovers_profile():
@@ -388,6 +474,31 @@ def test_profile_json_round_trip():
         profile_from_json("{not json")
     with pytest.raises(ValidationError):
         profile_from_json("{}")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("path_length_cm", "inf"),
+        ("coupling_loss_db_per_facet", "nan"),
+        ("theta_noise_sigma_rad", "nan"),
+        ("phi_noise_sigma_rad", "inf"),
+        ("heaters.3.phi0_rad", "nan"),
+        ("heaters.0.resistance_ohm", "inf"),
+        ("crosstalk_rad_per_w.0.rad_per_w", "nan"),
+        ("disorder_seed", "inf"),
+    ],
+)
+def test_profile_loader_rejects_non_finite_numbers(path, value):
+    doc = hardware.profile_to_json_dict(calibrated_profile(4, disorder_seed=5))
+    *parents, key = path.split(".")
+    node = doc
+    for step in parents:
+        node = node[int(step) if step.isdigit() else step]
+    node[key] = float(value)
+    # json writes NaN and Infinity tokens, which the loader's parser accepts
+    with pytest.raises(ValidationError, match="malformed profile document"):
+        profile_from_json(json.dumps(doc))
 
 
 def test_heater_targets_round_trip():
