@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .mesh import (
     CellAddress,
-    CellSetting,
     MeshSettings,
     Unitary,
     cell_index,
-    cell_transfer,
+    cell_transfers,
     mesh_unitary,
 )
-from .util import TWO_PI, ValidationError, wrap_phase
+from .util import ValidationError, wrap_phase
 
 DECOMPOSE_INPUT_TOL = 1e-8
 # entries at or below this magnitude count as already nulled; the deterministic
@@ -50,20 +50,115 @@ class DecompositionReport:
     nulling_sequence: Tuple[NullingStep, ...]
 
 
+@lru_cache(maxsize=None)
+def _schedule(n):
+    """Nulling sequence for n modes, its left steps innermost-first, and the
+    step whose cell lands in each cell_addresses(n) slot. None of these
+    depends on the target: right steps apply first, in nulling order, then
+    the absorbed left steps, and as-soon-as-possible column scheduling tiles
+    the checkerboard exactly."""
+    steps = []
+    for diag in range(n - 1):
+        for j in range(diag + 1):
+            if diag % 2 == 0:
+                # null (n-1-j, diag-j) from the right, mixing columns (c, c+1)
+                r, c = n - 1 - j, diag - j
+                steps.append(NullingStep(len(steps), r, c, "right", c))
+            else:
+                # null (n-1-diag+j, j) from the left, mixing rows (r-1, r)
+                r, c = n - 1 - diag + j, j
+                steps.append(NullingStep(len(steps), r, c, "left", r - 1))
+    left = [s for s in steps if s.side == "left"]
+    ordered = [s for s in steps if s.side == "right"] + left[::-1]
+    next_free = [0] * n
+    index = cell_index(n)
+    cell_step = np.empty(len(steps), dtype=np.intp)
+    for s in ordered:
+        column = max(next_free[s.mode], next_free[s.mode + 1])
+        if (column - s.mode) % 2 != 0:
+            raise AssertionError(
+                f"scheduling parity violation at mode {s.mode}, column {column}"
+            )
+        cell_step[index[CellAddress(column, s.mode)]] = s.step
+        next_free[s.mode] = next_free[s.mode + 1] = column + 1
+    cell_step.setflags(write=False)
+    return tuple(steps), tuple(left[::-1]), cell_step
+
+
 def _null(target, other):
-    """Cell phases (theta, phi) that zero `target` against its partner entry
-    `other`. Nulling from the right mixes columns (c, c+1) and passes the
-    negated right neighbour; nulling from the left mixes rows (r-1, r) and
-    passes the entry above."""
-    at = abs(target)
-    ao = abs(other)
-    if at <= NULLED_TOL:
-        return np.pi, 0.0  # already nulled: park the cell in the bar state
-    if ao <= NULLED_TOL:
-        return 0.0, 0.0
+    """Cell phases (theta, phi) that zero each `target` entry against its
+    partner `other`, over a stack. An entry at or below NULLED_TOL parks its
+    cell at bar (pi, 0); a vanishing partner parks it at cross (0, 0). |z|
+    is np.hypot of the parts: np.abs on complex arrays takes a SIMD path
+    whose bits differ from the scalar abs()."""
+    at = np.hypot(target.real, target.imag)
+    ao = np.hypot(other.real, other.imag)
     theta = 2.0 * np.arctan2(ao, at)
-    phi = float(np.angle(target) - np.angle(other))
+    phi = np.arctan2(target.imag, target.real) - np.arctan2(other.imag, other.real)
+    # parking is rare, so np.where runs only for stacks that need it
+    if np.count_nonzero(np.minimum(at, ao) <= NULLED_TOL):
+        parked = at <= NULLED_TOL
+        crossed = ao <= NULLED_TOL
+        theta = np.where(parked, np.pi, np.where(crossed, 0.0, theta))
+        phi = np.where(parked | crossed, 0.0, phi)
     return theta, phi
+
+
+def decompose_stack(targets):
+    """Decompose a (k, n, n) stack of unitaries, n >= 2, into MeshSettings.
+
+    Each target must be unitary within 1e-8 (clements_decompose checks). The
+    nulling schedule is the same for every target, so each step updates the
+    whole stack at once; per target the bits equal one-at-a-time compiling.
+    """
+    v = np.array(targets, dtype=complex)
+    if v.ndim != 3 or v.shape[1] != v.shape[2] or v.shape[1] < 2:
+        raise ValidationError(f"expected a (k, n, n) stack with n >= 2, got {v.shape}")
+    k, n = v.shape[0], v.shape[-1]
+    steps, left, cell_step = _schedule(n)
+    thetas, phis = [], []
+    for s in steps:
+        r, c = s.row, s.col
+        right = s.side == "right"
+        theta, phi = _null(v[:, r, c], -v[:, r, c + 1] if right else v[:, r - 1, c])
+        t = cell_transfers(theta, wrap_phase(phi))
+        if right:
+            v[:, :, c : c + 2] = v[:, :, c : c + 2] @ t.conj().transpose(0, 2, 1)
+        else:
+            v[:, r - 1 : r + 1, :] = t @ v[:, r - 1 : r + 1, :]
+        v[:, r, c] = 0.0
+        thetas.append(theta)
+        phis.append(phi)
+
+    # v is now diagonal: U = Ldag_1 .. Ldag_p  D  R_q .. R_1.  Commute each
+    # left factor through the diagonal,
+    #   Tdag(theta, phi) D(mu1, mu2) = D(mu2-phi-theta, mu2-theta) T(theta, mu1-mu2),
+    # innermost first, leaving D_final * (T_1' .. T_p') * (R_q .. R_1).
+    # Exact bar and cross cells are diagonal or anti-diagonal, so their phi
+    # is gauge; pin it to zero there to keep permutation-like programs clean.
+    mu = list(np.angle(np.diagonal(v, axis1=1, axis2=2)).T)
+    step_theta = np.stack(thetas, axis=1)
+    exact = ((step_theta == np.pi) | (step_theta == 0.0)).any(axis=0).tolist()
+    for s in left:
+        m, theta, phi = s.mode, thetas[s.step], phis[s.step]
+        mu1, mu2 = mu[m], mu[m + 1]
+        phis[s.step] = mu1 - mu2
+        mu[m], mu[m + 1] = mu2 - phi - theta, mu2 - theta
+        if exact[s.step]:  # only steps with an exact cell pay for np.where
+            bar, cross = theta == np.pi, theta == 0.0
+            phis[s.step] = np.where(bar | cross, 0.0, phis[s.step])
+            mu[m] = np.where(bar, mu1 - phi - np.pi, np.where(cross, mu2 - phi, mu[m]))
+            mu[m + 1] = np.where(bar, mu2 + np.pi, np.where(cross, mu1, mu[m + 1]))
+
+    cell_theta = step_theta[:, cell_step]
+    cell_phi = wrap_phase(np.stack(phis, axis=1)[:, cell_step])
+    # from_phases wraps once more; np.mod is not idempotent for tiny negative
+    # phases, so both wraps are part of the result
+    out = wrap_phase(np.stack(mu, axis=1))
+    return [
+        MeshSettings.from_phases(n, cell_theta[i], cell_phi[i], output_phases=out[i])
+        for i in range(k)
+    ]
 
 
 def clements_decompose(u):
@@ -97,90 +192,10 @@ def clements_decompose(u):
             residual=0.0,
             nulling_sequence=(),
         )
-
-    v = target.copy()
-    right_ops: List[Tuple[int, float, float]] = []  # (mode, theta, phi)
-    left_ops: List[Tuple[int, float, float]] = []
-    nulling: List[NullingStep] = []
-    step = 0
-
-    for diag in range(n - 1):
-        if diag % 2 == 0:
-            # null (n-1-j, diag-j) from the right, mixing columns (c, c+1)
-            for j in range(diag + 1):
-                r = n - 1 - j
-                c = diag - j
-                theta, phi = _null(v[r, c], -v[r, c + 1])
-                t_dag = cell_transfer(CellSetting(theta, phi)).conj().T
-                v[:, c : c + 2] = v[:, c : c + 2] @ t_dag
-                v[r, c] = 0.0
-                right_ops.append((c, theta, phi))
-                nulling.append(NullingStep(step, r, c, "right", c))
-                step += 1
-        else:
-            # null (n-1-diag+j, j) from the left, mixing rows (r-1, r)
-            for j in range(diag + 1):
-                r = n - 1 - diag + j
-                c = j
-                theta, phi = _null(v[r, c], v[r - 1, c])
-                t = cell_transfer(CellSetting(theta, phi))
-                v[r - 1 : r + 1, :] = t @ v[r - 1 : r + 1, :]
-                v[r, c] = 0.0
-                left_ops.append((r - 1, theta, phi))
-                nulling.append(NullingStep(step, r, c, "left", r - 1))
-                step += 1
-
-    # v is now diagonal: U = Ldag_1 .. Ldag_p  D  R_q .. R_1.  Commute each
-    # left factor through the diagonal,
-    #   Tdag(theta, phi) D(mu1, mu2) = D(mu2-phi-theta, mu2-theta) T(theta, mu1-mu2),
-    # innermost first, leaving D_final * (T_1' .. T_p') * (R_q .. R_1).
-    # Exact bar and cross cells are diagonal or anti-diagonal, so their phi
-    # is gauge; pin it to zero there to keep permutation-like programs clean.
-    mu = np.angle(np.diagonal(v)).copy()
-    absorbed: List[Tuple[int, float, float]] = []
-    for mode, theta, phi in reversed(left_ops):
-        mu1 = mu[mode]
-        mu2 = mu[mode + 1]
-        if theta == np.pi:
-            absorbed.append((mode, theta, 0.0))
-            mu[mode] = mu1 - phi - np.pi
-            mu[mode + 1] = mu2 + np.pi
-        elif theta == 0.0:
-            absorbed.append((mode, theta, 0.0))
-            mu[mode] = mu2 - phi
-            mu[mode + 1] = mu1
-        else:
-            absorbed.append((mode, theta, mu1 - mu2))
-            mu[mode] = mu2 - phi - theta
-            mu[mode + 1] = mu2 - theta
-
-    # application order onto the input state: R_1..R_q, then the absorbed
-    # left cells innermost-first
-    ordered = right_ops + absorbed
-
-    # as-soon-as-possible column scheduling tiles the checkerboard exactly
-    next_free = [0] * n
-    index = cell_index(n)
-    thetas = np.empty(len(index))
-    phis = np.empty(len(index))
-    for mode, theta, phi in ordered:
-        column = max(next_free[mode], next_free[mode + 1])
-        if (column - mode) % 2 != 0:
-            raise AssertionError(
-                f"scheduling parity violation at mode {mode}, column {column}"
-            )
-        i = index[CellAddress(column, mode)]
-        thetas[i] = theta
-        phis[i] = wrap_phase(phi)
-        next_free[mode] = column + 1
-        next_free[mode + 1] = column + 1
-
-    settings = MeshSettings.from_phases(
-        n, thetas, phis, output_phases=wrap_phase(mu)
-    )
+    (settings,) = decompose_stack(target[None])
     residual = float(np.max(np.abs(mesh_unitary(settings).elements - target)))
     return DecompositionReport(
-        settings=settings, residual=residual, nulling_sequence=tuple(nulling)
+        settings=settings, residual=residual, nulling_sequence=_schedule(n)[0]
     )
 
 

@@ -31,6 +31,10 @@ SCHEMA_VERSION = 1
 
 _SOLVE_CHECK_STREAM = 909
 
+# fidelity targets are generated and compiled this many at a time; the
+# compiled bits do not depend on it, only the time and memory per chunk do
+COMPILE_CHUNK = 64
+
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
@@ -266,13 +270,13 @@ def _run_fidelity(config, workers):
     else:
         permutations = None
 
-    def job(index):
+    def make_target(index):
         if permutations is None:
-            target = compiler.haar_random(config.n, child_seed(config.seed, index))
-        else:
-            target = compiler.permutation_unitary(permutations[index])
-        decomposed = compiler.clements_decompose(target)
-        settings = decomposed.settings
+            return compiler.haar_random(config.n, child_seed(config.seed, index))
+        return compiler.permutation_unitary(permutations[index])
+
+    def job(item):
+        index, target, settings = item
         drive = hardware.solve_voltages(
             profile, calibration, hardware.heater_targets(settings)
         )
@@ -287,7 +291,12 @@ def _run_fidelity(config, workers):
         error = analysis.error_matrix(target, measured)
         return float(fidelity), float(np.max(np.abs(error)))
 
-    pairs = parallel_map(job, range(config.count), workers=workers)
+    pairs = []
+    for start in range(0, config.count, COMPILE_CHUNK):
+        indices = range(start, min(start + COMPILE_CHUNK, config.count))
+        targets = [make_target(index) for index in indices]
+        compiled = compiler.decompose_stack([t.elements for t in targets])
+        pairs += parallel_map(job, zip(indices, targets, compiled), workers=workers)
     fidelities = [p[0] for p in pairs]
     max_errors = [p[1] for p in pairs]
     stats = analysis.ensemble_statistics(fidelities)

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import analysis
 from .mesh import (
@@ -37,6 +37,7 @@ from .util import (
     ValidationError,
     atomic_write_text,
     dumps_canonical,
+    ignoring_warnings,
     parallel_map,
     wrap_phase,
     wrap_signed,
@@ -421,6 +422,10 @@ def fit_phase_response(sweep, resistance_ohm):
     """
     v = np.asarray(sweep.voltages_v, dtype=float)
     signal = np.asarray(sweep.signal, dtype=float)
+    if v.shape != signal.shape:
+        raise FitDegeneracyError(
+            f"{sweep.heater_id}: {v.size} voltages for {signal.size} signal samples"
+        )
     if v.size < 8:
         raise FitDegeneracyError(
             f"{sweep.heater_id}: need >= 8 samples, got {v.size}"
@@ -463,16 +468,18 @@ def fit_phase_response(sweep, resistance_ohm):
         return a + x * np.cos(al * p) + y * np.sin(al * p)
 
     try:
-        params, _ = curve_fit(
-            model,
-            power,
-            signal,
-            p0=(a0, c1, c2, alpha0),
-            maxfev=20000,
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
+        # only the parameters are used, so an indeterminate covariance is moot
+        with ignoring_warnings(OptimizeWarning):
+            params, _ = curve_fit(
+                model,
+                power,
+                signal,
+                p0=(a0, c1, c2, alpha0),
+                maxfev=20000,
+                xtol=1e-15,
+                ftol=1e-15,
+                gtol=1e-15,
+            )
     except RuntimeError as exc:
         raise FitDegeneracyError(f"{sweep.heater_id}: fit failed: {exc}")
     a, c1, c2, alpha = (float(x) for x in params)
@@ -668,12 +675,14 @@ def solve_voltages(profile, calibration, target):
     """
     order = profile.heater_ids
     t = _target_vector(profile, target)
-    phi0, coupling, lu = _drive_system(profile, calibration)
+    phi0, coupling, (lu, piv) = _drive_system(profile, calibration)
     p_max = profile.heater_array("p_max_w")
 
     residual = wrap_phase(t - phi0)
     for iterations in range(1, SOLVE_MAX_SWEEPS + 1):
-        p = lu_solve(lu, residual)
+        # scipy's getrs wrapper shifts the pivots to 1-based in place for the
+        # call, so threads sharing the cached factor each need their own copy
+        p = lu_solve((lu, piv.copy()), residual)
         below = p < -1e-12
         if not np.any(below):
             break

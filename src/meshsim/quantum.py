@@ -7,8 +7,6 @@ mesh-wide interferometer.
 """
 
 import math
-import threading
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -23,6 +21,7 @@ from .util import (
     MeshsimError,
     ValidationError,
     child_seed,
+    ignoring_warnings,
     parallel_map,
 )
 
@@ -43,10 +42,6 @@ BASELINE_FRACTION = 0.2
 MIN_FIT_SAMPLES = 10
 
 _COUNT_STREAM = 404
-
-# warnings.catch_warnings swaps process-wide filter state, so concurrent dip
-# fits must not interleave their suppression blocks
-_FIT_WARNINGS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -403,8 +398,7 @@ def fit_gaussian_dip(delays_um, values):
     w0 = float(np.ptp(below)) / 2.355 if below.size >= 2 else span / 8.0
     w0 = max(w0, span / d.size)
     try:
-        with _FIT_WARNINGS_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
+        with ignoring_warnings(OptimizeWarning):
             popt1, _ = curve_fit(
                 _dip_model, d, v, p0=[b0, v0, float(d[i0]), w0], maxfev=20000
             )
@@ -425,8 +419,7 @@ def fit_gaussian_dip(delays_um, values):
         return _dip_model(t, baseline, visibility, center, width)
 
     try:
-        with _FIT_WARNINGS_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
+        with ignoring_warnings(OptimizeWarning):
             popt2, pcov2 = curve_fit(
                 fixed_model,
                 d,

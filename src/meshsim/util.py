@@ -5,11 +5,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# warnings.catch_warnings swaps process-wide filter state, so concurrent
+# suppression blocks must not interleave
+_WARNINGS_LOCK = threading.Lock()
 
 
 class MeshsimError(Exception):
@@ -52,6 +59,14 @@ def wrap_phase(x):
 def wrap_signed(x):
     """Wrap phase(s) into (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(x), TWO_PI)
+
+
+@contextmanager
+def ignoring_warnings(category):
+    """Silence warnings of `category` in the block, one thread at a time."""
+    with _WARNINGS_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("ignore", category)
+        yield
 
 
 def child_seed(seed, index):

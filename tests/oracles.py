@@ -241,3 +241,90 @@ def grid_fringe_fit(sweep, resistance_ohm):
         alpha_rad_per_w=alpha,
         residual=rms,
     )
+
+
+def _scalar_null(target, other, nulled_tol):
+    at = abs(target)
+    ao = abs(other)
+    if at <= nulled_tol:
+        return np.pi, 0.0
+    if ao <= nulled_tol:
+        return 0.0, 0.0
+    theta = 2.0 * np.arctan2(ao, at)
+    phi = float(np.angle(target) - np.angle(other))
+    return theta, phi
+
+
+def scalar_clements_decompose(target):
+    """Clements decomposition of one unitary, one scalar nulling step and one
+    cell_transfer(CellSetting(...)) matrix per entry, then the left cells
+    commuted through the diagonal and scheduled column by column, as
+    compiler.clements_decompose defines them. Returns (settings,
+    nulling_sequence)."""
+    from meshsim.compiler import NULLED_TOL, NullingStep
+    from meshsim.mesh import (
+        CellAddress,
+        CellSetting,
+        MeshSettings,
+        cell_index,
+        cell_transfer,
+    )
+    from meshsim.util import wrap_phase
+
+    target = np.array(target, dtype=complex)
+    n = target.shape[0]
+    v = target.copy()
+    right_ops, left_ops, nulling = [], [], []
+    step = 0
+    for diag in range(n - 1):
+        for j in range(diag + 1):
+            if diag % 2 == 0:
+                r, c = n - 1 - j, diag - j
+                theta, phi = _scalar_null(v[r, c], -v[r, c + 1], NULLED_TOL)
+                t_dag = cell_transfer(CellSetting(theta, phi)).conj().T
+                v[:, c : c + 2] = v[:, c : c + 2] @ t_dag
+                right_ops.append((c, theta, phi))
+                nulling.append(NullingStep(step, r, c, "right", c))
+            else:
+                r, c = n - 1 - diag + j, j
+                theta, phi = _scalar_null(v[r, c], v[r - 1, c], NULLED_TOL)
+                t = cell_transfer(CellSetting(theta, phi))
+                v[r - 1 : r + 1, :] = t @ v[r - 1 : r + 1, :]
+                left_ops.append((r - 1, theta, phi))
+                nulling.append(NullingStep(step, r, c, "left", r - 1))
+            v[r, c] = 0.0
+            step += 1
+
+    mu = np.angle(np.diagonal(v)).copy()
+    absorbed = []
+    for mode, theta, phi in reversed(left_ops):
+        mu1 = mu[mode]
+        mu2 = mu[mode + 1]
+        if theta == np.pi:
+            absorbed.append((mode, theta, 0.0))
+            mu[mode] = mu1 - phi - np.pi
+            mu[mode + 1] = mu2 + np.pi
+        elif theta == 0.0:
+            absorbed.append((mode, theta, 0.0))
+            mu[mode] = mu2 - phi
+            mu[mode + 1] = mu1
+        else:
+            absorbed.append((mode, theta, mu1 - mu2))
+            mu[mode] = mu2 - phi - theta
+            mu[mode + 1] = mu2 - theta
+
+    next_free = [0] * n
+    index = cell_index(n)
+    thetas = np.empty(len(index))
+    phis = np.empty(len(index))
+    for mode, theta, phi in right_ops + absorbed:
+        column = max(next_free[mode], next_free[mode + 1])
+        i = index[CellAddress(column, mode)]
+        thetas[i] = theta
+        phis[i] = wrap_phase(phi)
+        next_free[mode] = column + 1
+        next_free[mode + 1] = column + 1
+    settings = MeshSettings.from_phases(
+        n, thetas, phis, output_phases=wrap_phase(mu)
+    )
+    return settings, tuple(nulling)

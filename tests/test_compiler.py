@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from meshsim import compiler, mesh
 from meshsim.util import ValidationError
 
-from oracles import gram_schmidt_unitary
+from oracles import gram_schmidt_unitary, scalar_clements_decompose
+
+# batch sizes the stacked compiler must be indifferent to
+CHUNKS = (1, 7, 64)
 
 
 def _roundtrip_residual(u):
@@ -75,6 +79,12 @@ def test_decompose_rejects_non_unitary():
     assert "2.1" in str(err.value)
 
 
+def test_decompose_stack_rejects_malformed_stacks():
+    for shape in ((3, 4), (2, 3, 4), (2, 1, 1)):
+        with pytest.raises(ValidationError, match="stack"):
+            compiler.decompose_stack(np.zeros(shape, dtype=complex))
+
+
 def test_decompose_nulling_sequence_covers_lower_triangle():
     n = 5
     u = compiler.haar_random(n, 99)
@@ -89,6 +99,76 @@ def test_decompose_determinism_byte_identical():
     a = mesh.settings_to_json(compiler.clements_decompose(u).settings)
     b = mesh.settings_to_json(compiler.clements_decompose(u).settings)
     assert a == b
+
+
+def _phase_hex(settings):
+    return [
+        x.hex()
+        for phases in (settings.theta, settings.phi, settings.output_phases)
+        for x in phases.tolist()
+    ]
+
+
+def _assert_matches_scalar_oracle(targets):
+    """Stacked compiling in every chunk size, and the single-target wrapper,
+    give the oracle's phases bit for bit and a round trip under 1e-8."""
+    expected = [scalar_clements_decompose(t) for t in targets]
+    want = [_phase_hex(settings) for settings, _ in expected]
+    for chunk in CHUNKS:
+        got = []
+        for start in range(0, len(targets), chunk):
+            got += compiler.decompose_stack(np.stack(targets[start : start + chunk]))
+        assert [_phase_hex(settings) for settings in got] == want, chunk
+    for target, hexes, (_, nulling) in zip(targets, want, expected):
+        report = compiler.clements_decompose(target)
+        assert _phase_hex(report.settings) == hexes
+        assert report.nulling_sequence == nulling
+        assert report.residual < 1e-8
+        rebuilt = mesh.mesh_unitary(report.settings).elements
+        assert np.max(np.abs(rebuilt - target)) < 1e-8
+
+
+def _structured_targets(n, seed):
+    """Permutations, diagonal phase screens, the identity, and Givens
+    rotations whose off-diagonal entries sit at, just below and just above
+    NULLED_TOL; a signed-zero permutation carries -0.0 in every zero."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(n, dtype=complex)
+    targets = [eye, np.fliplr(eye).copy()]
+    targets += [eye[rng.permutation(n)] for _ in range(3)]
+    targets += [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n))) for _ in range(2)]
+    tol = compiler.NULLED_TOL
+    for eps in (tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0)):
+        for _ in range(4):
+            i, j = sorted(rng.choice(n, 2, replace=False))
+            g = eye.copy()
+            g[i, i] = g[j, j] = np.sqrt(1.0 - eps * eps)
+            g[i, j], g[j, i] = -eps, eps
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+            targets.append(phases[:, None] * (g @ eye[rng.permutation(n)]))
+    signs = rng.choice([1, -1, 1j, -1j], n)[:, None]
+    perm = eye[rng.permutation(n)]
+    targets.append(np.where(perm == 0, complex(-0.0, -0.0), perm * signs))
+    return targets
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 20), st.integers(0, 2**32 - 1))
+def test_stacked_compile_equals_scalar_oracle_haar(n, seed):
+    targets = [compiler.haar_random(n, seed + k).elements for k in range(9)]
+    _assert_matches_scalar_oracle(targets)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 11])
+def test_stacked_compile_equals_scalar_oracle_structured(n):
+    _assert_matches_scalar_oracle(_structured_targets(n, seed=n))
+
+
+def test_stacked_compile_equals_scalar_oracle_full_chunk_n20():
+    # a full chunk of 64 Haar targets with the structured ones after it, so
+    # the 64-chunk mixes parked, crossed and generic cells in one stack
+    targets = [compiler.haar_random(20, 7_000 + k).elements for k in range(60)]
+    _assert_matches_scalar_oracle(targets + _structured_targets(20, seed=20))
 
 
 def test_haar_random_basic():

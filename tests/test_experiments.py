@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -173,6 +174,37 @@ def test_campaign_deterministic_across_runs_and_workers(kind):
     parallel = report_payload_bytes(run_campaign(cfg, workers=3))
     assert first == again
     assert first == parallel
+
+
+@pytest.mark.parametrize("kind", ["fidelity-haar", "fidelity-perm"])
+def test_fidelity_items_independent_of_compile_chunks(kind, monkeypatch):
+    # 70 items cross the edge of the first compile chunk; the first three
+    # must not notice, neither the worker count nor the chunk size may change
+    # a byte, and the targets must be compiled a chunk at a time, never one
+    # per item
+    calls = []
+    stacked = compiler.decompose_stack
+
+    def counted(targets):
+        calls.append(len(targets))
+        return stacked(targets)
+
+    monkeypatch.setattr(compiler, "decompose_stack", counted)
+    doc = {"kind": kind, "n": 6, "profile": "calibrated", "seed": 11}
+    few = run_campaign(validate_config(dict(doc, count=3)))
+    assert calls == [3]
+    cfg = validate_config(dict(doc, count=70))
+    calls.clear()
+    many = run_campaign(cfg, workers=1)
+    assert len(calls) == math.ceil(70 / experiments.COMPILE_CHUNK)
+    assert sum(calls) == 70
+    for key, values in few["results"].items():
+        assert many["results"][key][:3] == values, key
+    payload = report_payload_bytes(many)
+    assert report_payload_bytes(run_campaign(cfg, workers=3)) == payload
+    for chunk in (1, 7):
+        monkeypatch.setattr(experiments, "COMPILE_CHUNK", chunk)
+        assert report_payload_bytes(run_campaign(cfg)) == payload, chunk
 
 
 def test_report_meta_excluded_from_payload():

@@ -175,6 +175,24 @@ def test_fit_degeneracies():
             warnings.simplefilter("error")
             with pytest.raises(FitDegeneracyError, match="c01r02.phi: non-finite"):
                 fit_phase_response(SweepRecord("c01r02.phi", volts, signal), 100.0)
+    # a signal one sample short of its voltage grid
+    with pytest.raises(FitDegeneracyError, match="c03r04.theta: 80 voltages for 79"):
+        fit_phase_response(SweepRecord("c03r04.theta", v, fringe[:79]), 100.0)
+
+
+def test_fit_keeps_covariance_warning_inside():
+    # a noiseless fringe through phi0 = 0 ends on a singular Jacobian, so
+    # curve_fit cannot estimate the covariance and warns; the fit uses only
+    # the parameters, which must be the oracle's
+    v = np.linspace(0.0, 10.0, 8)
+    sweep = SweepRecord("h", v, 0.5 + 0.5 * np.cos(6.0 * v**2 / 50.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = grid_fringe_fit(sweep, 50.0)
+    assert any("Covariance" in str(w.message) for w in caught)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_phase_response(sweep, 50.0) == expected
 
 
 @lru_cache(maxsize=None)
@@ -366,6 +384,27 @@ def test_solve_threads_share_one_record():
         assert np.array_equal(a.powers_w, b.powers_w)
         assert a.voltages_v == b.voltages_v
         assert (a.iterations, a.residual_rad) == (b.iterations, b.residual_rad)
+
+
+def test_solve_hands_lapack_a_private_pivot_copy(monkeypatch):
+    # scipy's getrs wrapper shifts the pivot array to 1-based in place for
+    # the call; threads sharing the cached factor's pivots then solve with
+    # each other's shifted pivots, once in a few thousand concurrent solves
+    prof = calibrated_profile(4, disorder_seed=1)
+    cal = CalibrationRecord.exact_from_profile(prof)
+    passed = []
+    real = hardware.lu_solve
+
+    def spy(factor, b, **kwargs):
+        passed.append(factor[1])
+        return real(factor, b, **kwargs)
+
+    monkeypatch.setattr(hardware, "lu_solve", spy)
+    target = np.random.default_rng(2).uniform(0, 2 * np.pi, len(prof.heater_ids))
+    first = solve_voltages(prof, cal, target)
+    assert np.array_equal(solve_voltages(prof, cal, target).powers_w, first.powers_w)
+    shared = cal._drive_memo[1][2][1]
+    assert passed and not any(np.shares_memory(piv, shared) for piv in passed)
 
 
 def test_heater_array_cached_read_only():
