@@ -167,6 +167,20 @@ def test_campaign_golden(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+def test_campaign_csv_golden(kind):
+    cfg = validate_config(dict(SMALL_CONFIGS[kind]))
+    _, csv_files = run_campaign_with_artifacts(cfg)
+    pinned = sorted(
+        name[len(kind) + 1:]
+        for name in os.listdir(GOLDEN_DIR)
+        if name.startswith(f"{kind}.") and name.endswith(".csv")
+    )
+    assert sorted(csv_files) == pinned
+    for name, text in csv_files.items():
+        _golden_check(f"{kind}.{name}", text.encode())
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
 def test_campaign_deterministic_across_runs_and_workers(kind):
     cfg = validate_config(dict(SMALL_CONFIGS[kind]))
     first = report_payload_bytes(run_campaign(cfg, workers=1))
