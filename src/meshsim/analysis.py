@@ -53,10 +53,12 @@ class AmplitudeMatrix:
             raise ValidationError(
                 f"expected a {self.n}x{self.n} matrix, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("amplitude magnitudes must be finite")
         if np.any(arr < 0):
             raise ValidationError("amplitude magnitudes must be non-negative")
         norms = np.linalg.norm(arr, axis=0)
-        if np.max(np.abs(norms - 1.0)) > COLUMN_NORM_TOL:
+        if not np.max(np.abs(norms - 1.0)) <= COLUMN_NORM_TOL:
             raise ValidationError(
                 "columns must be unit-norm after normalization; "
                 f"worst deviation {np.max(np.abs(norms - 1.0)):.3e}"
@@ -65,10 +67,17 @@ class AmplitudeMatrix:
         object.__setattr__(self, "magnitudes", arr)
 
 
-def _target_magnitudes(target):
-    if isinstance(target, Unitary):
-        return np.abs(target.elements)
-    return np.abs(np.asarray(target))
+def _magnitude_pair(target, measured):
+    """|target| and the measured magnitudes, checked for shape and finiteness."""
+    tmag = np.abs(target.elements if isinstance(target, Unitary) else np.asarray(target))
+    mmag = measured.magnitudes if isinstance(measured, AmplitudeMatrix) else np.asarray(measured)
+    if tmag.shape != mmag.shape:
+        raise ValidationError(
+            f"dimension mismatch: target {tmag.shape} vs measured {mmag.shape}"
+        )
+    if not (np.isfinite(tmag).all() and np.isfinite(mmag).all()):
+        raise ValidationError("target and measured magnitudes must be finite")
+    return tmag, mmag
 
 
 def amplitude_fidelity(target, measured):
@@ -76,24 +85,14 @@ def amplitude_fidelity(target, measured):
 
     Both factors have unit-norm columns, so F = 1 exactly when M equals |U|.
     """
-    tmag = _target_magnitudes(target)
-    mmag = measured.magnitudes if isinstance(measured, AmplitudeMatrix) else np.asarray(measured)
-    if tmag.shape != mmag.shape:
-        raise ValidationError(
-            f"dimension mismatch: target {tmag.shape} vs measured {mmag.shape}"
-        )
+    tmag, mmag = _magnitude_pair(target, measured)
     # Tr(|Udag| M) with |Udag| = |U|^T reduces to the elementwise sum
     return float(np.sum(tmag * mmag) / tmag.shape[0])
 
 
 def error_matrix(target, measured):
     """Signed elementwise difference |target| - measured."""
-    tmag = _target_magnitudes(target)
-    mmag = measured.magnitudes if isinstance(measured, AmplitudeMatrix) else np.asarray(measured)
-    if tmag.shape != mmag.shape:
-        raise ValidationError(
-            f"dimension mismatch: target {tmag.shape} vs measured {mmag.shape}"
-        )
+    tmag, mmag = _magnitude_pair(target, measured)
     return tmag - mmag
 
 

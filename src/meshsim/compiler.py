@@ -177,8 +177,10 @@ def clements_decompose(u):
         target = np.array(u, dtype=complex)
         if target.ndim != 2 or target.shape[0] != target.shape[1]:
             raise ValidationError(f"expected a square matrix, got {target.shape}")
+        if not np.isfinite(target).all():
+            raise ValidationError("matrix entries must be finite")
         defect = float(np.max(np.abs(target @ target.conj().T - np.eye(len(target)))))
-        if defect > DECOMPOSE_INPUT_TOL:
+        if not defect <= DECOMPOSE_INPUT_TOL:
             raise ValidationError(
                 f"input is not unitary: max-abs defect {defect:.3e} "
                 f"exceeds {DECOMPOSE_INPUT_TOL:.0e}"

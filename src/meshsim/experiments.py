@@ -389,22 +389,48 @@ def _run_hom_map(config, workers):
     worst_dev = 0.0
     for repetition in range(config.count):
         profile = resolve_profile(config, repetition)
+        seed = child_seed(config.seed, repetition)
         vmap = quantum.hom_visibility_map(
             config.n,
             source,
             profile,
-            seed=child_seed(config.seed, repetition),
+            seed=seed,
             count_noise_sigma=config.params["count_noise_sigma"],
             workers=workers,
         )
-        doc = vmap.to_json_dict()
-        doc["repetition"] = repetition
-        maps.append(doc)
+        by_cell = dict(zip(vmap.cells, vmap.visibilities.tolist()))
+        maps.append(
+            {
+                "n": config.n,
+                "visibilities": {
+                    f"c{column:02d}r{row:02d}": value
+                    for (column, row), value in by_cell.items()
+                },
+                "stats": vmap.stats.to_dict(),
+                "row_anova_p": vmap.row_anova_p,
+                "column_anova_p": vmap.column_anova_p,
+                "metadata": {
+                    "profile": profile.name,
+                    "seed": seed,
+                    "count_noise_sigma": config.params["count_noise_sigma"],
+                    "overlap_at_zero_delay": source.mutual_overlap_at_zero_delay,
+                },
+                "repetition": repetition,
+            }
+        )
         worst_dev = max(
             worst_dev,
             float(np.max(np.abs(vmap.visibilities - config.params["overlap"]))),
         )
-        csv_files[f"visibility_grid-{repetition:02d}.csv"] = vmap.to_grid_csv_text()
+        # one row per upper mode, one column per mesh column, blank off-cell
+        csv_files[f"visibility_grid-{repetition:02d}.csv"] = _csv_text(
+            "row," + ",".join(f"c{c:02d}" for c in range(config.n)),
+            [
+                [f"r{row:02d}"]
+                + [by_cell.get((column, row), "") for column in range(config.n)]
+                for row in range(config.n - 1)
+            ],
+        )
     results = {"maps": maps}
     summary = {
         "repetitions": config.count,
@@ -439,7 +465,13 @@ def _run_hom_scan(config, workers):
         "output_pair": list(scan.output_pair),
     }
     summary = {"fit": scan.fit.to_dict()}
-    return results, summary, {"scan.csv": scan.to_csv_text()}
+    csv_files = {
+        "scan.csv": _csv_text(
+            "delay_um,normalized_coincidence",
+            zip(results["delays_um"], results["coincidences"]),
+        )
+    }
+    return results, summary, csv_files
 
 
 def _run_delay_sweep(config, workers):
@@ -466,7 +498,13 @@ def _run_delay_sweep(config, workers):
         "per_heater_shift_um": sweep.per_heater_shift_um,
         "heater_count": sweep.heater_count,
     }
-    return results, summary, {"sweep.csv": sweep.to_csv_text()}
+    csv_files = {
+        "sweep.csv": _csv_text(
+            "drive_level_rad,fitted_center_um",
+            zip(results["drive_levels_rad"], results["centers_um"]),
+        )
+    }
+    return results, summary, csv_files
 
 
 def _run_loss_report(config, workers):

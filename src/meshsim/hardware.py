@@ -9,11 +9,10 @@ disorder and per-run phase-setting jitter on top of the programmed settings.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -92,6 +91,12 @@ def heater_order(n):
         for addr in cell_addresses(n)
         for kind in HEATER_KINDS
     )
+
+
+@lru_cache(maxsize=None)
+def heater_index(n):
+    """Read-only map from heater id to its position in heater_order(n)."""
+    return MappingProxyType({h: i for i, h in enumerate(heater_order(n))})
 
 
 @dataclass(frozen=True)
@@ -289,7 +294,7 @@ def calibrated_profile(n, disorder_seed=0):
         for i, h in enumerate(order)
     }
 
-    index = {h: i for i, h in enumerate(order)}
+    index = heater_index(n)
     matrix = np.diag(alpha)
     for i, hid in enumerate(order):
         addr, kind = parse_heater_id(hid)
@@ -365,9 +370,10 @@ def simulate_calibration_sweep(
     phase = model.phi0_rad + model.alpha_rad_per_w * v**2 / model.resistance_ohm
     signal = scale * (0.5 + 0.5 * np.cos(phase))
     if detector_noise_sigma > 0:
-        idx = profile.heater_ids.index(hid)
         rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), _SWEEP_STREAM, idx])
+            np.random.SeedSequence(
+                [int(seed), _SWEEP_STREAM, heater_index(profile.n)[hid]]
+            )
         )
         signal = signal + rng.normal(0.0, detector_noise_sigma, v.size)
     return SweepRecord(heater_id=hid, voltages_v=v, signal=signal)
@@ -539,34 +545,6 @@ class CalibrationRecord:
         alpha = np.array([self.entries[h].alpha_rad_per_w for h in order])
         return phi0, alpha
 
-    def to_csv(self):
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["heater_id", "phi0_rad", "alpha_rad_per_w", "residual"])
-        for hid in sorted(self.entries):
-            e = self.entries[hid]
-            writer.writerow(
-                [
-                    hid,
-                    format(e.phi0_rad, ".15g"),
-                    format(e.alpha_rad_per_w, ".15g"),
-                    format(e.residual, ".15g"),
-                ]
-            )
-        return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text):
-        entries = {}
-        for row in csv.DictReader(io.StringIO(text)):
-            entries[row["heater_id"]] = CalibrationEntry(
-                heater_id=row["heater_id"],
-                phi0_rad=float(row["phi0_rad"]),
-                alpha_rad_per_w=float(row["alpha_rad_per_w"]),
-                residual=float(row["residual"]),
-            )
-        return cls(entries=entries)
-
 
 def calibrate_profile(
     profile, points=64, seed=0, detector_noise_sigma=0.0, workers=None
@@ -594,7 +572,9 @@ def calibrate_profile(
 
 @dataclass(frozen=True)
 class DriveSolution:
-    voltages_v: Dict[str, float]
+    """Solved drive in heater_order; voltages_v is read-only."""
+
+    voltages_v: np.ndarray
     powers_w: np.ndarray
     iterations: int
     residual_rad: float
@@ -705,8 +685,9 @@ def solve_voltages(profile, calibration, target):
         )
     resistances = profile.heater_array("resistance_ohm")
     volts = np.sqrt(p * resistances)
+    volts.setflags(write=False)
     return DriveSolution(
-        voltages_v={h: float(volts[i]) for i, h in enumerate(order)},
+        voltages_v=volts,
         powers_w=p,
         iterations=iterations,
         residual_rad=float(check),
@@ -808,7 +789,7 @@ def insertion_loss_per_mode(profile):
 
 def profile_to_json_dict(profile):
     order = profile.heater_ids
-    index = {h: i for i, h in enumerate(order)}
+    index = heater_index(profile.n)
     off = profile.crosstalk.offdiagonal()
     couplings = [
         {"i": order[i], "j": order[j], "rad_per_w": float(off[i, j])}
@@ -856,7 +837,7 @@ def profile_from_json_dict(doc):
             for h in doc["heaters"]
         }
         order = heater_order(n)
-        index = {h: i for i, h in enumerate(order)}
+        index = heater_index(n)
         matrix = np.diag(
             np.array([heaters[h].alpha_rad_per_w for h in order])
         )

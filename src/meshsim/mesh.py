@@ -66,8 +66,10 @@ class Unitary:
             raise ValidationError(
                 f"expected a {self.n}x{self.n} matrix, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("matrix entries must be finite")
         defect = np.max(np.abs(arr @ arr.conj().T - np.eye(self.n)))
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise ValidationError(
                 f"matrix is not unitary: max-abs defect {defect:.3e}"
             )
@@ -81,7 +83,6 @@ class TransferMatrix:
 
     n: int
     elements: np.ndarray
-    sub_unitary: bool = True
 
     def __post_init__(self):
         arr = np.array(self.elements, dtype=complex)
@@ -89,8 +90,11 @@ class TransferMatrix:
             raise ValidationError(
                 f"expected a {self.n}x{self.n} matrix, got shape {arr.shape}"
             )
+        # the SVD behind the norm fails on non-finite entries
+        if not np.isfinite(arr).all():
+            raise ValidationError("matrix entries must be finite")
         top = float(np.linalg.norm(arr, 2))
-        if top > 1.0 + SINGULAR_VALUE_TOL:
+        if not top <= 1.0 + SINGULAR_VALUE_TOL:
             raise ValidationError(
                 f"transfer matrix has gain: largest singular value {top:.12f}"
             )
@@ -328,7 +332,7 @@ def apply_loss(settings, profile, transfers=None):
     propagate(transfers, out, col_amp=col_amp)
     out = np.exp(1j * settings.output_phases)[:, None] * out
     out *= facet_amp
-    return TransferMatrix(n, out, sub_unitary=True)
+    return TransferMatrix(n, out)
 
 
 def settings_to_json_dict(settings):

@@ -35,7 +35,6 @@ _THETA_BY_STATE = {BAR: math.pi, CROSS: 0.0, HALF: math.pi / 2.0}
 DEFAULT_CENTER_WAVELENGTH_NM = 1562.0
 DEFAULT_BANDWIDTH_FWHM_NM = 12.0
 DEFAULT_SCHMIDT_NUMBER = 1.1
-DEFAULT_PAIR_RATE_HZ = 1.0e5
 
 # Fraction of samples (largest |delay|) averaged into the raw-count baseline.
 BASELINE_FRACTION = 0.2
@@ -55,7 +54,6 @@ class PhotonPairSource:
     center_wavelength_nm: float = DEFAULT_CENTER_WAVELENGTH_NM
     bandwidth_fwhm_nm: float = DEFAULT_BANDWIDTH_FWHM_NM
     mutual_overlap_at_zero_delay: float = 1.0 / DEFAULT_SCHMIDT_NUMBER
-    pair_rate_hz: float = DEFAULT_PAIR_RATE_HZ
 
     def __post_init__(self):
         if not self.center_wavelength_nm > 0:
@@ -64,8 +62,6 @@ class PhotonPairSource:
             raise ValidationError("source bandwidth must be positive")
         if not 0.0 <= self.mutual_overlap_at_zero_delay <= 1.0:
             raise ValidationError("mutual overlap must lie in [0, 1]")
-        if not self.pair_rate_hz > 0:
-            raise ValidationError("pair rate must be positive")
 
     @property
     def coherence_sigma_um(self):
@@ -457,21 +453,6 @@ class HomScan:
     fit: GaussianDipFit
     input_pair: Tuple[int, int]
     output_pair: Tuple[int, int]
-    metadata: dict
-
-    def to_csv_text(self):
-        lines = ["delay_um,normalized_coincidence"]
-        for t, c in zip(self.delays_um, self.coincidences):
-            lines.append(f"{format(float(t), '.15g')},{format(float(c), '.15g')}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self):
-        return {
-            "fit": self.fit.to_dict(),
-            "input_pair": list(self.input_pair),
-            "output_pair": list(self.output_pair),
-            "metadata": dict(self.metadata),
-        }
 
 
 def hom_scan(
@@ -525,15 +506,6 @@ def hom_scan(
         raise MeshsimError("scan has no off-dip coincidences to normalize by")
     normalized = counts / base
     fit = fit_gaussian_dip(d, normalized)
-    metadata = {
-        "target": tuple(plan.target),
-        "profile": profile.name,
-        "seed": int(seed),
-        "arm_delay_um": float(arm_delay_um),
-        "count_noise_sigma": float(count_noise_sigma),
-        "overlap_at_zero_delay": float(source.mutual_overlap_at_zero_delay),
-        "coherence_sigma_um": float(source.coherence_sigma_um),
-    }
     d = d.copy()
     d.setflags(write=False)
     normalized.setflags(write=False)
@@ -543,7 +515,6 @@ def hom_scan(
         fit=fit,
         input_pair=tuple(plan.input_pair),
         output_pair=tuple(plan.output_pair),
-        metadata=metadata,
     )
 
 
@@ -602,40 +573,11 @@ def _anova_p(groups):
 class VisibilityMap:
     """Fitted HOM visibility for every cell of the mesh."""
 
-    n: int
     cells: Tuple[mesh.CellAddress, ...]
     visibilities: np.ndarray
     stats: analysis.EnsembleStats
     row_anova_p: float
     column_anova_p: float
-    metadata: dict
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "visibilities": {
-                f"c{addr.column:02d}r{addr.row:02d}": float(value)
-                for addr, value in zip(self.cells, self.visibilities)
-            },
-            "stats": self.stats.to_dict(),
-            "row_anova_p": self.row_anova_p,
-            "column_anova_p": self.column_anova_p,
-            "metadata": dict(self.metadata),
-        }
-
-    def to_grid_csv_text(self):
-        """One row per upper-mode index, one column per mesh column."""
-        header = "row," + ",".join(f"c{c:02d}" for c in range(self.n))
-        table = {addr: value for addr, value in zip(self.cells, self.visibilities)}
-        lines = [header]
-        for row in range(self.n - 1):
-            cells = []
-            for column in range(self.n):
-                addr = mesh.CellAddress(column, row)
-                value = table.get(addr)
-                cells.append("" if value is None else format(float(value), ".15g"))
-            lines.append(f"r{row:02d}," + ",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def hom_visibility_map(
@@ -683,21 +625,13 @@ def hom_visibility_map(
         for col in range(n)
     ]
     stats = analysis.ensemble_statistics(visibilities)
-    metadata = {
-        "profile": profile.name,
-        "seed": int(seed),
-        "count_noise_sigma": float(count_noise_sigma),
-        "overlap_at_zero_delay": float(source.mutual_overlap_at_zero_delay),
-    }
     visibilities.setflags(write=False)
     return VisibilityMap(
-        n=n,
         cells=cells,
         visibilities=visibilities,
         stats=stats,
         row_anova_p=_anova_p(rows),
         column_anova_p=_anova_p(columns),
-        metadata=metadata,
     )
 
 
@@ -740,7 +674,6 @@ def diagonal_arm_heaters(n):
 class DelaySweep:
     """Fitted dip centers versus the drive applied to one diagonal arm."""
 
-    n: int
     drive_levels_rad: np.ndarray
     centers_um: np.ndarray
     total_shift_um: float
@@ -749,30 +682,6 @@ class DelaySweep:
     driven_heater_ids: Tuple[str, ...]
     input_pair: Tuple[int, int]
     output_pair: Tuple[int, int]
-    scans: tuple
-    metadata: dict
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "drive_levels_rad": [float(x) for x in self.drive_levels_rad],
-            "centers_um": [float(x) for x in self.centers_um],
-            "total_shift_um": self.total_shift_um,
-            "per_heater_shift_um": self.per_heater_shift_um,
-            "heater_count": self.heater_count,
-            "driven_heater_ids": list(self.driven_heater_ids),
-            "input_pair": list(self.input_pair),
-            "output_pair": list(self.output_pair),
-            "metadata": dict(self.metadata),
-        }
-
-    def to_csv_text(self):
-        lines = ["drive_level_rad,fitted_center_um"]
-        for level, center in zip(self.drive_levels_rad, self.centers_um):
-            lines.append(
-                f"{format(float(level), '.15g')},{format(float(center), '.15g')}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, seed=0):
@@ -812,7 +721,6 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
 
     lam_um = source.center_wavelength_nm * 1e-3
     count = len(driven)
-    scans = []
     centers = []
     for index, level in enumerate(levels):
         arm_delay = count * float(level) * lam_um / TWO_PI
@@ -824,29 +732,15 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
             seed=child_seed(seed, index),
             arm_delay_um=arm_delay,
         )
-        scans.append(scan)
         centers.append(scan.fit.center_um)
 
     centers = np.asarray(centers, dtype=float)
     total = float(centers[-1] - centers[0])
-    span_rad = float(levels[-1] - levels[0])
     per_heater = total / count if count else float("nan")
-    metadata = {
-        "profile": profile.name,
-        "seed": int(seed),
-        "lambda_um": lam_um,
-        "drive_span_rad": span_rad,
-        "expected_um_per_heater_per_rad": lam_um / TWO_PI,
-        "delay_model": (
-            "drive adds group delay under each driven heater; the "
-            "interferometric phases stay locked at the plan settings"
-        ),
-    }
     levels = levels.copy()
     levels.setflags(write=False)
     centers.setflags(write=False)
     return DelaySweep(
-        n=n,
         drive_levels_rad=levels,
         centers_um=centers,
         total_shift_um=total,
@@ -855,6 +749,4 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
         driven_heater_ids=driven,
         input_pair=plan.input_pair,
         output_pair=plan.output_pair,
-        scans=tuple(scans),
-        metadata=metadata,
     )

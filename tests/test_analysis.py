@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,31 @@ def test_amplitude_matrix_rejects_bad_columns():
         AmplitudeMatrix(2, np.array([[-1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         AmplitudeMatrix(3, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_amplitude_matrix_rejects_non_finite_entries(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="finite"):
+            AmplitudeMatrix(2, np.full((2, 2), bad))
+        with pytest.raises(ValidationError, match="finite"):
+            AmplitudeMatrix(2, np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fidelity_and_error_matrix_reject_non_finite_inputs(bad):
+    u = compiler.haar_random(2, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for target, measured in (
+            (np.eye(2), np.full((2, 2), bad)),
+            (np.array([[bad, 0.0], [0.0, 1.0]]), np.eye(2)),
+            (u, np.array([[1.0, 0.0], [bad, 1.0]])),
+        ):
+            for fn in (amplitude_fidelity, error_matrix):
+                with pytest.raises(ValidationError, match="finite"):
+                    fn(target, measured)
 
 
 def test_ensemble_statistics_basics():

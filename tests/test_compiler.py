@@ -1,6 +1,7 @@
 """Decomposition round trips, Haar sampling statistics, ensembles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def test_decompose_rejects_non_unitary():
         compiler.clements_decompose(bad)
     # message must report the violation magnitude (defect is 0.21 here)
     assert "2.1" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decompose_rejects_non_finite_matrices(bad):
+    partly = np.eye(3, dtype=complex)
+    partly[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for target in (np.full((3, 3), bad), partly):
+            with pytest.raises(ValidationError, match="finite"):
+                compiler.clements_decompose(target)
 
 
 def test_decompose_stack_rejects_malformed_stacks():

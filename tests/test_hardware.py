@@ -270,15 +270,6 @@ def test_noiseless_calibration_recovers_profile():
     assert record.max_residual < 1e-10
 
 
-def test_calibration_csv_round_trip():
-    prof = calibrated_profile(3, disorder_seed=0)
-    record = CalibrationRecord.exact_from_profile(prof)
-    text = record.to_csv()
-    back = CalibrationRecord.from_csv(text)
-    assert back.to_csv() == text
-    assert set(back.entries) == set(record.entries)
-
-
 def test_solve_voltages_ideal_exact():
     prof = ideal_profile(5)
     cal = CalibrationRecord.exact_from_profile(prof)
@@ -382,7 +373,7 @@ def test_solve_threads_share_one_record():
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.powers_w, b.powers_w)
-        assert a.voltages_v == b.voltages_v
+        assert np.array_equal(a.voltages_v, b.voltages_v)
         assert (a.iterations, a.residual_rad) == (b.iterations, b.residual_rad)
 
 

@@ -1,6 +1,7 @@
 """Unit-cell conventions, mesh composition, loss application, serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -157,7 +158,6 @@ def test_apply_loss_zero_loss_is_bitwise_mesh_unitary():
     lossy = mesh.apply_loss(settings, _LossProfile(0.0, 0.0, np.full(6, 15.7)))
     clean = mesh.mesh_unitary(settings)
     assert np.max(np.abs(lossy.elements - clean.elements)) == 0.0
-    assert lossy.sub_unitary
 
 
 def test_apply_loss_uniform_total_scales_singular_values():
@@ -185,7 +185,27 @@ def test_apply_loss_rejects_negative_loss():
 
 def test_transfer_matrix_rejects_gain():
     with pytest.raises(ValidationError):
-        mesh.TransferMatrix(2, 1.5 * np.eye(2, dtype=complex), sub_unitary=True)
+        mesh.TransferMatrix(2, 1.5 * np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_unitary_rejects_non_finite_entries(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="finite"):
+            mesh.Unitary(2, np.full((2, 2), bad))
+        with pytest.raises(ValidationError, match="finite"):
+            mesh.Unitary(2, np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_transfer_matrix_rejects_non_finite_entries(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="finite"):
+            mesh.TransferMatrix(2, np.full((2, 2), bad))
+        with pytest.raises(ValidationError, match="finite"):
+            mesh.TransferMatrix(2, np.array([[0.5, 0.0], [0.0, bad]]))
 
 
 def test_settings_json_round_trip_and_order():

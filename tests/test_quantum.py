@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeWarning
 
-from meshsim import hardware, mesh, quantum
+from meshsim import experiments, hardware, mesh, quantum
 from meshsim.quantum import (
     BAR,
     CROSS,
@@ -64,8 +64,6 @@ def test_source_validation():
         PhotonPairSource(center_wavelength_nm=0.0)
     with pytest.raises(ValidationError):
         PhotonPairSource(mutual_overlap_at_zero_delay=1.2)
-    with pytest.raises(ValidationError):
-        PhotonPairSource(pair_rate_hz=0.0)
 
 
 def test_fifty_fifty_trivials():
@@ -444,18 +442,23 @@ def test_hom_scan_seeding_and_noise():
         hom_scan(plan, src, hardware.ideal_profile(6))
 
 
+def _campaign(doc):
+    return experiments.run_campaign_with_artifacts(experiments.validate_config(doc))
+
+
 def test_hom_scan_csv_and_json_exports():
     n = 4
     profile = hardware.ideal_profile(n)
     scan = hom_scan(route_to_tbs(n, (1, 1)), PhotonPairSource(), profile)
-    text = scan.to_csv_text()
-    lines = text.strip().splitlines()
+    report, csv_files = _campaign(
+        {"kind": "hom-scan", "n": n, "params": {"target": [1, 1]}}
+    )
+    lines = csv_files["scan.csv"].strip().splitlines()
     assert lines[0] == "delay_um,normalized_coincidence"
     assert len(lines) == scan.delays_um.size + 1
-    doc = scan.to_json_dict()
-    assert doc["fit"]["visibility"] == scan.fit.visibility
-    assert doc["input_pair"] == [0, 3]
-    assert doc["metadata"]["profile"] == "ideal"
+    assert report["summary"]["fit"]["visibility"] == scan.fit.visibility
+    assert report["results"]["input_pair"] == [0, 3]
+    assert report["config"]["profile"] == "ideal"
 
 
 def test_visibility_map_ideal_uniform():
@@ -519,10 +522,15 @@ def test_visibility_map_noisy_spread_and_exports():
     assert float(np.std(vmap.visibilities)) > 0.0
     assert 0.0 <= vmap.row_anova_p <= 1.0
     assert 0.0 <= vmap.column_anova_p <= 1.0
-    doc = vmap.to_json_dict()
+    report, csv_files = _campaign(
+        {"kind": "hom-map", "n": n, "seed": 4, "profile": "calibrated",
+         "params": {"overlap": 0.98}}
+    )
+    doc = report["results"]["maps"][0]
     assert len(doc["visibilities"]) == 15
     assert "c02r02" in doc["visibilities"]
-    grid = vmap.to_grid_csv_text().strip().splitlines()
+    assert doc["metadata"]["profile"] == "calibrated-4"
+    grid = csv_files["visibility_grid-00.csv"].strip().splitlines()
     assert grid[0] == "row," + ",".join(f"c{c:02d}" for c in range(n))
     assert len(grid) == n  # header plus n-1 mode-pair rows
     # cell (1, 1) sits in row r01, column c01, with blanks at even columns
@@ -556,12 +564,16 @@ def test_delay_sweep_tracks_drive():
     assert sweep.total_shift_um > 60.0
     expected = 1.5 * 1562.0 * 1e-3  # 3 pi within a 2 pi turn of path
     assert abs(sweep.per_heater_shift_um - expected) < 1e-6
-    csv_lines = sweep.to_csv_text().strip().splitlines()
+    assert len(sweep.driven_heater_ids) == 36
+    report, csv_files = _campaign(
+        {"kind": "delay-sweep", "n": n, "params": {"levels_rad": levels}}
+    )
+    csv_lines = csv_files["sweep.csv"].strip().splitlines()
     assert csv_lines[0] == "drive_level_rad,fitted_center_um"
     assert len(csv_lines) == len(levels) + 1
-    doc = sweep.to_json_dict()
-    assert doc["heater_count"] == 36
-    assert len(doc["driven_heater_ids"]) == 36
+    assert report["results"]["centers_um"] == sweep.centers_um.tolist()
+    assert report["summary"]["heater_count"] == 36
+    assert len(report["results"]["driven_heater_ids"]) == 36
 
 
 def test_delay_sweep_validation():
