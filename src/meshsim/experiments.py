@@ -275,30 +275,32 @@ def _run_fidelity(config, workers):
             return compiler.haar_random(config.n, child_seed(config.seed, index))
         return compiler.permutation_unitary(permutations[index])
 
-    def job(item):
-        index, target, settings = item
+    def realize(settings):
         drive = hardware.solve_voltages(
             profile, calibration, hardware.heater_targets(settings)
         )
         realized = hardware.realized_heater_phases(profile, drive.powers_w)
-        realized_settings = hardware.settings_from_heater_phases(
+        return hardware.settings_from_heater_phases(
             config.n, realized, output_phases=settings.output_phases
         )
-        measured = hardware.measure_amplitude_matrix(
-            profile, realized_settings, seed=child_seed(config.seed, index)
-        )
-        fidelity = analysis.amplitude_fidelity(target, measured)
-        error = analysis.error_matrix(target, measured)
-        return float(fidelity), float(np.max(np.abs(error)))
 
-    pairs = []
+    fidelities, max_errors = [], []
     for start in range(0, config.count, COMPILE_CHUNK):
         indices = range(start, min(start + COMPILE_CHUNK, config.count))
         targets = [make_target(index) for index in indices]
         compiled = compiler.decompose_stack([t.elements for t in targets])
-        pairs += parallel_map(job, zip(indices, targets, compiled), workers=workers)
-    fidelities = [p[0] for p in pairs]
-    max_errors = [p[1] for p in pairs]
+        realized = parallel_map(realize, compiled, workers=workers)
+        measured = hardware.measure_amplitude_matrices(
+            profile,
+            np.array([s.theta for s in realized]),
+            np.array([s.phi for s in realized]),
+            np.array([s.output_phases for s in realized]),
+            [child_seed(config.seed, index) for index in indices],
+        )
+        for target, amplitudes in zip(targets, measured):
+            error = analysis.error_matrix(target, amplitudes)
+            fidelities.append(float(analysis.amplitude_fidelity(target, amplitudes)))
+            max_errors.append(float(np.max(np.abs(error))))
     stats = analysis.ensemble_statistics(fidelities)
     results = {"fidelities": fidelities, "max_error_entries": max_errors}
     if permutations is not None:
@@ -701,9 +703,12 @@ def unitary_to_json_dict(u):
 def unitary_from_json_dict(doc):
     if not isinstance(doc, dict) or not {"n", "re", "im"} <= set(doc):
         raise ValidationError("unitary document needs keys n, re, im")
-    n = int(doc["n"])
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc["im"], dtype=float)
+    try:
+        n = int(doc["n"])
+        re = np.asarray(doc["re"], dtype=float)
+        im = np.asarray(doc["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"unitary document is not numeric: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValidationError(
             f"unitary document shape mismatch: n={n}, re {re.shape}, im {im.shape}"

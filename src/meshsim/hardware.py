@@ -23,9 +23,12 @@ from . import analysis
 from .mesh import (
     CellAddress,
     MeshSettings,
+    TransferMatrix,
     apply_loss,
     bar_settings,
     cell_addresses,
+    gain_defect,
+    lossy_products,
 )
 from .util import (
     TWO_PI,
@@ -67,6 +70,10 @@ _JITTER_STREAM = 202
 _SWEEP_STREAM = 303
 
 SOLVE_MAX_SWEEPS = 500
+
+# noisy transfers are realized this many programs at a time; the matrices do
+# not depend on it, only the memory per chunk does
+TRANSFER_CHUNK = 32
 
 
 def heater_id(column, row, kind):
@@ -732,46 +739,116 @@ def _noisy_transfers(theta, phi, eps):
     )
 
 
-def realized_transfer(profile, settings, seed=0):
-    """Transfer matrix the device actually implements for a program.
+def _splitter_errors(profile):
+    """Static (cells, 2) splitting-ratio errors of a profile, drawn from its
+    disorder seed on first use and cached on the profile."""
+    eps = profile._arrays.get("splitter_errors")
+    if eps is None:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(profile.disorder_seed), _STATIC_STREAM])
+        )
+        count = len(cell_addresses(profile.n))
+        eps = rng.normal(0.0, profile.splitter_error_sigma_rad, (count, 2))
+        eps.setflags(write=False)
+        profile._arrays["splitter_errors"] = eps
+    return eps
 
-    Static splitting-ratio errors are drawn once per disorder seed, phase
-    jitter fresh per run seed, and the loss model is apply_loss. With an
-    ideal profile this equals the programmed mesh to rounding error.
+
+def realized_transfers(profile, theta, phi, output_phases, seeds):
+    """Transfer matrices the device actually implements for k programs,
+    from (k, cells) theta and phi stacks in cell_addresses(n) order, (k, n)
+    output phases and one run seed per program.
+
+    Static splitting-ratio errors are drawn once per profile, phase jitter
+    fresh per run seed, and the loss model is mesh.lossy_products. Programs
+    run TRANSFER_CHUNK at a time, which bounds the memory and changes no
+    bit. Returns a read-only (k, n, n) stack; raises ValidationError naming
+    the first program whose matrix is non-finite or has gain. With an ideal
+    profile each matrix equals the programmed mesh to rounding error.
     """
+    seeds = list(seeds)
+    k, n = len(seeds), profile.n
+    count = len(cell_addresses(n))
+    stacks = []
+    for name, value, width in (
+        ("theta", theta, count), ("phi", phi, count), ("output_phases", output_phases, n)
+    ):
+        arr = np.asarray(value, dtype=float)
+        if arr.shape != (k, width):
+            raise ValidationError(
+                f"{name} must have shape {(k, width)} for n={n}, got {arr.shape}"
+            )
+        stacks.append(arr)
+    out = np.empty((k, n, n), dtype=complex)
+    for start in range(0, k, TRANSFER_CHUNK):
+        chunk = slice(start, start + TRANSFER_CHUNK)
+        out[chunk] = _realize_chunk(profile, *(a[chunk] for a in stacks), seeds[chunk])
+        defect = gain_defect(out[chunk])
+        if defect is not None:
+            raise ValidationError(f"program {start + defect[0]}: {defect[1]}")
+    out.setflags(write=False)
+    return out
+
+
+def _realize_chunk(profile, theta, phi, output_phases, seeds):
+    """Unchecked realized transfers of one chunk of programs."""
+    k, count = theta.shape
+    jitter = np.stack([
+        np.random.default_rng(
+            np.random.SeedSequence([int(seed), _JITTER_STREAM])
+        ).standard_normal((count, 2))
+        for seed in seeds
+    ])
+    jitter[..., 0] *= profile.theta_noise_sigma_rad
+    jitter[..., 1] *= profile.phi_noise_sigma_rad
+    # one flat pass over every cell of the chunk: a broadcast (cells, 2, 2)
+    # against (k, cells, 2, 2) product runs slower than the flat stack
+    transfers = _noisy_transfers(
+        (theta + jitter[..., 0]).ravel(),
+        (phi + jitter[..., 1]).ravel(),
+        np.tile(_splitter_errors(profile), (k, 1)),
+    )
+    return lossy_products(transfers.reshape(k, count, 2, 2), output_phases, profile)
+
+
+def _stack_of_one(profile, settings):
+    """theta, phi and output_phases of one program as stacks of one."""
     if settings.n != profile.n:
         raise ValidationError(
             f"settings are for n={settings.n}, profile for n={profile.n}"
         )
-    count = len(cell_addresses(profile.n))
-    static_rng = np.random.default_rng(
-        np.random.SeedSequence([int(profile.disorder_seed), _STATIC_STREAM])
-    )
-    eps = static_rng.normal(0.0, profile.splitter_error_sigma_rad, (count, 2))
-    jitter_rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed), _JITTER_STREAM])
-    )
-    jitter = jitter_rng.standard_normal((count, 2))
-    jitter[:, 0] *= profile.theta_noise_sigma_rad
-    jitter[:, 1] *= profile.phi_noise_sigma_rad
-    transfers = _noisy_transfers(
-        settings.theta + jitter[:, 0], settings.phi + jitter[:, 1], eps
-    )
-    return apply_loss(settings, profile, transfers=transfers)
+    return settings.theta[None], settings.phi[None], settings.output_phases[None]
 
 
-def measure_amplitude_matrix(profile, settings, seed=0):
-    """Amplitude magnitudes as reconstructed from output power fractions.
+def realized_transfer(profile, settings, seed=0):
+    """realized_transfers of one program, as a TransferMatrix, whose
+    constructor runs the finite and no-gain checks."""
+    stack = _realize_chunk(profile, *_stack_of_one(profile, settings), [seed])
+    return TransferMatrix(profile.n, stack[0])
+
+
+def measure_amplitude_matrices(profile, theta, phi, output_phases, seeds):
+    """Amplitude magnitudes of k programs as reconstructed from output power
+    fractions, one AmplitudeMatrix each (arguments as realized_transfers).
 
     Power is measured one input at a time and normalized per column, so the
     result is insensitive to any loss that acts uniformly along a column.
     """
-    transfer = realized_transfer(profile, settings, seed=seed)
-    probs = np.abs(transfer.elements) ** 2
-    sums = probs.sum(axis=0)
-    if np.any(sums <= 0):
-        raise ValidationError("a column carried no power; cannot normalize")
-    return analysis.AmplitudeMatrix(profile.n, np.sqrt(probs / sums))
+    probs = np.abs(realized_transfers(profile, theta, phi, output_phases, seeds)) ** 2
+    sums = probs.sum(axis=1)
+    dark = np.flatnonzero((sums <= 0).any(axis=1))
+    if dark.size:
+        raise ValidationError(
+            f"program {dark[0]}: a column carried no power; cannot normalize"
+        )
+    amplitudes = np.sqrt(probs / sums[:, None, :])
+    return [analysis.AmplitudeMatrix(profile.n, a) for a in amplitudes]
+
+
+def measure_amplitude_matrix(profile, settings, seed=0):
+    """measure_amplitude_matrices of one program."""
+    stacks = _stack_of_one(profile, settings)
+    return measure_amplitude_matrices(profile, *stacks, [seed])[0]
 
 
 def insertion_loss_per_mode(profile):

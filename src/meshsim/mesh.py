@@ -90,16 +90,26 @@ class TransferMatrix:
             raise ValidationError(
                 f"expected a {self.n}x{self.n} matrix, got shape {arr.shape}"
             )
-        # the SVD behind the norm fails on non-finite entries
-        if not np.isfinite(arr).all():
-            raise ValidationError("matrix entries must be finite")
-        top = float(np.linalg.norm(arr, 2))
-        if not top <= 1.0 + SINGULAR_VALUE_TOL:
-            raise ValidationError(
-                f"transfer matrix has gain: largest singular value {top:.12f}"
-            )
+        defect = gain_defect(arr[None])
+        if defect is not None:
+            raise ValidationError(defect[1])
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
+
+
+def gain_defect(stack):
+    """(index, reason) of the first matrix of a (k, n, n) stack that has a
+    non-finite entry or a largest singular value above 1, else None."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        return int(np.argmin(finite)), "matrix entries must be finite"
+    # the SVD behind the norm fails on non-finite entries, so it runs second
+    top = np.linalg.norm(stack, 2, axis=(1, 2))
+    above = np.flatnonzero(~(top <= 1.0 + SINGULAR_VALUE_TOL))
+    if above.size:
+        i = int(above[0])
+        return i, f"transfer matrix has gain: largest singular value {top[i]:.12f}"
+    return None
 
 
 def rows_in_column(n, column):
@@ -264,19 +274,23 @@ def propagate(transfers, out, col_start=0, col_stop=None, col_amp=None):
 
     `transfers` stacks one 2x2 matrix per cell in cell_addresses(n) order.
     The cells of a column act on disjoint mode pairs, so each column is one
-    batched product over its pairs. With `col_amp`, every row is scaled by
-    its per-mode amplitude after each column.
+    batched product over its pairs. A leading batch axis on both, (k, cells,
+    2, 2) transfers and a (k, n, n) `out`, runs k programs through the same
+    products. With `col_amp`, every row is scaled by its per-mode amplitude
+    after each column.
     """
-    n = out.shape[0]
+    n = out.shape[-1]
     bounds = _column_bounds(n)
     for column in range(col_start, n if col_stop is None else col_stop):
         start, stop = bounds[column]
         if stop > start:
-            upper = slice(column % 2, n - 1, 2)
-            lower = slice(column % 2 + 1, n, 2)
-            pairs = transfers[start:stop] @ np.stack((out[upper], out[lower]), axis=1)
-            out[upper] = pairs[:, 0]
-            out[lower] = pairs[:, 1]
+            upper = (..., slice(column % 2, n - 1, 2), slice(None))
+            lower = (..., slice(column % 2 + 1, n, 2), slice(None))
+            pairs = transfers[..., start:stop, :, :] @ np.stack(
+                (out[upper], out[lower]), axis=-2
+            )
+            out[upper] = pairs[..., 0, :]
+            out[lower] = pairs[..., 1, :]
         if col_amp is not None:
             out *= col_amp[:, None]
     return out
@@ -304,16 +318,17 @@ def mesh_unitary(settings):
     return Unitary(settings.n, out)
 
 
-def apply_loss(settings, profile, transfers=None):
-    """Lossy transfer matrix: facet coupling loss at both ends plus uniform
-    per-column propagation loss derived from each mode's path length.
+def lossy_products(transfers, output_phases, profile):
+    """Lossy transfer matrices of k programs at once: facet coupling loss at
+    both ends plus uniform per-column propagation loss derived from each
+    mode's path length, around the cells and the output phase screen.
 
-    With all loss parameters zero the result equals mesh_unitary exactly.
-    `profile` needs coupling_loss_db_per_facet, propagation_loss_db_per_cm
-    and path_length_cm (scalar or per-mode) attributes. `transfers` replaces
-    the programmed cells with another (k, 2, 2) stack, such as noisy ones.
+    `transfers` is a (k, cells, 2, 2) cell stack, `output_phases` (k, n).
+    Returns the unchecked (k, n, n) products. `profile` needs
+    coupling_loss_db_per_facet, propagation_loss_db_per_cm and
+    path_length_cm (scalar or per-mode) attributes.
     """
-    n = settings.n
+    k, n = output_phases.shape
     facet_db = float(profile.coupling_loss_db_per_facet)
     prop_db = float(profile.propagation_loss_db_per_cm)
     paths = np.broadcast_to(
@@ -326,13 +341,21 @@ def apply_loss(settings, profile, transfers=None):
     # each of the n columns carries an equal share of the mode's path
     col_amp = 10.0 ** (-(prop_db * paths / n) / 20.0)
 
-    if transfers is None:
-        transfers = cell_transfers(settings.theta, settings.phi)
-    out = np.eye(n, dtype=complex) * facet_amp
+    out = np.tile(np.eye(n, dtype=complex) * facet_amp, (k, 1, 1))
     propagate(transfers, out, col_amp=col_amp)
-    out = np.exp(1j * settings.output_phases)[:, None] * out
+    out = np.exp(1j * output_phases)[..., None] * out
     out *= facet_amp
-    return TransferMatrix(n, out)
+    return out
+
+
+def apply_loss(settings, profile):
+    """Lossy transfer matrix of one program (see lossy_products).
+
+    With all loss parameters zero the result equals mesh_unitary exactly.
+    """
+    transfers = cell_transfers(settings.theta, settings.phi)
+    out = lossy_products(transfers[None], settings.output_phases[None], profile)
+    return TransferMatrix(settings.n, out[0])
 
 
 def settings_to_json_dict(settings):

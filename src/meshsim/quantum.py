@@ -23,6 +23,7 @@ from .util import (
     child_seed,
     ignoring_warnings,
     parallel_map,
+    wrap_phase,
 )
 
 BAR = "bar"
@@ -301,12 +302,20 @@ def verify_routing(plan, strict=True):
     }
 
 
+def _plan_theta(plan):
+    """Pinned, wrapped theta of every cell of a routing plan, in
+    cell_addresses order."""
+    _validate_plan_shape(plan)
+    return wrap_phase(np.array([
+        _THETA_BY_STATE[plan.cell_states[addr]]
+        for addr in mesh.cell_addresses(plan.n)
+    ]))
+
+
 def plan_to_settings(plan):
     """Mesh program for a routing plan: pinned thetas, all phis zero."""
-    _validate_plan_shape(plan)
-    addrs = mesh.cell_addresses(plan.n)
-    theta = [_THETA_BY_STATE[plan.cell_states[addr]] for addr in addrs]
-    return mesh.MeshSettings.from_phases(plan.n, theta, np.zeros(len(addrs)))
+    theta = _plan_theta(plan)
+    return mesh.MeshSettings.from_phases(plan.n, theta, np.zeros(theta.size))
 
 
 def default_delay_grid(center_um=0.0):
@@ -455,6 +464,56 @@ class HomScan:
     output_pair: Tuple[int, int]
 
 
+def _scan_grid(delays_um, arm_delay_um):
+    """Read-only delay samples of a scan (the default grid centered on the
+    arm delay when None) and the indices of the BASELINE_FRACTION of them
+    farthest from zero delay, which set the raw-count baseline."""
+    if delays_um is None:
+        delays_um = default_delay_grid(arm_delay_um)
+    d = np.array(delays_um, dtype=float)
+    if d.ndim != 1 or d.size < MIN_FIT_SAMPLES:
+        raise ValidationError(f"scan needs >= {MIN_FIT_SAMPLES} delay samples")
+    if not np.all(np.isfinite(d)):
+        raise ValidationError("delay samples must be finite")
+    d.setflags(write=False)
+    k = max(1, int(round(BASELINE_FRACTION * d.size)))
+    return d, np.argsort(np.abs(d))[-k:]
+
+
+def _check_scan_inputs(profile, n, count_noise_sigma):
+    if profile.n != n:
+        raise ValidationError(f"profile is for n={profile.n}, plan for n={n}")
+    if count_noise_sigma < 0:
+        raise ValidationError("count noise sigma must be >= 0")
+
+
+def _realize_routes(profile, theta, seeds):
+    """Realized transfer stack of routed programs, one run seed each: (k,
+    cells) pinned thetas as _plan_theta gives them, zero phis and output
+    phases, as plan_to_settings programs them."""
+    return hardware.realized_transfers(
+        profile, theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)), seeds
+    )
+
+
+def _normalized_counts(transfer, pairs, envelope, far, seed, count_noise_sigma):
+    """Coincidences of one scan between the (input, output) mode pairs of a
+    realized transfer matrix, given the source envelope x(tau) over the
+    delays, normalized by the mean of the baseline samples `far`."""
+    p_classical, p_interference = _pair_terms(transfer, *pairs)
+    counts = p_classical + envelope * p_interference
+    if count_noise_sigma > 0:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(seed), _COUNT_STREAM])
+        )
+        counts = counts * (1.0 + count_noise_sigma * rng.standard_normal(counts.size))
+        counts = np.maximum(counts, 0.0)
+    base = float(np.mean(counts[far]))
+    if base <= 0:
+        raise MeshsimError("scan has no off-dip coincidences to normalize by")
+    return counts / base
+
+
 def hom_scan(
     plan,
     source,
@@ -472,42 +531,14 @@ def hom_scan(
     envelope is centered on `arm_delay_um`. Raw coincidences are normalized
     by the mean of the 20% of samples farthest from zero delay.
     """
-    if profile.n != plan.n:
-        raise ValidationError(
-            f"profile is for n={profile.n}, plan for n={plan.n}"
-        )
-    if count_noise_sigma < 0:
-        raise ValidationError("count noise sigma must be >= 0")
-    if delays_um is None:
-        delays_um = default_delay_grid(arm_delay_um)
-    d = np.asarray(delays_um, dtype=float)
-    if d.ndim != 1 or d.size < MIN_FIT_SAMPLES:
-        raise ValidationError(f"scan needs >= {MIN_FIT_SAMPLES} delay samples")
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("delay samples must be finite")
-
-    settings = plan_to_settings(plan)
-    transfer = hardware.realized_transfer(profile, settings, seed=seed)
-    p_classical, p_interference = _pair_terms(
-        transfer.elements, plan.input_pair, plan.output_pair
+    _check_scan_inputs(profile, plan.n, count_noise_sigma)
+    d, far = _scan_grid(delays_um, arm_delay_um)
+    transfer = _realize_routes(profile, _plan_theta(plan)[None], [seed])[0]
+    normalized = _normalized_counts(
+        transfer, (plan.input_pair, plan.output_pair),
+        source.overlap_at(d, arm_delay_um), far, seed, count_noise_sigma,
     )
-    counts = p_classical + source.overlap_at(d, arm_delay_um) * p_interference
-    if count_noise_sigma > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), _COUNT_STREAM])
-        )
-        counts = counts * (1.0 + count_noise_sigma * rng.standard_normal(d.size))
-        counts = np.maximum(counts, 0.0)
-
-    k = max(1, int(round(BASELINE_FRACTION * d.size)))
-    far = np.argsort(np.abs(d))[-k:]
-    base = float(np.mean(counts[far]))
-    if base <= 0:
-        raise MeshsimError("scan has no off-dip coincidences to normalize by")
-    normalized = counts / base
     fit = fit_gaussian_dip(d, normalized)
-    d = d.copy()
-    d.setflags(write=False)
     normalized.setflags(write=False)
     return HomScan(
         delays_um=d,
@@ -592,46 +623,49 @@ def hom_visibility_map(
 ):
     """Scan every cell as a routed TBS and map the fitted visibilities.
 
-    Per-cell seeds derive from (seed, cell index), so the worker count
-    cannot change the map. Row and column one-way ANOVA p-values probe for
-    systematic structure along either mesh axis.
+    Per-cell seeds derive from (seed, cell index), so neither the worker
+    count nor the transfer chunk can change the map. Every scan is the
+    hom_scan of its routing plan: the delay grid, source envelope and
+    baseline samples are built once per map, and the transfers are realized
+    as one stack; only the count model and the dip fit run per scan. Row
+    and column one-way ANOVA p-values probe for systematic structure along
+    either mesh axis.
     """
-    if profile.n != n:
-        raise ValidationError(f"profile is for n={profile.n}, not n={n}")
+    _check_scan_inputs(profile, n, count_noise_sigma)
     cells = mesh.cell_addresses(n)
-
-    def job(item):
-        index, addr = item
+    row_of = np.array([addr.row for addr in cells])
+    column_of = np.array([addr.column for addr in cells])
+    d, far = _scan_grid(delays_um, 0.0)
+    envelope = source.overlap_at(d, 0.0)
+    seeds = [child_seed(seed, index) for index in range(len(cells))]
+    # keep only each plan's theta row and mode pairs: 190 plans with their
+    # per-cell state dicts held at once cost about 2 MB at n=20
+    theta = np.empty((len(cells), len(cells)))
+    pairs = []
+    for plan_theta, addr in zip(theta, cells):
         plan = route_to_tbs(n, addr)
-        scan = hom_scan(
-            plan,
-            source,
-            profile,
-            delays_um,
-            seed=child_seed(seed, index),
-            count_noise_sigma=count_noise_sigma,
+        plan_theta[:] = _plan_theta(plan)
+        pairs.append((plan.input_pair, plan.output_pair))
+    transfers = _realize_routes(profile, theta, seeds)
+
+    def job(index):
+        normalized = _normalized_counts(
+            transfers[index], pairs[index], envelope, far, seeds[index],
+            count_noise_sigma,
         )
-        return scan.fit.visibility
+        return fit_gaussian_dip(d, normalized).visibility
 
     visibilities = np.array(
-        parallel_map(job, enumerate(cells), workers=workers), dtype=float
+        parallel_map(job, range(len(cells)), workers=workers), dtype=float
     )
-    rows = [
-        visibilities[[i for i, addr in enumerate(cells) if addr.row == row]]
-        for row in range(n - 1)
-    ]
-    columns = [
-        visibilities[[i for i, addr in enumerate(cells) if addr.column == col]]
-        for col in range(n)
-    ]
     stats = analysis.ensemble_statistics(visibilities)
     visibilities.setflags(write=False)
     return VisibilityMap(
         cells=cells,
         visibilities=visibilities,
         stats=stats,
-        row_anova_p=_anova_p(rows),
-        column_anova_p=_anova_p(columns),
+        row_anova_p=_anova_p([visibilities[row_of == r] for r in range(n - 1)]),
+        column_anova_p=_anova_p([visibilities[column_of == c] for c in range(n)]),
     )
 
 

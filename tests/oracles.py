@@ -135,6 +135,54 @@ def per_cell_realized_transfer(profile, settings, seed):
     return out
 
 
+def per_item_visibility_map(n, source, profile, seed=0, count_noise_sigma=0.0):
+    """HOM visibility map scanned one routed cell at a time: per scan the
+    routing plan, the default delay grid with its source envelope and
+    baseline samples, the per-cell realized transfer, the count model and
+    the dip fit, then the row and column groups by list comprehension, as
+    quantum.hom_visibility_map defines them. Returns (visibilities,
+    row_anova_p, column_anova_p)."""
+    from meshsim import quantum
+    from meshsim.mesh import cell_addresses
+    from meshsim.util import child_seed
+
+    cells = cell_addresses(n)
+    visibilities = []
+    for index, addr in enumerate(cells):
+        scan_seed = child_seed(seed, index)
+        plan = quantum.route_to_tbs(n, addr)
+        settings = quantum.plan_to_settings(plan)
+        m = per_cell_realized_transfer(profile, settings, scan_seed)
+        d = quantum.default_delay_grid(0.0)
+        a, b = plan.input_pair
+        c, e = plan.output_pair
+        q1 = m[c, a] * m[e, b]
+        q2 = m[c, b] * m[e, a]
+        classical = abs(q1) ** 2 + abs(q2) ** 2
+        interference = 2.0 * (q1 * q2.conjugate()).real
+        counts = classical + source.overlap_at(d, 0.0) * interference
+        if count_noise_sigma > 0:
+            rng = np.random.default_rng(
+                np.random.SeedSequence([scan_seed, quantum._COUNT_STREAM])
+            )
+            counts = counts * (1.0 + count_noise_sigma * rng.standard_normal(d.size))
+            counts = np.maximum(counts, 0.0)
+        k = max(1, int(round(quantum.BASELINE_FRACTION * d.size)))
+        far = np.argsort(np.abs(d))[-k:]
+        normalized = counts / float(np.mean(counts[far]))
+        visibilities.append(quantum.fit_gaussian_dip(d, normalized).visibility)
+    visibilities = np.array(visibilities, dtype=float)
+    rows = [
+        visibilities[[i for i, addr in enumerate(cells) if addr.row == row]]
+        for row in range(n - 1)
+    ]
+    columns = [
+        visibilities[[i for i, addr in enumerate(cells) if addr.column == col]]
+        for col in range(n)
+    ]
+    return visibilities, quantum._anova_p(rows), quantum._anova_p(columns)
+
+
 def dense_branch_solve(profile, calibration, target, max_rounds=500):
     """Drive solve by the textbook loop: rebuild the power-to-phase coupling
     (fitted alphas on the diagonal, the profile's crosstalk off it) and run a

@@ -229,6 +229,20 @@ def test_compile_rejects_malformed_unitary(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": "two", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"n": 2, "re": [[1, "zero"], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"n": [2], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+])
+def test_compile_non_numeric_unitary_is_usage_error(tmp_path, capsys, doc):
+    upath = tmp_path / "u.json"
+    upath.write_text(json.dumps(doc))
+    code, out, err = run_cli(["compile", "--input", str(upath)], capsys)
+    assert code == 2
+    assert "not numeric" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()

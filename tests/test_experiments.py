@@ -221,6 +221,24 @@ def test_fidelity_items_independent_of_compile_chunks(kind, monkeypatch):
         assert report_payload_bytes(run_campaign(cfg)) == payload, chunk
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("hom-map", {"count": 2, "params": {"count_noise_sigma": 0.02}}),
+    ("fidelity-haar", {"count": 40}),
+])
+def test_payload_independent_of_transfer_chunk(kind, extra, monkeypatch):
+    # noisy transfers are realized hardware.TRANSFER_CHUNK programs at a
+    # time; neither that chunk nor the worker count may change a byte
+    cfg = validate_config(
+        dict(kind=kind, n=8, profile="calibrated", seed=13, **extra)
+    )
+    payload = report_payload_bytes(run_campaign(cfg))
+    for chunk in (1, 7, 190):
+        monkeypatch.setattr(hardware, "TRANSFER_CHUNK", chunk)
+        for workers in (1, 3):
+            got = report_payload_bytes(run_campaign(cfg, workers=workers))
+            assert got == payload, (chunk, workers)
+
+
 def test_report_meta_excluded_from_payload():
     cfg = validate_config({"kind": "platform"})
     report = run_campaign(cfg)

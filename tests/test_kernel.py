@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshsim import compiler, hardware, mesh, quantum
-from meshsim.util import StructureError, normalize_floats, wrap_phase
+from meshsim.util import StructureError, ValidationError, normalize_floats, wrap_phase
 
 from oracles import per_cell_realized_transfer, slow_mesh_product
 
@@ -58,6 +58,61 @@ def test_realized_transfer_equals_per_cell_reference_on_routing_programs(profile
         got = hardware.realized_transfer(profile20, program, seed=index).elements
         want = per_cell_realized_transfer(profile20, program, index)
         assert np.array_equal(got, want)
+
+
+@lru_cache(maxsize=None)
+def _programs20(kind):
+    """190 n=20 programs: compiled Haar targets or every routed cell."""
+    if kind == "haar":
+        targets = [compiler.haar_random(N, seed).elements for seed in range(190)]
+        return tuple(compiler.decompose_stack(targets))
+    return tuple(
+        quantum.plan_to_settings(quantum.route_to_tbs(N, addr))
+        for addr in mesh.cell_addresses(N)
+    )
+
+
+def _stacks(programs):
+    return tuple(
+        np.array([getattr(p, name) for p in programs])
+        for name in ("theta", "phi", "output_phases")
+    )
+
+
+@pytest.mark.parametrize("kind", ["haar", "routing"])
+def test_realized_transfer_stacks_equal_per_cell_reference(profile20, kind):
+    programs = _programs20(kind)
+    seeds = [1000 + i for i in range(len(programs))]
+    want = [
+        per_cell_realized_transfer(profile20, program, seed)
+        for program, seed in zip(programs, seeds)
+    ]
+    for size in (1, 7, 32, 190):
+        got = hardware.realized_transfers(
+            profile20, *_stacks(programs[:size]), seeds[:size]
+        )
+        assert got.shape == (size, N, N)
+        for i in range(size):
+            assert np.array_equal(got[i], want[i]), (size, i)
+
+
+def test_realized_transfer_stack_names_a_non_finite_program(profile20):
+    theta, phi, output_phases = _stacks(_programs20("routing")[:7])
+    phi[4, 11] = np.nan
+    with pytest.raises(ValidationError, match="program 4: .*finite"):
+        hardware.realized_transfers(profile20, theta, phi, output_phases, range(7))
+    with pytest.raises(ValidationError, match="program 4: .*finite"):
+        hardware.measure_amplitude_matrices(
+            profile20, theta, phi, output_phases, range(7)
+        )
+
+
+def test_realized_transfer_stack_rejects_mismatched_shapes(profile20):
+    theta, phi, output_phases = _stacks(_programs20("routing")[:3])
+    with pytest.raises(ValidationError, match="phi must have shape"):
+        hardware.realized_transfers(profile20, theta, phi[:2], output_phases, range(3))
+    with pytest.raises(ValidationError, match="theta must have shape"):
+        hardware.realized_transfers(profile20, theta, phi, output_phases, range(4))
 
 
 def test_topology_is_computed_once_per_n():
@@ -116,6 +171,23 @@ def test_ideal_realized_transfer_is_the_programmed_mesh(program, seed):
     profile = hardware.ideal_profile(program.n)
     got = hardware.realized_transfer(profile, program, seed=seed).elements
     assert np.max(np.abs(got - mesh.mesh_unitary(program).elements)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.data())
+def test_two_photon_distribution_of_realized_programs_is_normalized(
+    program, seed, overlap, data
+):
+    a = data.draw(st.integers(0, program.n - 1))
+    b = data.draw(st.integers(0, program.n - 1).filter(lambda m: m != a))
+    ideal = hardware.realized_transfer(
+        hardware.ideal_profile(program.n), program, seed=seed
+    )
+    total = sum(quantum.two_photon_output_distribution(ideal, (a, b), overlap).values())
+    assert abs(total - 1.0) <= 1e-12
+    lossy = hardware.realized_transfer(_calibrated(program.n), program, seed=seed)
+    total = sum(quantum.two_photon_output_distribution(lossy, (a, b), overlap).values())
+    assert total <= 1.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,7 +32,11 @@ from meshsim.quantum import (
 )
 from meshsim.util import MeshsimError, ValidationError
 
-from oracles import fock_two_photon_distribution, gram_schmidt_unitary
+from oracles import (
+    fock_two_photon_distribution,
+    gram_schmidt_unitary,
+    per_item_visibility_map,
+)
 
 
 def loss_only_profile(n):
@@ -512,6 +516,24 @@ def test_visibility_map_worker_independence():
     one = hom_visibility_map(n, src, profile, seed=5, workers=1)
     two = hom_visibility_map(n, src, profile, seed=5, workers=3)
     assert np.array_equal(one.visibilities, two.visibilities)
+
+
+@pytest.mark.parametrize("disorder_seed", [3, 8])
+def test_visibility_map_equals_per_item_reference_at_n20(disorder_seed):
+    # the batched map realizes all 190 routed transfers in chunks; the
+    # reference scans one cell at a time from the per-cell transfer
+    n = 20
+    src = PhotonPairSource(mutual_overlap_at_zero_delay=0.98)
+    profile = hardware.calibrated_profile(n, disorder_seed=disorder_seed)
+    vmap = hom_visibility_map(
+        n, src, profile, seed=disorder_seed, count_noise_sigma=0.02
+    )
+    visibilities, row_p, column_p = per_item_visibility_map(
+        n, src, profile, seed=disorder_seed, count_noise_sigma=0.02
+    )
+    assert np.array_equal(vmap.visibilities, visibilities)
+    assert vmap.row_anova_p == row_p
+    assert vmap.column_anova_p == column_p
 
 
 def test_visibility_map_noisy_spread_and_exports():
