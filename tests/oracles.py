@@ -376,3 +376,29 @@ def scalar_clements_decompose(target):
         n, thetas, phis, output_phases=wrap_phase(mu)
     )
     return settings, tuple(nulling)
+
+
+def neighbor_crosstalk(n, alpha, partner, neighbor):
+    """Calibrated coupling matrix built one heater id at a time: alpha on
+    the diagonal, partner * alpha[i] from heater i to the other heater of
+    its cell, and neighbor * alpha[i] to both heaters of each diagonally
+    adjacent cell."""
+    from meshsim.hardware import HEATER_KINDS, heater_id, heater_index
+    from meshsim.mesh import cell_addresses
+
+    index = heater_index(n)
+    matrix = np.diag(np.asarray(alpha, dtype=float))
+    for addr in cell_addresses(n):
+        for kind in HEATER_KINDS:
+            i = index[heater_id(addr.column, addr.row, kind)]
+            other = "phi" if kind == "theta" else "theta"
+            matrix[i, index[heater_id(addr.column, addr.row, other)]] = (
+                partner * alpha[i]
+            )
+            for dc in (-1, 1):
+                for dr in (-1, 1):
+                    for nk in HEATER_KINDS:
+                        j = index.get(heater_id(addr.column + dc, addr.row + dr, nk))
+                        if j is not None:
+                            matrix[i, j] = neighbor * alpha[i]
+    return matrix

@@ -3,6 +3,7 @@ import json
 import sys
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +42,9 @@ from meshsim.util import (
     wrap_signed,
 )
 
-from oracles import dense_branch_solve, grid_fringe_fit
+from oracles import dense_branch_solve, grid_fringe_fit, neighbor_crosstalk
+
+PROFILE_GOLDEN = Path(__file__).parent / "goldens" / "profile.calibrated-4.json"
 
 
 def test_heater_order_and_ids():
@@ -504,6 +507,26 @@ def test_profile_json_round_trip():
         profile_from_json("{not json")
     with pytest.raises(ValidationError):
         profile_from_json("{}")
+
+
+def test_profile_golden_bytes_and_round_trip():
+    golden = PROFILE_GOLDEN.read_text()
+    assert profile_to_json(calibrated_profile(4, disorder_seed=5)) == golden
+    assert profile_to_json(profile_from_json(golden)) == golden
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 20])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_calibrated_crosstalk_equals_per_id_oracle(n, seed):
+    prof = calibrated_profile(n, disorder_seed=seed)
+    alpha = np.diag(prof.crosstalk.matrix)
+    want = neighbor_crosstalk(
+        n,
+        alpha,
+        hardware.CALIBRATED_PARTNER_CROSSTALK,
+        hardware.CALIBRATED_NEIGHBOR_CROSSTALK,
+    )
+    assert np.array_equal(prof.crosstalk.matrix, want)
 
 
 @pytest.mark.parametrize(
