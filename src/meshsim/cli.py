@@ -31,7 +31,7 @@ def _add_common_flags(parser):
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", help="artifact output directory")
     parser.add_argument(
-        "--workers", type=int, help="worker threads (default: run serially)"
+        "--workers", type=int, help="accepted and ignored; campaigns run serially"
     )
     parser.add_argument(
         "--format",
@@ -120,9 +120,7 @@ def _run_campaign_command(args, kind):
         doc["count"] = args.count
     doc["out_dir"] = _resolved_out_dir(args, doc)
     config = experiments.validate_config(doc)
-    report, csv_files = experiments.run_campaign_with_artifacts(
-        config, workers=args.workers
-    )
+    report, csv_files = experiments.run_campaign_with_artifacts(config)
     if args.format == "csv":
         sys.stdout.write(csv_files[experiments.CAMPAIGNS[kind].primary_csv])
     else:

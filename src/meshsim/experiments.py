@@ -2,8 +2,8 @@
 
 Each campaign kind wires the compiler, hardware, quantum and analysis layers
 into one configuration-driven run that emits a canonical JSON report plus
-plot-ready CSV files. Per-item seeds derive from (campaign seed, item index),
-so the worker count can change only the wall-clock time, never the payload.
+plot-ready CSV files. Campaigns run serially, and per-item seeds derive from
+(campaign seed, item index), so the payload is a pure function of the config.
 """
 
 import dataclasses
@@ -23,7 +23,6 @@ from .util import (
     atomic_write_text,
     child_seed,
     dumps_canonical,
-    parallel_map,
     wrap_signed,
 )
 
@@ -260,7 +259,7 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _run_fidelity(config, workers):
+def _run_fidelity(config):
     profile = resolve_profile(config)
     calibration = hardware.CalibrationRecord.exact_from_profile(profile)
     if config.kind == "fidelity-perm":
@@ -289,7 +288,7 @@ def _run_fidelity(config, workers):
         indices = range(start, min(start + COMPILE_CHUNK, config.count))
         targets = [make_target(index) for index in indices]
         compiled = compiler.decompose_stack([t.elements for t in targets])
-        realized = parallel_map(realize, compiled, workers=workers)
+        realized = [realize(settings) for settings in compiled]
         measured = hardware.measure_amplitude_matrices(
             profile,
             np.array([s.theta for s in realized]),
@@ -319,39 +318,37 @@ def _run_fidelity(config, workers):
     return results, summary, csv_files
 
 
-def _run_calibration(config, workers):
+def _run_calibration(config):
     profile = resolve_profile(config)
     record = hardware.calibrate_profile(
         profile,
         points=config.params["points"],
         seed=config.seed,
         detector_noise_sigma=config.params["detector_noise_sigma"],
-        workers=workers,
     )
     order = hardware.heater_order(config.n)
     heater_rows = []
     max_phi0_rel = 0.0
     max_alpha_rel = 0.0
-    for hid in order:
-        true = profile.heaters[hid]
+    for hid, phi0_true, alpha_true in zip(
+        order, profile.phi0_rad.tolist(), profile.alpha_rad_per_w.tolist()
+    ):
         fit = record.entries[hid]
-        if true.phi0_rad == 0:
+        if phi0_true == 0:
             # no relative error exists at phi0 = 0 (every heater of the
             # ideal profile); report the wrapped absolute error instead
-            phi0_rel = abs(float(wrap_signed(fit.phi0_rad - true.phi0_rad)))
+            phi0_rel = abs(float(wrap_signed(fit.phi0_rad - phi0_true)))
         else:
-            phi0_rel = abs(fit.phi0_rad - true.phi0_rad) / abs(true.phi0_rad)
-        alpha_rel = abs(fit.alpha_rad_per_w - true.alpha_rad_per_w) / abs(
-            true.alpha_rad_per_w
-        )
+            phi0_rel = abs(fit.phi0_rad - phi0_true) / abs(phi0_true)
+        alpha_rel = abs(fit.alpha_rad_per_w - alpha_true) / abs(alpha_true)
         max_phi0_rel = max(max_phi0_rel, phi0_rel)
         max_alpha_rel = max(max_alpha_rel, alpha_rel)
         heater_rows.append(
             {
                 "heater_id": hid,
-                "phi0_true_rad": true.phi0_rad,
+                "phi0_true_rad": phi0_true,
                 "phi0_fit_rad": fit.phi0_rad,
-                "alpha_true_rad_per_w": true.alpha_rad_per_w,
+                "alpha_true_rad_per_w": alpha_true,
                 "alpha_fit_rad_per_w": fit.alpha_rad_per_w,
                 "residual": fit.residual,
             }
@@ -382,7 +379,7 @@ def _run_calibration(config, workers):
     return results, summary, csv_files
 
 
-def _run_hom_map(config, workers):
+def _run_hom_map(config):
     source = quantum.PhotonPairSource(
         mutual_overlap_at_zero_delay=config.params["overlap"]
     )
@@ -398,7 +395,6 @@ def _run_hom_map(config, workers):
             profile,
             seed=seed,
             count_noise_sigma=config.params["count_noise_sigma"],
-            workers=workers,
         )
         by_cell = dict(zip(vmap.cells, vmap.visibilities.tolist()))
         maps.append(
@@ -446,7 +442,7 @@ def _run_hom_map(config, workers):
     return results, summary, csv_files
 
 
-def _run_hom_scan(config, workers):
+def _run_hom_scan(config):
     profile = resolve_profile(config)
     source = quantum.PhotonPairSource(
         mutual_overlap_at_zero_delay=config.params["overlap"]
@@ -476,7 +472,7 @@ def _run_hom_scan(config, workers):
     return results, summary, csv_files
 
 
-def _run_delay_sweep(config, workers):
+def _run_delay_sweep(config):
     profile = resolve_profile(config)
     source = quantum.PhotonPairSource(
         mutual_overlap_at_zero_delay=config.params["overlap"]
@@ -509,7 +505,7 @@ def _run_delay_sweep(config, workers):
     return results, summary, csv_files
 
 
-def _run_loss_report(config, workers):
+def _run_loss_report(config):
     profile = resolve_profile(config)
     per_mode = hardware.insertion_loss_per_mode(profile)
     sizes = {
@@ -534,7 +530,7 @@ def _run_loss_report(config, workers):
     return results, summary, csv_files
 
 
-def _run_platform(config, workers):
+def _run_platform(config):
     entries = analysis.load_platform_dataset()
     report = analysis.platform_report(entries)
     summary = {
@@ -650,11 +646,12 @@ def run_campaign_with_artifacts(config, workers=None):
     When out_dir is set the report and CSVs are also written there
     atomically. Everything outside the report's "meta" block is a pure
     function of the config, so identical configs give identical payloads
-    regardless of the worker count (see report_payload_bytes).
+    (see report_payload_bytes). `workers` is accepted and ignored: campaigns
+    run serially.
     """
     started = time.time()
     started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    results, summary, csv_files = CAMPAIGNS[config.kind].runner(config, workers)
+    results, summary, csv_files = CAMPAIGNS[config.kind].runner(config)
     artifact_names = ["report.json"] + sorted(csv_files)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -666,7 +663,6 @@ def run_campaign_with_artifacts(config, workers=None):
         "meta": {
             "started_utc": started_utc,
             "duration_s": time.time() - started,
-            "workers": workers,
         },
     }
     if config.out_dir:
@@ -679,8 +675,9 @@ def run_campaign_with_artifacts(config, workers=None):
 
 
 def run_campaign(config, workers=None):
-    """run_campaign_with_artifacts, keeping only the report."""
-    report, _ = run_campaign_with_artifacts(config, workers=workers)
+    """run_campaign_with_artifacts, keeping only the report (`workers` is
+    accepted and ignored)."""
+    report, _ = run_campaign_with_artifacts(config)
     return report
 
 

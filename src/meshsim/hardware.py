@@ -9,11 +9,10 @@ disorder and per-run phase-setting jitter on top of the programmed settings.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -21,7 +20,6 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import analysis
 from .mesh import (
-    CellAddress,
     MeshSettings,
     TransferMatrix,
     apply_loss,
@@ -40,13 +38,11 @@ from .util import (
     atomic_write_text,
     dumps_canonical,
     ignoring_warnings,
-    parallel_map,
     wrap_phase,
     wrap_signed,
 )
 
 HEATER_KINDS = ("theta", "phi")
-_HEATER_ID_RE = re.compile(r"^c(\d{2})r(\d{2})\.(theta|phi)$")
 
 DEFAULT_ALPHA_RAD_PER_W = 3.0 * np.pi
 DEFAULT_RESISTANCE_OHM = 100.0
@@ -82,14 +78,6 @@ def heater_id(column, row, kind):
     return f"c{column:02d}r{row:02d}.{kind}"
 
 
-def parse_heater_id(hid):
-    """Split an id like 'c03r04.theta' into (CellAddress, kind)."""
-    m = _HEATER_ID_RE.match(hid)
-    if m is None:
-        raise UnknownHeaterError(f"malformed heater id {hid!r}")
-    return CellAddress(int(m.group(1)), int(m.group(2))), m.group(3)
-
-
 @lru_cache(maxsize=None)
 def heater_order(n):
     """Canonical heater ids: cells sorted by (col, row), theta before phi."""
@@ -106,51 +94,14 @@ def heater_index(n):
     return MappingProxyType({h: i for i, h in enumerate(heater_order(n))})
 
 
-@dataclass(frozen=True)
-class HeaterModel:
-    """Quadratic voltage-to-phase response of one phase shifter."""
+class HeaterModel(NamedTuple):
+    """One heater of a profile, phi = phi0 + alpha * v^2 / R, as a plain
+    read-only view (see HardwareProfile.heaters)."""
 
     phi0_rad: float
     alpha_rad_per_w: float
-    resistance_ohm: float = DEFAULT_RESISTANCE_OHM
-    v_max_v: float = DEFAULT_V_MAX_V
-
-    def __post_init__(self):
-        if not np.isfinite(self.phi0_rad):
-            raise ValidationError("phi0 must be finite")
-        if not 0 < self.alpha_rad_per_w < np.inf:
-            raise ValidationError("alpha must be finite and > 0")
-        if not 0 < self.resistance_ohm < np.inf:
-            raise ValidationError("resistance must be finite and > 0")
-        if not 0 < self.v_max_v < np.inf:
-            raise ValidationError("v_max must be finite and > 0")
-
-    @property
-    def p_max_w(self):
-        return self.v_max_v**2 / self.resistance_ohm
-
-    @property
-    def span_rad(self):
-        """Largest phase swing reachable within the voltage budget."""
-        return self.alpha_rad_per_w * self.p_max_w
-
-    def validate(self):
-        # full 2*pi addressing needs the span to cover at least one period
-        if self.span_rad < TWO_PI:
-            raise ValidationError(
-                f"heater span {self.span_rad:.3f} rad does not cover 2*pi"
-            )
-
-
-def phase_from_voltage(model, voltage_v, ambient_rad=0.0):
-    """Realized phase at a drive voltage, plus any ambient crosstalk term."""
-    v = float(voltage_v)
-    if v < 0 or v > model.v_max_v * (1 + 1e-12):
-        raise ValidationError(
-            f"voltage {v:.6f} V outside [0, {model.v_max_v}] V"
-        )
-    power = v**2 / model.resistance_ohm
-    return model.phi0_rad + model.alpha_rad_per_w * power + ambient_rad
+    resistance_ohm: float
+    v_max_v: float
 
 
 @dataclass(frozen=True)
@@ -190,14 +141,18 @@ class CrosstalkMatrix:
 class HardwareProfile:
     """Full device description used by the simulator and the compiler chain.
 
-    Treated as immutable, heater models included: derived arrays are cached
-    on the instance. Build a changed device with dataclasses.replace, which
-    starts with an empty cache.
+    phi0_rad, resistance_ohm and v_max_v are read-only arrays in
+    heater_order(n); each heater's alpha is its entry on the crosstalk
+    diagonal. The static splitting-ratio errors are drawn from the
+    disorder seed at construction. Build a changed device with
+    dataclasses.replace.
     """
 
     name: str
     n: int
-    heaters: Dict[str, HeaterModel]
+    phi0_rad: np.ndarray
+    resistance_ohm: np.ndarray
+    v_max_v: np.ndarray
     crosstalk: CrosstalkMatrix
     coupling_loss_db_per_facet: float = 0.0
     propagation_loss_db_per_cm: float = 0.0
@@ -206,29 +161,33 @@ class HardwareProfile:
     theta_noise_sigma_rad: float = 0.0
     phi_noise_sigma_rad: float = 0.0
     disorder_seed: int = 0
-    _arrays: Dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    splitter_errors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = heater_order(self.n)
-        if set(self.heaters) != set(order):
-            missing = sorted(set(order) - set(self.heaters))
-            extra = sorted(set(self.heaters) - set(order))
-            raise ValidationError(
-                f"heater set mismatch for n={self.n}: "
-                f"missing {missing[:3]}, extra {extra[:3]}"
-            )
         if self.crosstalk.size != len(order):
             raise ValidationError(
                 f"crosstalk is {self.crosstalk.size}x{self.crosstalk.size}, "
                 f"expected {len(order)}"
             )
-        alphas = np.array([self.heaters[h].alpha_rad_per_w for h in order])
-        if not np.allclose(np.diag(self.crosstalk.matrix), alphas, rtol=1e-12):
-            raise ValidationError(
-                "crosstalk diagonal must equal the heater alphas"
-            )
+        for name, lower in (
+            ("phi0_rad", -np.inf), ("resistance_ohm", 0.0), ("v_max_v", 0.0)
+        ):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (len(order),):
+                raise ValidationError(
+                    f"{name} must hold {len(order)} heaters for n={self.n}, "
+                    f"got shape {values.shape}"
+                )
+            # NaN fails the comparison, so it is caught here too
+            bad = ~((values > lower) & (values < np.inf))
+            if bad.any():
+                raise ValidationError(
+                    f"heater {order[np.argmax(bad)]}: {name} must be finite"
+                    + ("" if lower == -np.inf else " and > 0")
+                )
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         # NaN fails every comparison, so these bounds reject it too
         if not (
             0 <= self.coupling_loss_db_per_facet < np.inf
@@ -242,88 +201,92 @@ class HardwareProfile:
             and 0 <= self.phi_noise_sigma_rad < np.inf
         ):
             raise ValidationError("noise sigmas must be finite and >= 0")
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(self.disorder_seed), _STATIC_STREAM])
+        )
+        eps = rng.normal(0.0, self.splitter_error_sigma_rad, (len(order) // 2, 2))
+        eps.setflags(write=False)
+        object.__setattr__(self, "splitter_errors", eps)
 
     @property
     def heater_ids(self):
         return heater_order(self.n)
 
-    def heater_array(self, attr):
-        """One heater attribute as a read-only ndarray in canonical order,
-        built on first use and cached per attribute."""
-        arr = self._arrays.get(attr)
-        if arr is None:
-            arr = np.array(
-                [getattr(self.heaters[h], attr) for h in self.heater_ids]
-            )
-            arr.setflags(write=False)
-            self._arrays[attr] = arr
-        return arr
+    @property
+    def alpha_rad_per_w(self):
+        """Direct power-to-phase coefficients: the crosstalk diagonal."""
+        return self.crosstalk.matrix.diagonal()
+
+    @cached_property
+    def heaters(self):
+        """Read-only map from heater id to its HeaterModel, built on first
+        access."""
+        columns = zip(
+            self.phi0_rad.tolist(),
+            self.alpha_rad_per_w.tolist(),
+            self.resistance_ohm.tolist(),
+            self.v_max_v.tolist(),
+        )
+        return MappingProxyType({
+            hid: HeaterModel(*values) for hid, values in zip(self.heater_ids, columns)
+        })
 
 
 def ideal_profile(n):
     """Noise-free, loss-free profile with uniform heaters and no crosstalk."""
-    order = heater_order(n)
-    heaters = {
-        h: HeaterModel(
-            phi0_rad=0.0,
-            alpha_rad_per_w=DEFAULT_ALPHA_RAD_PER_W,
-            resistance_ohm=DEFAULT_RESISTANCE_OHM,
-            v_max_v=DEFAULT_V_MAX_V,
-        )
-        for h in order
-    }
-    crosstalk = CrosstalkMatrix(
-        np.diag(np.full(len(order), DEFAULT_ALPHA_RAD_PER_W))
-    )
+    count = len(heater_order(n))
     return HardwareProfile(
         name="ideal",
         n=n,
-        heaters=heaters,
-        crosstalk=crosstalk,
+        phi0_rad=np.zeros(count),
+        resistance_ohm=np.full(count, DEFAULT_RESISTANCE_OHM),
+        v_max_v=np.full(count, DEFAULT_V_MAX_V),
+        crosstalk=CrosstalkMatrix(np.diag(np.full(count, DEFAULT_ALPHA_RAD_PER_W))),
     )
+
+
+def _calibrated_coupling(n, alpha):
+    """diag(alpha) plus thermal crosstalk: row i couples heater i to the
+    other heater of its cell by CALIBRATED_PARTNER_CROSSTALK * alpha[i] and
+    to both heaters of each diagonally adjacent cell by
+    CALIBRATED_NEIGHBOR_CROSSTALK * alpha[i]. Heater 2c + k is kind k of
+    cell c of cell_addresses(n)."""
+    cells = cell_addresses(n)
+    column = np.array([addr.column for addr in cells])
+    row = np.array([addr.row for addr in cells])
+    # cell indices on a grid padded by one on every side, -1 off the mesh
+    grid = np.full((n + 2, n + 2), -1)
+    grid[column + 1, row + 1] = np.arange(len(cells))
+    heaters = np.arange(2 * len(cells))
+    cell = heaters // 2
+    matrix = np.diag(alpha)
+    matrix[heaters, heaters ^ 1] = CALIBRATED_PARTNER_CROSSTALK * alpha
+    for dc in (-1, 1):
+        for dr in (-1, 1):
+            neighbor = grid[column[cell] + 1 + dc, row[cell] + 1 + dr]
+            on = neighbor >= 0
+            for kind in range(len(HEATER_KINDS)):
+                matrix[heaters[on], 2 * neighbor[on] + kind] = (
+                    CALIBRATED_NEIGHBOR_CROSSTALK * alpha[on]
+                )
+    return matrix
 
 
 def calibrated_profile(n, disorder_seed=0):
     """Device-like profile: spread phi0 offsets, per-heater alphas, thermal
     crosstalk between cell partners and diagonally adjacent cells, and the
     measured loss and noise figures of the 20-mode reference unit."""
-    order = heater_order(n)
+    count = len(heater_order(n))
     rng = np.random.default_rng(np.random.SeedSequence([disorder_seed, 11]))
-    phi0 = rng.uniform(0.2, 6.08, len(order))
-    alpha = DEFAULT_ALPHA_RAD_PER_W * (1.0 + rng.uniform(0.0, 0.04, len(order)))
-    heaters = {
-        h: HeaterModel(
-            phi0_rad=float(phi0[i]),
-            alpha_rad_per_w=float(alpha[i]),
-            resistance_ohm=DEFAULT_RESISTANCE_OHM,
-            v_max_v=DEFAULT_V_MAX_V,
-        )
-        for i, h in enumerate(order)
-    }
-
-    index = heater_index(n)
-    matrix = np.diag(alpha)
-    for i, hid in enumerate(order):
-        addr, kind = parse_heater_id(hid)
-        partner = heater_id(
-            addr.column, addr.row, "phi" if kind == "theta" else "theta"
-        )
-        matrix[i, index[partner]] = CALIBRATED_PARTNER_CROSSTALK * alpha[i]
-        for dc in (-1, 1):
-            for dr in (-1, 1):
-                neighbor = CellAddress(addr.column + dc, addr.row + dr)
-                for nk in HEATER_KINDS:
-                    nid = heater_id(neighbor.column, neighbor.row, nk)
-                    j = index.get(nid)
-                    if j is not None:
-                        matrix[i, j] = (
-                            CALIBRATED_NEIGHBOR_CROSSTALK * alpha[i]
-                        )
+    phi0 = rng.uniform(0.2, 6.08, count)
+    alpha = DEFAULT_ALPHA_RAD_PER_W * (1.0 + rng.uniform(0.0, 0.04, count))
     return HardwareProfile(
         name=f"calibrated-{disorder_seed}",
         n=n,
-        heaters=heaters,
-        crosstalk=CrosstalkMatrix(matrix),
+        phi0_rad=phi0,
+        resistance_ohm=np.full(count, DEFAULT_RESISTANCE_OHM),
+        v_max_v=np.full(count, DEFAULT_V_MAX_V),
+        crosstalk=CrosstalkMatrix(_calibrated_coupling(n, alpha)),
         coupling_loss_db_per_facet=CALIBRATED_COUPLING_LOSS_DB,
         propagation_loss_db_per_cm=CALIBRATED_PROP_LOSS_DB_PER_CM,
         path_length_cm=CALIBRATED_PATH_LENGTH_CM,
@@ -359,28 +322,29 @@ def simulate_calibration_sweep(
     set by the profile's static insertion loss, plus optional Gaussian
     detector noise.
     """
-    if hid not in profile.heaters:
+    i = heater_index(profile.n).get(hid)
+    if i is None:
         raise UnknownHeaterError(f"profile has no heater {hid!r}")
-    model = profile.heaters[hid]
+    v_max = profile.v_max_v[i]
     if voltages_v is None:
-        voltages_v = np.linspace(0.0, model.v_max_v, points)
+        voltages_v = np.linspace(0.0, v_max, points)
     v = np.asarray(voltages_v, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValidationError("voltage grid must be a 1-d array of >= 2 points")
-    if np.any(v < 0) or np.any(v > model.v_max_v * (1 + 1e-12)):
+    if np.any(v < 0) or np.any(v > v_max * (1 + 1e-12)):
         raise ValidationError("voltage grid exceeds the heater's budget")
 
     il_db = 2 * profile.coupling_loss_db_per_facet + (
         profile.propagation_loss_db_per_cm * profile.path_length_cm
     )
     scale = 10.0 ** (-il_db / 10.0)
-    phase = model.phi0_rad + model.alpha_rad_per_w * v**2 / model.resistance_ohm
+    phase = profile.phi0_rad[i] + (
+        profile.alpha_rad_per_w[i] * v**2 / profile.resistance_ohm[i]
+    )
     signal = scale * (0.5 + 0.5 * np.cos(phase))
     if detector_noise_sigma > 0:
         rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [int(seed), _SWEEP_STREAM, heater_index(profile.n)[hid]]
-            )
+            np.random.SeedSequence([int(seed), _SWEEP_STREAM, i])
         )
         signal = signal + rng.normal(0.0, detector_noise_sigma, v.size)
     return SweepRecord(heater_id=hid, voltages_v=v, signal=signal)
@@ -534,12 +498,13 @@ class CalibrationRecord:
     def exact_from_profile(cls, profile):
         entries = {
             hid: CalibrationEntry(
-                heater_id=hid,
-                phi0_rad=wrap_phase(model.phi0_rad),
-                alpha_rad_per_w=model.alpha_rad_per_w,
-                residual=0.0,
+                heater_id=hid, phi0_rad=phi0, alpha_rad_per_w=alpha, residual=0.0
             )
-            for hid, model in profile.heaters.items()
+            for hid, phi0, alpha in zip(
+                profile.heater_ids,
+                wrap_phase(profile.phi0_rad).tolist(),
+                profile.alpha_rad_per_w.tolist(),
+            )
         }
         return cls(entries=entries)
 
@@ -553,12 +518,10 @@ class CalibrationRecord:
         return phi0, alpha
 
 
-def calibrate_profile(
-    profile, points=64, seed=0, detector_noise_sigma=0.0, workers=None
-):
+def calibrate_profile(profile, points=64, seed=0, detector_noise_sigma=0.0):
     """Sweep and fit every heater; returns a CalibrationRecord."""
-
-    def one(hid):
+    entries = {}
+    for hid, resistance in zip(profile.heater_ids, profile.resistance_ohm.tolist()):
         sweep = simulate_calibration_sweep(
             profile,
             hid,
@@ -566,11 +529,8 @@ def calibrate_profile(
             seed=seed,
             detector_noise_sigma=detector_noise_sigma,
         )
-        model = profile.heaters[hid]
-        return fit_phase_response(sweep, model.resistance_ohm)
-
-    fitted = parallel_map(one, list(profile.heater_ids), workers=workers)
-    return CalibrationRecord(entries={e.heater_id: e for e in fitted})
+        entries[hid] = fit_phase_response(sweep, resistance)
+    return CalibrationRecord(entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +623,7 @@ def solve_voltages(profile, calibration, target):
     order = profile.heater_ids
     t = _target_vector(profile, target)
     phi0, coupling, (lu, piv) = _drive_system(profile, calibration)
-    p_max = profile.heater_array("p_max_w")
+    p_max = profile.v_max_v**2 / profile.resistance_ohm
 
     residual = wrap_phase(t - phi0)
     for iterations in range(1, SOLVE_MAX_SWEEPS + 1):
@@ -690,8 +650,7 @@ def solve_voltages(profile, calibration, target):
             f"{len(bad)} heater(s) need more than the voltage budget allows",
             heater_ids=bad,
         )
-    resistances = profile.heater_array("resistance_ohm")
-    volts = np.sqrt(p * resistances)
+    volts = np.sqrt(p * profile.resistance_ohm)
     volts.setflags(write=False)
     return DriveSolution(
         voltages_v=volts,
@@ -704,8 +663,7 @@ def solve_voltages(profile, calibration, target):
 def realized_heater_phases(profile, powers_w):
     """True phases produced by a power vector, including crosstalk."""
     p = np.asarray(powers_w, dtype=float)
-    phi0 = profile.heater_array("phi0_rad")
-    return phi0 + profile.crosstalk.matrix @ p
+    return profile.phi0_rad + profile.crosstalk.matrix @ p
 
 
 # ---------------------------------------------------------------------------
@@ -737,21 +695,6 @@ def _noisy_transfers(theta, phi, eps):
     return np.exp(-0.5j * np.pi) * (
         outer @ _phase_shifters(theta) @ inner @ _phase_shifters(phi)
     )
-
-
-def _splitter_errors(profile):
-    """Static (cells, 2) splitting-ratio errors of a profile, drawn from its
-    disorder seed on first use and cached on the profile."""
-    eps = profile._arrays.get("splitter_errors")
-    if eps is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(profile.disorder_seed), _STATIC_STREAM])
-        )
-        count = len(cell_addresses(profile.n))
-        eps = rng.normal(0.0, profile.splitter_error_sigma_rad, (count, 2))
-        eps.setflags(write=False)
-        profile._arrays["splitter_errors"] = eps
-    return eps
 
 
 def realized_transfers(profile, theta, phi, output_phases, seeds):
@@ -806,7 +749,7 @@ def _realize_chunk(profile, theta, phi, output_phases, seeds):
     transfers = _noisy_transfers(
         (theta + jitter[..., 0]).ravel(),
         (phi + jitter[..., 1]).ravel(),
-        np.tile(_splitter_errors(profile), (k, 1)),
+        np.tile(profile.splitter_errors, (k, 1)),
     )
     return lossy_products(transfers.reshape(k, count, 2, 2), output_phases, profile)
 
@@ -879,12 +822,18 @@ def profile_to_json_dict(profile):
         "heaters": [
             {
                 "id": hid,
-                "phi0_rad": profile.heaters[hid].phi0_rad,
-                "alpha_rad_per_w": profile.heaters[hid].alpha_rad_per_w,
-                "resistance_ohm": profile.heaters[hid].resistance_ohm,
-                "v_max_v": profile.heaters[hid].v_max_v,
+                "phi0_rad": phi0,
+                "alpha_rad_per_w": alpha,
+                "resistance_ohm": resistance,
+                "v_max_v": v_max,
             }
-            for hid in order
+            for hid, phi0, alpha, resistance, v_max in zip(
+                order,
+                profile.phi0_rad.tolist(),
+                profile.alpha_rad_per_w.tolist(),
+                profile.resistance_ohm.tolist(),
+                profile.v_max_v.tolist(),
+            )
         ],
         "crosstalk_rad_per_w": couplings,
         "coupling_loss_db_per_facet": profile.coupling_loss_db_per_facet,
@@ -902,28 +851,42 @@ def profile_to_json(profile):
 
 
 def profile_from_json_dict(doc):
+    """Profile from its JSON document. Raises ValidationError on a missing,
+    unknown or repeated heater id, on a repeated or diagonal crosstalk pair
+    (the diagonal holds the heater alphas) and on any bad value."""
     try:
         n = int(doc["n"])
-        heaters = {
-            h["id"]: HeaterModel(
-                phi0_rad=float(h["phi0_rad"]),
-                alpha_rad_per_w=float(h["alpha_rad_per_w"]),
-                resistance_ohm=float(h["resistance_ohm"]),
-                v_max_v=float(h["v_max_v"]),
-            )
-            for h in doc["heaters"]
-        }
         order = heater_order(n)
         index = heater_index(n)
-        matrix = np.diag(
-            np.array([heaters[h].alpha_rad_per_w for h in order])
-        )
+        rows = {}
+        for h in doc["heaters"]:
+            if h["id"] in rows:
+                raise ValueError(f"duplicate heater id {h['id']!r}")
+            rows[h["id"]] = [float(h[key]) for key in HeaterModel._fields]
+        if set(rows) != set(order):
+            missing = sorted(set(order) - set(rows))
+            extra = sorted(set(rows) - set(order))
+            raise ValueError(
+                f"heater set mismatch for n={n}: "
+                f"missing {missing[:3]}, extra {extra[:3]}"
+            )
+        phi0, alpha, resistance, v_max = np.array([rows[h] for h in order]).T
+        matrix = np.diag(alpha)
+        pairs = set()
         for c in doc["crosstalk_rad_per_w"]:
-            matrix[index[c["i"]], index[c["j"]]] = float(c["rad_per_w"])
+            pair = (index[c["i"]], index[c["j"]])
+            if pair[0] == pair[1]:
+                raise ValueError(f"crosstalk pair ({c['i']}, {c['j']}) is diagonal")
+            if pair in pairs:
+                raise ValueError(f"duplicate crosstalk pair ({c['i']}, {c['j']})")
+            pairs.add(pair)
+            matrix[pair] = float(c["rad_per_w"])
         return HardwareProfile(
             name=str(doc["name"]),
             n=n,
-            heaters=heaters,
+            phi0_rad=phi0,
+            resistance_ohm=resistance,
+            v_max_v=v_max,
             crosstalk=CrosstalkMatrix(matrix),
             coupling_loss_db_per_facet=float(doc["coupling_loss_db_per_facet"]),
             propagation_loss_db_per_cm=float(doc["propagation_loss_db_per_cm"]),

@@ -22,7 +22,6 @@ from .util import (
     ValidationError,
     child_seed,
     ignoring_warnings,
-    parallel_map,
     wrap_phase,
 )
 
@@ -619,15 +618,14 @@ def hom_visibility_map(
     *,
     seed=0,
     count_noise_sigma=0.0,
-    workers=None,
 ):
     """Scan every cell as a routed TBS and map the fitted visibilities.
 
-    Per-cell seeds derive from (seed, cell index), so neither the worker
-    count nor the transfer chunk can change the map. Every scan is the
-    hom_scan of its routing plan: the delay grid, source envelope and
-    baseline samples are built once per map, and the transfers are realized
-    as one stack; only the count model and the dip fit run per scan. Row
+    Per-cell seeds derive from (seed, cell index), so the transfer chunk
+    cannot change the map. Every scan is the hom_scan of its routing plan:
+    the delay grid, source envelope and baseline samples are built once per
+    map, and the transfers are realized as one stack; only the count model
+    and the dip fit run per scan, serially. Row
     and column one-way ANOVA p-values probe for systematic structure along
     either mesh axis.
     """
@@ -647,17 +645,15 @@ def hom_visibility_map(
         plan_theta[:] = _plan_theta(plan)
         pairs.append((plan.input_pair, plan.output_pair))
     transfers = _realize_routes(profile, theta, seeds)
-
-    def job(index):
-        normalized = _normalized_counts(
-            transfers[index], pairs[index], envelope, far, seeds[index],
-            count_noise_sigma,
-        )
-        return fit_gaussian_dip(d, normalized).visibility
-
-    visibilities = np.array(
-        parallel_map(job, range(len(cells)), workers=workers), dtype=float
-    )
+    visibilities = np.array([
+        fit_gaussian_dip(
+            d,
+            _normalized_counts(
+                transfer, pair, envelope, far, item_seed, count_noise_sigma
+            ),
+        ).visibility
+        for transfer, pair, item_seed in zip(transfers, pairs, seeds)
+    ])
     stats = analysis.ensemble_statistics(visibilities)
     visibilities.setflags(write=False)
     return VisibilityMap(
@@ -745,7 +741,12 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
     plan = diagonal_interferometer_plan(n)
     verify_routing(plan, strict=False)
     driven = diagonal_arm_heaters(n)
-    max_span = min(profile.heaters[hid].span_rad for hid in driven)
+    arm = [hardware.heater_index(n)[hid] for hid in driven]
+    spans = (
+        profile.alpha_rad_per_w[arm] * profile.v_max_v[arm] ** 2
+        / profile.resistance_ohm[arm]
+    )
+    max_span = float(spans.min())
     top = float(np.max(levels))
     if top > max_span + 1e-9:
         raise ValidationError(

@@ -7,7 +7,6 @@ import os
 import tempfile
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -72,8 +71,8 @@ def ignoring_warnings(category):
 def child_seed(seed, index):
     """Derive a stable 64-bit item seed from a campaign seed and item index.
 
-    Uses the splittable SeedSequence scheme so results do not depend on how
-    items are distributed over workers.
+    Uses the splittable SeedSequence scheme, so an item's draws depend only
+    on (seed, index), never on which other items run or in what order.
     """
     state = np.random.SeedSequence([int(seed), int(index)]).generate_state(2, np.uint64)
     return int(state[0])
@@ -115,20 +114,3 @@ def atomic_write_text(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def parallel_map(fn, items, workers=None):
-    """Order-preserving map, optionally over a thread pool.
-
-    Every item must carry its own seed, so the worker count can never change
-    the result, only the wall-clock time. The default (None) runs serially:
-    the campaign items are short numpy calls that hold the GIL, and measured
-    thread pools ran them slower than one thread. `workers=N` still starts N
-    threads.
-    """
-    items = list(items)
-    workers = 1 if workers is None else max(1, int(workers))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -114,10 +114,9 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
 def test_campaign_failure_exits_one(tmp_path, capsys):
     # clamp one heater's voltage ceiling so its sweep spans under one fringe
     profile = hardware.ideal_profile(3)
-    heaters = dict(profile.heaters)
-    first = sorted(heaters)[0]
-    heaters[first] = dataclasses.replace(heaters[first], v_max_v=0.05)
-    crippled = dataclasses.replace(profile, heaters=heaters)
+    v_max = np.array(profile.v_max_v)
+    v_max[hardware.heater_index(3)["c00r00.phi"]] = 0.05
+    crippled = dataclasses.replace(profile, v_max_v=v_max)
     ppath = tmp_path / "weak.json"
     hardware.write_profile(crippled, str(ppath))
     cfg = write_config(tmp_path, {

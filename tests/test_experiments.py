@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -188,6 +189,16 @@ def test_campaign_deterministic_across_runs_and_workers(kind):
     parallel = report_payload_bytes(run_campaign(cfg, workers=3))
     assert first == again
     assert first == parallel
+
+
+def test_campaigns_start_no_thread(monkeypatch):
+    # campaigns run serially; a worker count is accepted and ignored
+    def refuse(thread):
+        raise AssertionError(f"a campaign started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for kind in ("fidelity-perm", "hom-map", "calibration"):
+        run_campaign(validate_config(dict(SMALL_CONFIGS[kind])), workers=4)
 
 
 @pytest.mark.parametrize("kind", ["fidelity-haar", "fidelity-perm"])

@@ -509,15 +509,6 @@ def test_anova_p_degenerate_cases():
     assert quantum._anova_p([[0.9, 0.9], [0.8, 0.8]]) == 0.0
 
 
-def test_visibility_map_worker_independence():
-    n = 4
-    src = PhotonPairSource()
-    profile = hardware.calibrated_profile(n, disorder_seed=2)
-    one = hom_visibility_map(n, src, profile, seed=5, workers=1)
-    two = hom_visibility_map(n, src, profile, seed=5, workers=3)
-    assert np.array_equal(one.visibilities, two.visibilities)
-
-
 @pytest.mark.parametrize("disorder_seed", [3, 8])
 def test_visibility_map_equals_per_item_reference_at_n20(disorder_seed):
     # the batched map realizes all 190 routed transfers in chunks; the
