@@ -14,7 +14,6 @@ from scipy.optimize import OptimizeWarning
 from meshsim import analysis, compiler, hardware, mesh
 from meshsim.hardware import (
     CalibrationRecord,
-    HardwareProfile,
     HeaterModel,
     SweepRecord,
     calibrate_profile,
@@ -54,19 +53,6 @@ def test_heater_order_and_ids():
     assert order[-1] == "c03r01.phi"
 
 
-def _uniform_profile(n, **arrays):
-    """An ideal-like profile whose heater arrays are replaced by `arrays`."""
-    count = len(heater_order(n))
-    fields = {
-        "phi0_rad": np.zeros(count),
-        "resistance_ohm": np.full(count, 100.0),
-        "v_max_v": np.full(count, 10.0),
-        "crosstalk": hardware.CrosstalkMatrix(np.diag(np.full(count, 3 * np.pi))),
-    }
-    fields.update(arrays)
-    return HardwareProfile(name="uniform", n=n, **fields)
-
-
 @pytest.mark.parametrize(
     "key, index, value, message",
     [
@@ -80,27 +66,30 @@ def _uniform_profile(n, **arrays):
     ids=["phi0-nan", "phi0-inf", "r-zero", "r-inf", "vmax-neg", "vmax-nan"],
 )
 def test_profile_rejects_bad_heater_values(key, index, value, message):
-    values = np.array(getattr(ideal_profile(3), key))
+    # dataclasses.replace runs the constructor's checks
+    ideal = ideal_profile(3)
+    values = np.array(getattr(ideal, key))
     values[index] = value
     with pytest.raises(ValidationError, match=message):
-        _uniform_profile(3, **{key: values})
+        dataclasses.replace(ideal, **{key: values})
     # the first bad heater is the one named
     values[index + 1] = value
     with pytest.raises(ValidationError, match=message):
-        _uniform_profile(3, **{key: values})
+        dataclasses.replace(ideal, **{key: values})
 
 
 def test_profile_rejects_bad_alphas_and_shapes():
+    ideal = ideal_profile(3)
     with pytest.raises(ValidationError, match="phi0_rad must hold 6 heaters"):
-        _uniform_profile(3, phi0_rad=np.zeros(5))
+        dataclasses.replace(ideal, phi0_rad=np.zeros(5))
     with pytest.raises(ValidationError, match="crosstalk is 5x5, expected 6"):
-        _uniform_profile(3, crosstalk=hardware.CrosstalkMatrix(np.eye(5)))
+        dataclasses.replace(ideal, crosstalk=hardware.CrosstalkMatrix(np.eye(5)))
     # alpha is the crosstalk diagonal, which CrosstalkMatrix checks
     for alpha, message in ((-1, ">"), (0, ">"), (np.inf, "finite"), (np.nan, "finite")):
         diagonal = np.full(6, 3 * np.pi)
         diagonal[2] = alpha
         with pytest.raises(ValidationError, match=message):
-            _uniform_profile(3, crosstalk=hardware.CrosstalkMatrix(np.diag(diagonal)))
+            hardware.CrosstalkMatrix(np.diag(diagonal))
 
 
 def test_ideal_realized_transfer_matches_mesh():
@@ -429,7 +418,7 @@ def test_solve_hands_lapack_a_private_pivot_copy(monkeypatch):
 
 def test_profile_arrays_read_only_and_views_cached():
     source = np.linspace(0.5, 3.0, 6)
-    prof = _uniform_profile(3, phi0_rad=source)
+    prof = dataclasses.replace(ideal_profile(3), phi0_rad=source)
     source[0] = 9.0  # the profile holds its own copy
     for values in (
         prof.phi0_rad, prof.alpha_rad_per_w, prof.resistance_ohm, prof.v_max_v,
@@ -452,7 +441,7 @@ def test_profile_arrays_read_only_and_views_cached():
 
 
 def test_solve_infeasible_budget():
-    prof = _uniform_profile(2, v_max_v=np.full(2, 5.0))
+    prof = dataclasses.replace(ideal_profile(2), v_max_v=np.full(2, 5.0))
     cal = CalibrationRecord.exact_from_profile(prof)
     # needs p = 3/(3*pi) ~ 0.318 W but the budget is 0.25 W
     with pytest.raises(InfeasibleError) as exc:
