@@ -697,17 +697,19 @@ def _noisy_transfers(theta, phi, eps):
     )
 
 
-def realized_transfers(profile, theta, phi, output_phases, seeds):
+def realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
     """Transfer matrices the device actually implements for k programs,
-    from (k, cells) theta and phi stacks in cell_addresses(n) order, (k, n)
-    output phases and one run seed per program.
+    yielded TRANSFER_CHUNK programs at a time, from (k, cells) theta and
+    phi stacks in cell_addresses(n) order, (k, n) output phases and one run
+    seed per program.
 
     Static splitting-ratio errors are drawn once per profile, phase jitter
-    fresh per run seed, and the loss model is mesh.lossy_products. Programs
-    run TRANSFER_CHUNK at a time, which bounds the memory and changes no
-    bit. Returns a read-only (k, n, n) stack; raises ValidationError naming
-    the first program whose matrix is non-finite or has gain. With an ideal
-    profile each matrix equals the programmed mesh to rounding error.
+    fresh per run seed, and the loss model is mesh.lossy_products. Each
+    chunk is a read-only (chunk, n, n) stack, in program order, so a caller
+    that reduces every chunk never holds all k matrices; the chunk size
+    changes no bit. Raises ValidationError naming the first program whose
+    matrix is non-finite or has gain. With an ideal profile each matrix
+    equals the programmed mesh to rounding error.
     """
     seeds = list(seeds)
     k, n = len(seeds), profile.n
@@ -722,13 +724,25 @@ def realized_transfers(profile, theta, phi, output_phases, seeds):
                 f"{name} must have shape {(k, width)} for n={n}, got {arr.shape}"
             )
         stacks.append(arr)
-    out = np.empty((k, n, n), dtype=complex)
     for start in range(0, k, TRANSFER_CHUNK):
         chunk = slice(start, start + TRANSFER_CHUNK)
-        out[chunk] = _realize_chunk(profile, *(a[chunk] for a in stacks), seeds[chunk])
-        defect = gain_defect(out[chunk])
+        out = _realize_chunk(profile, *(a[chunk] for a in stacks), seeds[chunk])
+        defect = gain_defect(out)
         if defect is not None:
             raise ValidationError(f"program {start + defect[0]}: {defect[1]}")
+        out.setflags(write=False)
+        yield out
+
+
+def realized_transfers(profile, theta, phi, output_phases, seeds):
+    """All k matrices of realized_transfer_chunks (same arguments) as one
+    read-only (k, n, n) stack."""
+    seeds = list(seeds)
+    out = np.empty((len(seeds), profile.n, profile.n), dtype=complex)
+    start = 0
+    for chunk in realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
+        out[start : start + len(chunk)] = chunk
+        start += len(chunk)
     out.setflags(write=False)
     return out
 

@@ -9,21 +9,14 @@ mesh-wide interferometer.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import mpmath
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import analysis, hardware, mesh
-from .util import (
-    TWO_PI,
-    MeshsimError,
-    ValidationError,
-    child_seed,
-    ignoring_warnings,
-    wrap_phase,
-)
+from .util import TWO_PI, MeshsimError, ValidationError, child_seed, wrap_phase
 
 BAR = "bar"
 CROSS = "cross"
@@ -311,6 +304,23 @@ def _plan_theta(plan):
     ]))
 
 
+@lru_cache(maxsize=None)
+def _routes(n):
+    """Read-only (cells, cells) pinned thetas and (input, output) mode pairs
+    of the route_to_tbs plan of every cell, in cell_addresses order, planned
+    once per n. Only these are kept: the 190 plans with their per-cell state
+    dicts would cost about 2 MB at n=20."""
+    cells = mesh.cell_addresses(n)
+    theta = np.empty((len(cells), len(cells)))
+    pairs = []
+    for plan_theta, addr in zip(theta, cells):
+        plan = route_to_tbs(n, addr)
+        plan_theta[:] = _plan_theta(plan)
+        pairs.append((plan.input_pair, plan.output_pair))
+    theta.setflags(write=False)
+    return theta, tuple(pairs)
+
+
 def plan_to_settings(plan):
     """Mesh program for a routing plan: pinned thetas, all phis zero."""
     theta = _plan_theta(plan)
@@ -352,10 +362,6 @@ class GaussianDipFit:
         }
 
 
-def _dip_model(t, baseline, visibility, center, width):
-    return baseline * (1.0 - visibility * np.exp(-0.5 * ((t - center) / width) ** 2))
-
-
 def _flat_fit(delays, values):
     span = float(np.ptp(delays))
     return GaussianDipFit(
@@ -368,20 +374,152 @@ def _flat_fit(delays, values):
     )
 
 
-def fit_gaussian_dip(delays_um, values):
-    """Two-pass Gaussian dip fit with an off-dip baseline.
+# Levenberg-Marquardt on (center, width): iterations per pass, the starting
+# damping, the damping past which no step can lower the SSR, and the
+# Gauss-Newton step, relative to the width, below which a scan has converged.
+_FIT_ITERATIONS = 100
+_FIT_DAMPING = 1e-3
+_FIT_MAX_DAMPING = 1e16
+_FIT_STEP_TOL = 1e-13
+# decimals of the reported visibility
+_V_DECIMALS = 12
 
-    Pass one fits all four parameters; the baseline is then re-estimated
-    from the samples more than two fitted widths away from the center and
-    pass two refits the remaining three with the baseline held fixed, which
-    keeps count noise on the dip from tilting the visibility. Flat input
-    returns zero visibility flagged uncertain. Raises when no sample lies
-    off the dip, because the baseline is then undefined.
+# rows of the state array _project returns, one column per scan
+_ALPHA, _GAMMA, _SSR, _GC, _GW, _MCC, _MCW, _MWW = range(8)
+_SGG, _SGC, _SGW, _SCC, _SCW, _SWW = range(8, 14)
+
+
+def _column_sums(x):
+    """Sums over axis 0 by a pairwise tree fixed by len(x) alone.
+
+    Every column's sum is then the same bits whatever the other columns,
+    their number or their memory alignment; numpy's own reductions change
+    their summation order with the array's shape.
+    """
+    while len(x) > 1:
+        half = len(x) // 2
+        head = x[:half] + x[half : 2 * half]
+        if len(x) % 2:
+            head[0] += x[-1]
+        x = head
+    return x[0]
+
+
+def _project(t, z, center, width, offset):
+    """Variable projection of scans z (m, k) onto the dip g = exp(-u^2/2),
+    u = (t - center) / width, at a fixed (center, width) per column.
+
+    The linear part is z ~ alpha + gamma g, alpha free when `offset` (pass
+    one: alpha is the baseline and gamma = -baseline V) and alpha = 0
+    otherwise (pass two, z = values - baseline). Returns the (14, k) state:
+    alpha, gamma, the SSR, G = H^T r for the residual r and
+    H = (dg/dcenter, dg/dwidth), Kaufman's normal matrix M = H^T P H with P
+    the projector off the linear basis (the Gauss-Newton step is
+    M^-1 G / gamma), and the raw sums g^T g, g^T H and H^T H.
+    """
+    m = len(t)
+    u = (t - center) / width
+    g = np.exp(-0.5 * u * u)
+    hc = g * u / width
+    hw = hc * u
+    terms = np.empty((m, 11) + center.shape)
+    for row, (a, b) in enumerate((
+        (g, g), (g, hc), (g, hw), (hc, hc), (hc, hw), (hw, hw), (g, z)
+    )):
+        np.multiply(a, b, out=terms[:, row])
+    terms[:, 7], terms[:, 8], terms[:, 9], terms[:, 10] = g, hc, hw, z
+    sums = _column_sums(terms)
+    sgg, sgc, sgw, scc, scw, sww, sgz, sg, sc, sw, sz = sums
+    if offset:
+        # projecting off the constant first centres every column
+        sgg, sgc, sgw, scc, scw, sww, sgz = sums[:7] - np.stack(
+            [sg * sg, sg * sc, sg * sw, sc * sc, sc * sw, sw * sw, sg * sz]
+        ) / m
+    gamma = sgz / sgg
+    alpha = (sz - gamma * sg) / m if offset else np.zeros_like(gamma)
+    r = z - alpha - gamma * g
+    ssr, gc, gw = _column_sums(np.stack([r * r, hc * r, hw * r], 1))
+    return np.stack([
+        alpha, gamma, ssr, gc, gw,
+        scc - sgc * sgc / sgg, scw - sgc * sgw / sgg, sww - sgw * sgw / sgg,
+        *sums[:6],
+    ])
+
+
+def _step(state, width, damping):
+    """Levenberg-Marquardt step (dcenter, dwidth) of every column of a
+    _project state, the diagonal of M scaled by 1 + damping, and the size
+    of the undamped step in widths."""
+    gc, gw, mcc, mcw, mww = state[[_GC, _GW, _MCC, _MCW, _MWW]]
+    gamma = state[_GAMMA]
+    size = np.maximum(
+        np.abs(mww * gc - mcw * gw), np.abs(mcc * gw - mcw * gc)
+    ) / np.abs((mcc * mww - mcw * mcw) * gamma * width)
+    mcc, mww = mcc * (1.0 + damping), mww * (1.0 + damping)
+    det = (mcc * mww - mcw * mcw) * gamma
+    return (mww * gc - mcw * gw) / det, (mcc * gw - mcw * gc) / det, size
+
+
+def _lm_fit(t, z, center, width, offset):
+    """Damped Gauss-Newton on (center, width) of every column of z, the
+    linear part projected out (Golub & Pereyra 1973, Kaufman's Jacobian).
+
+    A step is rejected if it makes any term non-finite or raises the SSR
+    by more than the SSR's rounding error; within that rounding error the
+    SSR cannot rank two points, so there the step must also shrink the
+    undamped step. Each scan stops on its own once its undamped step is
+    below _FIT_STEP_TOL widths or no damping gives a better point, and all
+    stop after _FIT_ITERATIONS. Every operation acts on each column alone.
+    Returns the final (center, width, state).
+    """
+    center, width = center.copy(), width.copy()
+    state = _project(t, z, center, width, offset)
+    # each residual carries a rounding error of about eps |z|
+    rounding = 4.0 * np.finfo(float).eps * np.sqrt(_column_sums(z * z))
+    damping = np.full(center.shape, _FIT_DAMPING)
+    live = np.arange(center.size)
+    for _ in range(_FIT_ITERATIONS):
+        s, lam, c, w = state[:, live], damping[live], center[live], width[live]
+        step_c, step_w, size = _step(s, w, lam)
+        going = (size > _FIT_STEP_TOL) & (lam <= _FIT_MAX_DAMPING)
+        if not going.all():
+            live, s, lam, c, w = (a[..., going] for a in (live, s, lam, c, w))
+            step_c, step_w, size = step_c[going], step_w[going], size[going]
+        if live.size == 0:
+            break
+        c_try, w_try = c + step_c, w + step_w
+        trial = _project(t, z[:, live], c_try, w_try, offset)
+        band = rounding[live] * np.sqrt(s[_SSR])
+        better = np.isfinite(trial).all(0) & (
+            (trial[_SSR] < s[_SSR] - band)
+            | (trial[_SSR] <= s[_SSR] + band) & (_step(trial, w_try, 0.0)[2] < size)
+        )
+        center[live] = np.where(better, c_try, c)
+        width[live] = np.where(better, w_try, w)
+        state[:, live] = np.where(better, trial, s)
+        damping[live] = np.where(better, lam / 10.0, lam * 10.0)
+    return center, width, state
+
+
+def fit_gaussian_dips(delays_um, values):
+    """Two-pass Gaussian dip fits of a (k, m) stack of scans on one grid.
+
+    Pass one fits baseline, visibility, center and width; the baseline is
+    then re-estimated from the samples more than two fitted widths away
+    from the center and pass two refits the remaining three with the
+    baseline held fixed, which keeps count noise on the dip from tilting
+    the visibility. Both passes are linear in the baseline and visibility,
+    so those are projected out and only (center, width) iterate, for all
+    scans at once. Every operation acts on each scan alone, so a scan's
+    fit is the same bits in any stack. Flat scans return zero visibility
+    flagged uncertain. Raises when a scan has no sample off the dip,
+    because its baseline is then undefined. Returns one GaussianDipFit per
+    scan.
     """
     d = np.asarray(delays_um, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if d.ndim != 1 or d.shape != v.shape:
-        raise ValidationError("delays and values must be matching 1-d arrays")
+    v = np.ascontiguousarray(values, dtype=float)
+    if d.ndim != 1 or v.ndim != 2 or v.shape[1] != d.size:
+        raise ValidationError("values must be a (k, m) stack on m delays")
     if d.size < MIN_FIT_SAMPLES:
         raise ValidationError(f"dip fit needs >= {MIN_FIT_SAMPLES} samples")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(v))):
@@ -389,67 +527,83 @@ def fit_gaussian_dip(delays_um, values):
     span = float(np.ptp(d))
     if span <= 0:
         raise ValidationError("delay samples must not be all equal")
-    if np.ptp(v) <= 1e-12 * max(1.0, float(np.max(np.abs(v)))):
-        return _flat_fit(d, v)
+    flat = np.ptp(v, axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(v), axis=1))
+    fits = [_flat_fit(d, row) if is_flat else None for row, is_flat in zip(v, flat)]
+    dips = np.flatnonzero(~flat)
+    if dips.size == 0:
+        return fits
+    m = d.size
+    t = d[:, None]
+    y = v[dips].T.copy()
+    with np.errstate(all="ignore"):
+        # the starting guesses
+        low = np.argmin(y, axis=0)
+        upper = y >= np.median(y, axis=0)
+        b0 = _column_sums(np.where(upper, y, 0.0)) / upper.sum(0)
+        b0 = np.where(b0 > 0, b0, np.maximum(y.max(0), 1e-9))
+        below = y <= b0 - 0.5 * (b0 - y.min(0))
+        spread = np.where(below, t, -np.inf).max(0) - np.where(below, t, np.inf).min(0)
+        width = np.where(below.sum(0) >= 2, spread / 2.355, span / 8.0)
+        width = np.maximum(width, span / m)
+        center = d[low]
 
-    i0 = int(np.argmin(v))
-    b0 = float(np.mean(v[v >= np.median(v)]))
-    if b0 <= 0:
-        b0 = max(float(np.max(v)), 1e-9)
-    v0 = min(max(1.0 - v[i0] / b0, 0.05), 1.0)
-    half = b0 - 0.5 * (b0 - v[i0])
-    below = d[v <= half]
-    w0 = float(np.ptp(below)) / 2.355 if below.size >= 2 else span / 8.0
-    w0 = max(w0, span / d.size)
-    try:
-        with ignoring_warnings(OptimizeWarning):
-            popt1, _ = curve_fit(
-                _dip_model, d, v, p0=[b0, v0, float(d[i0]), w0], maxfev=20000
+        center, width, _ = _lm_fit(t, y, center, width, offset=True)
+        width = np.abs(width)
+        off = np.abs(t - center) > 2.0 * width
+        count = off.sum(0)
+        baseline = _column_sums(np.where(off, y, 0.0)) / count
+        if np.any(count == 0):
+            raise ValidationError(
+                "baseline undefined: no samples beyond two widths from the dip"
             )
-    except RuntimeError:
-        return _flat_fit(d, v)
-    center1, width1 = float(popt1[2]), abs(float(popt1[3]))
+        if np.any(baseline <= 0):
+            raise ValidationError("off-dip baseline must be positive")
+        center, width, s = _lm_fit(t, y - baseline, center, width, offset=False)
 
-    off = np.abs(d - center1) > 2.0 * width1
-    if not np.any(off):
-        raise ValidationError(
-            "baseline undefined: no samples beyond two widths from the dip"
+        # the fit resolves V to a few ulp, so scans that differ only by
+        # rounding (every cell of an ideal mesh) fit a few ulp apart; the
+        # map's exact ANOVA would report that spread as structure
+        visibility = np.round(np.clip(-s[_GAMMA] / baseline, 0.0, 1.0), _V_DECIMALS)
+        # the least-squares covariance s^2 (J^T J)^-1 of V, with the
+        # Jacobian J = (-baseline g, gamma H) over (V, center, width) and
+        # s^2 = SSR / (m - 3)
+        gamma, b = s[_GAMMA], baseline
+        hh = gamma * gamma * s[[_SCC, _SCW, _SWW]]
+        vc, vw = -b * gamma * s[_SGC], -b * gamma * s[_SGW]
+        coupled = (vc * vc * hh[2] - 2.0 * vc * vw * hh[1] + vw * vw * hh[0]) / (
+            hh[0] * hh[2] - hh[1] * hh[1]
         )
-    baseline = float(np.mean(v[off]))
-    if baseline <= 0:
-        raise ValidationError("off-dip baseline must be positive")
+        sigma = np.sqrt(s[_SSR] / (m - 3) / (b * b * s[_SGG] - coupled))
+        # a degenerate covariance falls back to the relative rms residual
+        # so only genuinely bad fits get flagged
+        sigma = np.where(
+            np.isfinite(sigma) & (sigma > 0), sigma, np.sqrt(s[_SSR] / m) / b
+        )
+    for j, index in enumerate(dips):
+        fits[index] = GaussianDipFit(
+            visibility=float(visibility[j]),
+            center_um=float(center[j]),
+            width_um=float(abs(width[j])),
+            baseline=float(baseline[j]),
+            visibility_sigma=float(sigma[j]),
+            uncertain=bool(
+                not np.isfinite(sigma[j]) or visibility[j] < 3.0 * sigma[j]
+            ),
+        )
+    return fits
 
-    def fixed_model(t, visibility, center, width):
-        return _dip_model(t, baseline, visibility, center, width)
 
-    try:
-        with ignoring_warnings(OptimizeWarning):
-            popt2, pcov2 = curve_fit(
-                fixed_model,
-                d,
-                v,
-                p0=[min(max(float(popt1[1]), 0.0), 1.0), center1, width1],
-                maxfev=20000,
-            )
-    except RuntimeError:
-        return _flat_fit(d, v)
-    visibility = min(max(float(popt2[0]), 0.0), 1.0)
-    if np.isfinite(pcov2[0, 0]):
-        sigma = float(np.sqrt(pcov2[0, 0]))
-    else:
-        # pcov degenerates on a near-exact fit; fall back to the relative
-        # residual so only genuinely bad fits get flagged
-        rms = float(np.sqrt(np.mean((v - fixed_model(d, *popt2)) ** 2)))
-        sigma = rms / baseline
-    uncertain = not np.isfinite(sigma) or visibility < 3.0 * sigma
-    return GaussianDipFit(
-        visibility=visibility,
-        center_um=float(popt2[1]),
-        width_um=abs(float(popt2[2])),
-        baseline=baseline,
-        visibility_sigma=sigma,
-        uncertain=bool(uncertain),
-    )
+def fit_gaussian_dip(delays_um, values):
+    """fit_gaussian_dips of one scan: the same two-pass fit, bit for bit.
+
+    Raises when no sample lies off the dip, because the baseline is then
+    undefined.
+    """
+    d = np.asarray(delays_um, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if d.ndim != 1 or d.shape != v.shape:
+        raise ValidationError("delays and values must be matching 1-d arrays")
+    return fit_gaussian_dips(d, v[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,19 +641,19 @@ def _check_scan_inputs(profile, n, count_noise_sigma):
 
 
 def _realize_routes(profile, theta, seeds):
-    """Realized transfer stack of routed programs, one run seed each: (k,
-    cells) pinned thetas as _plan_theta gives them, zero phis and output
-    phases, as plan_to_settings programs them."""
-    return hardware.realized_transfers(
+    """Realized transfers of routed programs, one run seed each, yielded a
+    hardware chunk at a time: (k, cells) pinned thetas as _plan_theta gives
+    them, zero phis and output phases, as plan_to_settings programs them."""
+    return hardware.realized_transfer_chunks(
         profile, theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)), seeds
     )
 
 
-def _normalized_counts(transfer, pairs, envelope, far, seed, count_noise_sigma):
-    """Coincidences of one scan between the (input, output) mode pairs of a
-    realized transfer matrix, given the source envelope x(tau) over the
-    delays, normalized by the mean of the baseline samples `far`."""
-    p_classical, p_interference = _pair_terms(transfer, *pairs)
+def _normalized_counts(terms, envelope, far, seed, count_noise_sigma):
+    """Coincidences of one scan from the two pair terms of its realized
+    transfer (as _pair_terms gives them), given the source envelope x(tau)
+    over the delays, normalized by the mean of the baseline samples `far`."""
+    p_classical, p_interference = terms
     counts = p_classical + envelope * p_interference
     if count_noise_sigma > 0:
         rng = np.random.default_rng(
@@ -532,9 +686,9 @@ def hom_scan(
     """
     _check_scan_inputs(profile, plan.n, count_noise_sigma)
     d, far = _scan_grid(delays_um, arm_delay_um)
-    transfer = _realize_routes(profile, _plan_theta(plan)[None], [seed])[0]
+    transfer = next(_realize_routes(profile, _plan_theta(plan)[None], [seed]))[0]
     normalized = _normalized_counts(
-        transfer, (plan.input_pair, plan.output_pair),
+        _pair_terms(transfer, plan.input_pair, plan.output_pair),
         source.overlap_at(d, arm_delay_um), far, seed, count_noise_sigma,
     )
     fit = fit_gaussian_dip(d, normalized)
@@ -623,11 +777,11 @@ def hom_visibility_map(
 
     Per-cell seeds derive from (seed, cell index), so the transfer chunk
     cannot change the map. Every scan is the hom_scan of its routing plan:
-    the delay grid, source envelope and baseline samples are built once per
-    map, and the transfers are realized as one stack; only the count model
-    and the dip fit run per scan, serially. Row
-    and column one-way ANOVA p-values probe for systematic structure along
-    either mesh axis.
+    the routes are planned once per n, the delay grid, source envelope and
+    baseline samples once per map; each realized chunk of transfers is
+    reduced to its scans' two pair terms, the count model runs per scan,
+    and one fit_gaussian_dips call fits all scans. Row and column one-way
+    ANOVA p-values probe for systematic structure along either mesh axis.
     """
     _check_scan_inputs(profile, n, count_noise_sigma)
     cells = mesh.cell_addresses(n)
@@ -636,24 +790,16 @@ def hom_visibility_map(
     d, far = _scan_grid(delays_um, 0.0)
     envelope = source.overlap_at(d, 0.0)
     seeds = [child_seed(seed, index) for index in range(len(cells))]
-    # keep only each plan's theta row and mode pairs: 190 plans with their
-    # per-cell state dicts held at once cost about 2 MB at n=20
-    theta = np.empty((len(cells), len(cells)))
-    pairs = []
-    for plan_theta, addr in zip(theta, cells):
-        plan = route_to_tbs(n, addr)
-        plan_theta[:] = _plan_theta(plan)
-        pairs.append((plan.input_pair, plan.output_pair))
-    transfers = _realize_routes(profile, theta, seeds)
-    visibilities = np.array([
-        fit_gaussian_dip(
-            d,
-            _normalized_counts(
-                transfer, pair, envelope, far, item_seed, count_noise_sigma
-            ),
-        ).visibility
-        for transfer, pair, item_seed in zip(transfers, pairs, seeds)
-    ])
+    theta, pairs = _routes(n)
+    terms = []
+    for transfers in _realize_routes(profile, theta, seeds):
+        start = len(terms)
+        terms += [_pair_terms(m, *pair) for m, pair in zip(transfers, pairs[start:])]
+    scans = [
+        _normalized_counts(term, envelope, far, item_seed, count_noise_sigma)
+        for term, item_seed in zip(terms, seeds)
+    ]
+    visibilities = np.array([fit.visibility for fit in fit_gaussian_dips(d, scans)])
     stats = analysis.ensemble_statistics(visibilities)
     visibilities.setflags(write=False)
     return VisibilityMap(

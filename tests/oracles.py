@@ -183,6 +183,48 @@ def per_item_visibility_map(n, source, profile, seed=0, count_noise_sigma=0.0):
     return visibilities, quantum._anova_p(rows), quantum._anova_p(columns)
 
 
+def curve_fit_dip(delays_um, values):
+    """Two-pass Gaussian dip fit by scipy's curve_fit, from the same
+    starting guesses as quantum.fit_gaussian_dips: all four parameters
+    first, then the off-dip baseline (mean of the samples beyond two fitted
+    widths) held fixed while visibility, center and width are refitted.
+    Returns pass two's (visibility clipped to [0, 1], center, width,
+    baseline). Raises RuntimeError when curve_fit does not converge."""
+    import warnings
+
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    def model(t, baseline, visibility, center, width):
+        return baseline * (1.0 - visibility * np.exp(-0.5 * ((t - center) / width) ** 2))
+
+    d = np.asarray(delays_um, dtype=float)
+    v = np.asarray(values, dtype=float)
+    span = float(np.ptp(d))
+    i0 = int(np.argmin(v))
+    b0 = float(np.mean(v[v >= np.median(v)]))
+    if b0 <= 0:
+        b0 = max(float(np.max(v)), 1e-9)
+    v0 = min(max(1.0 - v[i0] / b0, 0.05), 1.0)
+    half = b0 - 0.5 * (b0 - v[i0])
+    below = d[v <= half]
+    w0 = float(np.ptp(below)) / 2.355 if below.size >= 2 else span / 8.0
+    w0 = max(w0, span / d.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt1, _ = curve_fit(model, d, v, p0=[b0, v0, float(d[i0]), w0], maxfev=20000)
+        center1, width1 = float(popt1[2]), abs(float(popt1[3]))
+        baseline = float(np.mean(v[np.abs(d - center1) > 2.0 * width1]))
+        popt2, _ = curve_fit(
+            lambda t, visibility, center, width: model(t, baseline, visibility, center, width),
+            d,
+            v,
+            p0=[min(max(float(popt1[1]), 0.0), 1.0), center1, width1],
+            maxfev=20000,
+        )
+    visibility, center, width = (float(x) for x in popt2)
+    return min(max(visibility, 0.0), 1.0), center, abs(width), baseline
+
+
 def dense_branch_solve(profile, calibration, target, max_rounds=500):
     """Drive solve by the textbook loop: rebuild the power-to-phase coupling
     (fitted alphas on the diagonal, the profile's crosstalk off it) and run a

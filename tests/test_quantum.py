@@ -5,11 +5,10 @@ import threading
 import time
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeWarning
+from hypothesis import given, settings, strategies as st
 
 from meshsim import experiments, hardware, mesh, quantum
 from meshsim.quantum import (
@@ -22,6 +21,7 @@ from meshsim.quantum import (
     diagonal_delay_sweep,
     diagonal_interferometer_plan,
     fit_gaussian_dip,
+    fit_gaussian_dips,
     hom_scan,
     hom_visibility_map,
     plan_to_settings,
@@ -30,9 +30,10 @@ from meshsim.quantum import (
     two_photon_output_distribution,
     verify_routing,
 )
-from meshsim.util import MeshsimError, ValidationError
+from meshsim.util import MeshsimError, ValidationError, child_seed
 
 from oracles import (
+    curve_fit_dip,
     fock_two_photon_distribution,
     gram_schmidt_unitary,
     per_item_visibility_map,
@@ -301,19 +302,14 @@ def test_fit_count_noise_bias_small():
 
 def test_dip_fit_warning_suppression_is_thread_safe():
     # one low sample on a flat scan: the fitted dip collapses between the
-    # neighbouring samples, so curve_fit cannot estimate the covariance and
-    # warns; the fit itself is stable, so every repeat must agree bit for bit
+    # neighbouring samples, so the covariance is degenerate; the fit emits
+    # no warning, and every repeat on 8 threads must agree bit for bit
     grid = np.arange(12.0)
     values = np.ones(12)
     values[5] = 0.2
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        # with the fit's own suppression disabled the warning shows
-        with mock.patch.object(warnings, "simplefilter"):
-            fit_gaussian_dip(grid, values)
-    assert any(issubclass(w.category, OptimizeWarning) for w in caught)
-
-    expected = fit_gaussian_dip(grid, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = fit_gaussian_dip(grid, values)
     results, errors = [], []
     deadline = time.monotonic() + 1.5
 
@@ -328,7 +324,7 @@ def test_dip_fit_warning_suppression_is_thread_safe():
     try:
         sys.setswitchinterval(1e-6)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", OptimizeWarning)
+            warnings.simplefilter("error")
             filters = list(warnings.filters)
             threads = [threading.Thread(target=worker) for _ in range(8)]
             for thread in threads:
@@ -345,6 +341,130 @@ def test_dip_fit_warning_suppression_is_thread_safe():
     assert not leaked
     assert results
     assert all(fit == expected for fit in results)
+
+
+def _fit_hex(fit):
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(fit)
+    )
+
+
+def _at_offset(values, offset):
+    """A copy of `values` starting `offset` bytes into a fresh buffer."""
+    raw = np.zeros(8 * values.size + 64, dtype=np.uint8)[offset : offset + 8 * values.size]
+    copy = raw.view(np.float64)
+    copy[:] = values
+    return copy
+
+
+def _map_scans(n, disorder_seed, count_noise_sigma):
+    """The normalized scans of an n-mode calibrated hom_visibility_map, in
+    cell order, with their delay grid."""
+    src = PhotonPairSource(mutual_overlap_at_zero_delay=0.98)
+    profile = hardware.calibrated_profile(n, disorder_seed=disorder_seed)
+    d, far = quantum._scan_grid(None, 0.0)
+    envelope = src.overlap_at(d, 0.0)
+    theta, pairs = quantum._routes(n)
+    seeds = [child_seed(disorder_seed, index) for index in range(len(pairs))]
+    transfers = hardware.realized_transfers(
+        profile, theta, np.zeros_like(theta), np.zeros((len(seeds), n)), seeds
+    )
+    return d, np.array([
+        quantum._normalized_counts(
+            quantum._pair_terms(m, *pair), envelope, far, seed, count_noise_sigma
+        )
+        for m, pair, seed in zip(transfers, pairs, seeds)
+    ])
+
+
+def _degenerate_scans():
+    # the default grid with one half-height sample at its center, and the
+    # 12-sample scan with one low sample: both fit a dip narrower than the
+    # sample spacing
+    grid = default_delay_grid()
+    values = np.ones(grid.size)
+    values[29] = 0.5
+    short = np.ones(12)
+    short[5] = 0.2
+    return [(grid, values), (np.arange(12.0), short)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_dip_fit_is_pure_across_memory_offsets(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if case < 2:
+            d, values = _degenerate_scans()[case]
+        else:
+            d, scans = _map_scans(20, 3, (0.0, 0.02)[case - 2])
+            values = scans[77]
+        expected = _fit_hex(fit_gaussian_dip(d, values))
+        for offset in range(0, 64, 8):
+            got = fit_gaussian_dip(_at_offset(d, offset), _at_offset(values, offset))
+            assert _fit_hex(got) == expected, offset
+        stacked = fit_gaussian_dips(d, np.stack([values] * 5))
+        assert {_fit_hex(fit) for fit in stacked} == {expected}
+
+
+@pytest.mark.parametrize("count_noise_sigma", [0.0, 0.02])
+def test_dip_fit_is_batch_invariant_on_map_scans(count_noise_sigma):
+    d, scans = _map_scans(20, 3, count_noise_sigma)
+    rng = np.random.default_rng(np.random.SeedSequence([5, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [_fit_hex(fit_gaussian_dip(d, scan)) for scan in scans]
+        for size in (1, 7, 190):
+            picks = rng.choice(len(scans), size, replace=False)
+            batch = fit_gaussian_dips(d, scans[picks])
+            assert [_fit_hex(fit) for fit in batch] == [alone[i] for i in picks]
+
+
+def _dip_ssr(d, values, visibility, center, width, baseline):
+    model = baseline * (1.0 - visibility * np.exp(-0.5 * ((d - center) / width) ** 2))
+    return float(np.sum((values - model) ** 2))
+
+
+@pytest.mark.parametrize("count_noise_sigma", [0.0, 0.02, 0.05])
+def test_dip_fit_reaches_the_curve_fit_optimum(count_noise_sigma):
+    # pass two of the projected fit ends at least as low as curve_fit's,
+    # and on the same visibility
+    d, scans = _map_scans(20, 3, count_noise_sigma)
+    for scan, fit in zip(scans, fit_gaussian_dips(d, scans)):
+        visibility, center, width, baseline = curve_fit_dip(d, scan)
+        ours = _dip_ssr(d, scan, fit.visibility, fit.center_um, fit.width_um, fit.baseline)
+        theirs = _dip_ssr(d, scan, visibility, center, width, baseline)
+        assert ours <= theirs * (1.0 + 1e-9)
+        assert abs(fit.visibility - visibility) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.05, 1.0),
+    st.floats(-100.0, 100.0),
+    st.floats(20.0, 150.0),
+    st.floats(0.5, 2.0),
+)
+def test_dip_fit_recovers_noiseless_dip_property(visibility, center, width, baseline):
+    # samples within two widths and from nine widths out, where the dip is
+    # below rounding, so the off-dip baseline is exact
+    d = center + width * np.concatenate(
+        [np.linspace(-12.0, -9.0, 8), np.linspace(-1.9, 1.9, 29), np.linspace(9.0, 12.0, 8)]
+    )
+
+    def dip(v):
+        return baseline * (1.0 - v * np.exp(-0.5 * ((d - center) / width) ** 2))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_gaussian_dip(d, dip(visibility))
+        batch = fit_gaussian_dips(d, np.stack([dip(0.5), dip(visibility), dip(0.9)]))
+    assert abs(fit.visibility - visibility) <= 1e-8
+    assert abs(fit.center_um - center) <= 1e-8 * width
+    assert abs(fit.width_um - width) <= 1e-8 * width
+    assert abs(fit.baseline - baseline) <= 1e-8 * baseline
+    assert not fit.uncertain
+    assert _fit_hex(batch[1]) == _fit_hex(fit)
 
 
 def test_hom_scan_ideal_dip():
