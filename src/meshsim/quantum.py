@@ -385,8 +385,8 @@ _FIT_STEP_TOL = 1e-13
 _V_DECIMALS = 12
 
 # rows of the state array _project returns, one column per scan
-_ALPHA, _GAMMA, _SSR, _GC, _GW, _MCC, _MCW, _MWW = range(8)
-_SGG, _SGC, _SGW, _SCC, _SCW, _SWW = range(8, 14)
+_GAMMA, _SSR, _GC, _GW, _MCC, _MCW, _MWW = range(7)
+_SGG, _SGC, _SGW, _SCC, _SCW, _SWW, _SIZE = range(7, 14)
 
 
 def _column_sums(x):
@@ -412,10 +412,10 @@ def _project(t, z, center, width, offset):
     The linear part is z ~ alpha + gamma g, alpha free when `offset` (pass
     one: alpha is the baseline and gamma = -baseline V) and alpha = 0
     otherwise (pass two, z = values - baseline). Returns the (14, k) state:
-    alpha, gamma, the SSR, G = H^T r for the residual r and
+    gamma, the SSR, G = H^T r for the residual r and
     H = (dg/dcenter, dg/dwidth), Kaufman's normal matrix M = H^T P H with P
-    the projector off the linear basis (the Gauss-Newton step is
-    M^-1 G / gamma), and the raw sums g^T g, g^T H and H^T H.
+    the projector off the linear basis, the raw sums g^T g, g^T H and
+    H^T H, and the size in widths of the Gauss-Newton step M^-1 G / gamma.
     """
     m = len(t)
     u = (t - center) / width
@@ -436,28 +436,14 @@ def _project(t, z, center, width, offset):
             [sg * sg, sg * sc, sg * sw, sc * sc, sc * sw, sw * sw, sg * sz]
         ) / m
     gamma = sgz / sgg
-    alpha = (sz - gamma * sg) / m if offset else np.zeros_like(gamma)
+    alpha = (sz - gamma * sg) / m if offset else 0.0
     r = z - alpha - gamma * g
     ssr, gc, gw = _column_sums(np.stack([r * r, hc * r, hw * r], 1))
-    return np.stack([
-        alpha, gamma, ssr, gc, gw,
-        scc - sgc * sgc / sgg, scw - sgc * sgw / sgg, sww - sgw * sgw / sgg,
-        *sums[:6],
-    ])
-
-
-def _step(state, width, damping):
-    """Levenberg-Marquardt step (dcenter, dwidth) of every column of a
-    _project state, the diagonal of M scaled by 1 + damping, and the size
-    of the undamped step in widths."""
-    gc, gw, mcc, mcw, mww = state[[_GC, _GW, _MCC, _MCW, _MWW]]
-    gamma = state[_GAMMA]
+    mcc, mcw, mww = scc - sgc * sgc / sgg, scw - sgc * sgw / sgg, sww - sgw * sgw / sgg
     size = np.maximum(
         np.abs(mww * gc - mcw * gw), np.abs(mcc * gw - mcw * gc)
     ) / np.abs((mcc * mww - mcw * mcw) * gamma * width)
-    mcc, mww = mcc * (1.0 + damping), mww * (1.0 + damping)
-    det = (mcc * mww - mcw * mcw) * gamma
-    return (mww * gc - mcw * gw) / det, (mcc * gw - mcw * gc) / det, size
+    return np.stack([gamma, ssr, gc, gw, mcc, mcw, mww, *sums[:6], size])
 
 
 def _lm_fit(t, z, center, width, offset):
@@ -479,20 +465,24 @@ def _lm_fit(t, z, center, width, offset):
     damping = np.full(center.shape, _FIT_DAMPING)
     live = np.arange(center.size)
     for _ in range(_FIT_ITERATIONS):
-        s, lam, c, w = state[:, live], damping[live], center[live], width[live]
-        step_c, step_w, size = _step(s, w, lam)
-        going = (size > _FIT_STEP_TOL) & (lam <= _FIT_MAX_DAMPING)
+        s, lam = state[:, live], damping[live]
+        going = (s[_SIZE] > _FIT_STEP_TOL) & (lam <= _FIT_MAX_DAMPING)
         if not going.all():
-            live, s, lam, c, w = (a[..., going] for a in (live, s, lam, c, w))
-            step_c, step_w, size = step_c[going], step_w[going], size[going]
+            live, s, lam = live[going], s[:, going], lam[going]
         if live.size == 0:
             break
-        c_try, w_try = c + step_c, w + step_w
+        # the diagonal of M scaled by 1 + damping
+        gamma, gc, gw, mcc, mcw, mww = s[[_GAMMA, _GC, _GW, _MCC, _MCW, _MWW]]
+        mcc, mww = mcc * (1.0 + lam), mww * (1.0 + lam)
+        det = (mcc * mww - mcw * mcw) * gamma
+        c, w = center[live], width[live]
+        c_try = c + (mww * gc - mcw * gw) / det
+        w_try = w + (mcc * gw - mcw * gc) / det
         trial = _project(t, z[:, live], c_try, w_try, offset)
         band = rounding[live] * np.sqrt(s[_SSR])
-        better = np.isfinite(trial).all(0) & (
+        better = np.isfinite(trial[:_SIZE]).all(0) & (
             (trial[_SSR] < s[_SSR] - band)
-            | (trial[_SSR] <= s[_SSR] + band) & (_step(trial, w_try, 0.0)[2] < size)
+            | (trial[_SSR] <= s[_SSR] + band) & (trial[_SIZE] < s[_SIZE])
         )
         center[live] = np.where(better, c_try, c)
         width[live] = np.where(better, w_try, w)
