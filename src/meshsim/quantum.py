@@ -504,11 +504,11 @@ def fit_gaussian_dips(delays_um, values):
     baseline held fixed, which keeps count noise on the dip from tilting
     the visibility. Both passes are linear in the baseline and visibility,
     so those are projected out and only (center, width) iterate, for
-    _FIT_CHUNK scans at once. Every operation acts on each scan alone, so a
-    scan's fit is the same bits in any stack. Flat scans return zero visibility
-    flagged uncertain. Raises when a scan has no sample off the dip,
-    because its baseline is then undefined. Returns one GaussianDipFit per
-    scan.
+    _FIT_CHUNK scans at once. Every operation acts on each scan alone, so
+    a scan's fit is the same bits in any stack. Flat scans return zero
+    visibility flagged uncertain. Raises when a scan has no sample off the
+    dip, because its baseline is then undefined. Returns one GaussianDipFit
+    per scan.
     """
     d = np.asarray(delays_um, dtype=float)
     v = np.ascontiguousarray(values, dtype=float)

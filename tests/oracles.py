@@ -195,7 +195,8 @@ def curve_fit_dip(delays_um, values):
     from scipy.optimize import OptimizeWarning, curve_fit
 
     def model(t, baseline, visibility, center, width):
-        return baseline * (1.0 - visibility * np.exp(-0.5 * ((t - center) / width) ** 2))
+        dip = np.exp(-0.5 * ((t - center) / width) ** 2)
+        return baseline * (1.0 - visibility * dip)
 
     d = np.asarray(delays_um, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -215,7 +216,7 @@ def curve_fit_dip(delays_um, values):
         center1, width1 = float(popt1[2]), abs(float(popt1[3]))
         baseline = float(np.mean(v[np.abs(d - center1) > 2.0 * width1]))
         popt2, _ = curve_fit(
-            lambda t, visibility, center, width: model(t, baseline, visibility, center, width),
+            lambda t, v2, c2, w2: model(t, baseline, v2, c2, w2),
             d,
             v,
             p0=[min(max(float(popt1[1]), 0.0), 1.0), center1, width1],

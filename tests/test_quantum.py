@@ -352,8 +352,8 @@ def _fit_hex(fit):
 
 def _at_offset(values, offset):
     """A copy of `values` starting `offset` bytes into a fresh buffer."""
-    raw = np.zeros(8 * values.size + 64, dtype=np.uint8)[offset : offset + 8 * values.size]
-    copy = raw.view(np.float64)
+    size = 8 * values.size
+    copy = np.zeros(size + 64, dtype=np.uint8)[offset : offset + size].view(np.float64)
     copy[:] = values
     return copy
 
@@ -432,7 +432,9 @@ def test_dip_fit_reaches_the_curve_fit_optimum(count_noise_sigma):
     d, scans = _map_scans(20, 3, count_noise_sigma)
     for scan, fit in zip(scans, fit_gaussian_dips(d, scans)):
         visibility, center, width, baseline = curve_fit_dip(d, scan)
-        ours = _dip_ssr(d, scan, fit.visibility, fit.center_um, fit.width_um, fit.baseline)
+        ours = _dip_ssr(
+            d, scan, fit.visibility, fit.center_um, fit.width_um, fit.baseline
+        )
         theirs = _dip_ssr(d, scan, visibility, center, width, baseline)
         assert ours <= theirs * (1.0 + 1e-9)
         assert abs(fit.visibility - visibility) <= 1e-6
@@ -448,9 +450,11 @@ def test_dip_fit_reaches_the_curve_fit_optimum(count_noise_sigma):
 def test_dip_fit_recovers_noiseless_dip_property(visibility, center, width, baseline):
     # samples within two widths and from nine widths out, where the dip is
     # below rounding, so the off-dip baseline is exact
-    d = center + width * np.concatenate(
-        [np.linspace(-12.0, -9.0, 8), np.linspace(-1.9, 1.9, 29), np.linspace(9.0, 12.0, 8)]
-    )
+    d = center + width * np.concatenate([
+        np.linspace(-12.0, -9.0, 8),
+        np.linspace(-1.9, 1.9, 29),
+        np.linspace(9.0, 12.0, 8),
+    ])
 
     def dip(v):
         return baseline * (1.0 - v * np.exp(-0.5 * ((d - center) / width) ** 2))
