@@ -454,10 +454,10 @@ def _lm_fit(t, z, center, width, offset):
     """Damped Gauss-Newton on (center, width) of every column of z, the
     linear part projected out (Golub & Pereyra 1973, Kaufman's Jacobian).
 
-    A step is rejected if it makes any term non-finite or raises the SSR
-    by more than the SSR's rounding error; within that rounding error the
-    SSR cannot rank two points, so there the step must also shrink the
-    undamped step. Each scan stops on its own once its undamped step is
+    A step is rejected if it makes any term non-finite, moves the center
+    off the scanned delays or raises the SSR by more than the SSR's
+    rounding error; within that rounding error the SSR cannot rank two
+    points, so there the step must also shrink the undamped step. Each scan stops on its own once its undamped step is
     below _FIT_STEP_TOL widths or no damping gives a better point, and all
     stop after _FIT_ITERATIONS. Every operation acts on each column alone.
     Returns the final (center, width, state).
@@ -468,6 +468,8 @@ def _lm_fit(t, z, center, width, offset):
     rounding = 4.0 * np.finfo(float).eps * np.sqrt(_column_sums(z * z))
     damping = np.full(center.shape, _FIT_DAMPING)
     live = np.arange(center.size)
+    # a center far off the scan fits noise with the flank of a huge dip
+    first, last = t.min(), t.max()
     for _ in range(_FIT_ITERATIONS):
         s, lam = state[:, live], damping[live]
         going = (s[_SIZE] > _FIT_STEP_TOL) & (lam <= _FIT_MAX_DAMPING)
@@ -484,7 +486,8 @@ def _lm_fit(t, z, center, width, offset):
         w_try = w + (mcc * gw - mcw * gc) / det
         trial = _project(t, z[:, live], c_try, w_try, offset)
         band = rounding[live] * np.sqrt(s[_SSR])
-        better = np.isfinite(trial[:_SIZE]).all(0) & (
+        inside = (first <= c_try) & (c_try <= last)
+        better = np.isfinite(trial[:_SIZE]).all(0) & inside & (
             (trial[_SSR] < s[_SSR] - band)
             | (trial[_SSR] <= s[_SSR] + band) & (trial[_SIZE] < s[_SIZE])
         )

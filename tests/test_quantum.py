@@ -420,6 +420,21 @@ def test_dip_fit_is_batch_invariant_on_map_scans(count_noise_sigma):
             assert [_fit_hex(fit) for fit in batch] == [alone[i] for i in picks]
 
 
+def test_dip_fit_center_stays_on_the_scan():
+    # on flat noise the projected fit could lower the SSR without bound by
+    # moving a huge dip far off the scan and fitting the noise with its
+    # flank, which clipped the visibility to 1 and passed as certain
+    d = default_delay_grid()
+    for seed in range(40):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        values = 1.0 + 0.02 * rng.standard_normal(d.size)
+        try:
+            fit = fit_gaussian_dip(d, values)
+        except ValidationError:
+            continue
+        assert d[0] <= fit.center_um <= d[-1], seed
+
+
 def _dip_ssr(d, values, visibility, center, width, baseline):
     model = baseline * (1.0 - visibility * np.exp(-0.5 * ((d - center) / width) ** 2))
     return float(np.sum((values - model) ** 2))
