@@ -457,9 +457,10 @@ def _lm_fit(t, z, center, width, offset):
     A step is rejected if it makes any term non-finite, moves the center
     off the scanned delays or raises the SSR by more than the SSR's
     rounding error; within that rounding error the SSR cannot rank two
-    points, so there the step must also shrink the undamped step. Each scan stops on its own once its undamped step is
-    below _FIT_STEP_TOL widths or no damping gives a better point, and all
-    stop after _FIT_ITERATIONS. Every operation acts on each column alone.
+    points, so there the step must also shrink the undamped step. Each
+    scan stops on its own once its undamped step is below _FIT_STEP_TOL
+    widths or no damping gives a better point, and all stop after
+    _FIT_ITERATIONS. Every operation acts on each column alone.
     Returns the final (center, width, state).
     """
     center, width = center.copy(), width.copy()

@@ -365,16 +365,18 @@ def _map_scans(n, disorder_seed, count_noise_sigma):
     profile = hardware.calibrated_profile(n, disorder_seed=disorder_seed)
     d, far = quantum._scan_grid(None, 0.0)
     envelope = src.overlap_at(d, 0.0)
-    theta, pairs = quantum._routes(n)
-    seeds = [child_seed(disorder_seed, index) for index in range(len(pairs))]
+    plans = [route_to_tbs(n, addr) for addr in mesh.cell_addresses(n)]
+    theta = np.array([quantum._plan_theta(plan) for plan in plans])
+    seeds = [child_seed(disorder_seed, index) for index in range(len(plans))]
     transfers = hardware.realized_transfers(
         profile, theta, np.zeros_like(theta), np.zeros((len(seeds), n)), seeds
     )
     return d, np.array([
         quantum._normalized_counts(
-            quantum._pair_terms(m, *pair), envelope, far, seed, count_noise_sigma
+            quantum._pair_terms(m, plan.input_pair, plan.output_pair),
+            envelope, far, seed, count_noise_sigma,
         )
-        for m, pair, seed in zip(transfers, pairs, seeds)
+        for m, plan, seed in zip(transfers, plans, seeds)
     ])
 
 
