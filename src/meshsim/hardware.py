@@ -9,6 +9,7 @@ disorder and per-run phase-setting jitter on top of the programmed settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -16,7 +17,6 @@ from typing import Dict, Mapping, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import analysis
 from .mesh import (
@@ -36,8 +36,8 @@ from .util import (
     UnknownHeaterError,
     ValidationError,
     atomic_write_text,
+    column_sums,
     dumps_canonical,
-    ignoring_warnings,
     wrap_phase,
     wrap_signed,
 )
@@ -308,6 +308,29 @@ class SweepRecord:
     signal: np.ndarray
 
 
+def _sweep_signals(profile, index, v, seed, detector_noise_sigma):
+    """Monitor-port fringes of the heaters `index` (k,) swept over the
+    voltages v (k, m): scale * (0.5 + 0.5 * cos(phi(v))) with the scale set
+    by the profile's static insertion loss, plus each heater's own stream of
+    Gaussian detector noise."""
+    il_db = 2 * profile.coupling_loss_db_per_facet + (
+        profile.propagation_loss_db_per_cm * profile.path_length_cm
+    )
+    scale = 10.0 ** (-il_db / 10.0)
+    phase = profile.phi0_rad[index, None] + (
+        profile.alpha_rad_per_w[index, None] * v**2 / profile.resistance_ohm[index, None]
+    )
+    signal = scale * (0.5 + 0.5 * np.cos(phase))
+    if detector_noise_sigma > 0:
+        signal = signal + np.stack([
+            np.random.default_rng(
+                np.random.SeedSequence([int(seed), _SWEEP_STREAM, int(i)])
+            ).normal(0.0, detector_noise_sigma, v.shape[1])
+            for i in index
+        ])
+    return signal
+
+
 def simulate_calibration_sweep(
     profile,
     hid,
@@ -333,20 +356,7 @@ def simulate_calibration_sweep(
         raise ValidationError("voltage grid must be a 1-d array of >= 2 points")
     if np.any(v < 0) or np.any(v > v_max * (1 + 1e-12)):
         raise ValidationError("voltage grid exceeds the heater's budget")
-
-    il_db = 2 * profile.coupling_loss_db_per_facet + (
-        profile.propagation_loss_db_per_cm * profile.path_length_cm
-    )
-    scale = 10.0 ** (-il_db / 10.0)
-    phase = profile.phi0_rad[i] + (
-        profile.alpha_rad_per_w[i] * v**2 / profile.resistance_ohm[i]
-    )
-    signal = scale * (0.5 + 0.5 * np.cos(phase))
-    if detector_noise_sigma > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), _SWEEP_STREAM, i])
-        )
-        signal = signal + rng.normal(0.0, detector_noise_sigma, v.size)
+    signal = _sweep_signals(profile, [i], v[None], seed, detector_noise_sigma)[0]
     return SweepRecord(heater_id=hid, voltages_v=v, signal=signal)
 
 
@@ -358,127 +368,326 @@ class CalibrationEntry:
     residual: float
 
 
-def _fringe_lstsq(power, signal, alpha):
-    basis = np.column_stack(
-        [np.ones_like(power), np.cos(alpha * power), np.sin(alpha * power)]
-    )
-    coef, _, _, _ = np.linalg.lstsq(basis, signal, rcond=None)
-    resid = signal - basis @ coef
-    return coef, float(np.sqrt(np.mean(resid**2)))
+# Gauss-Newton on alpha: iterations, the starting damping, the damping past
+# which no step can lower the SSR, and the Gauss-Newton step, relative to
+# alpha, below which a heater has converged (about two ulp). The polish
+# starts within half a grid step of the optimum, where an undamped step
+# converges, so the damping starts low.
+_FIT_ITERATIONS = 100
+_FIT_DAMPING = 1e-6
+_FIT_MAX_DAMPING = 1e16
+_FIT_STEP_TOL = 4.4e-16
+# the alpha grid, relative to the FFT seed
+_ALPHA_GRID = np.linspace(0.75, 1.25, 101)
+# grid points x samples x heaters screened in one pass: at 64 samples a pass
+# holds 10 heaters and each of the six rows of its terms 0.5 MB
+_SCREEN_CELLS = 1 << 16
+
+# rows of the state array _fringe_state returns, one column per heater
+_A, _B, _C, _SSR, _STEP = range(5)
 
 
-def _fringe_screen(power, signal, alphas):
-    """rms residual of the linear fringe fit at every alpha in one pass.
+def _fringe_seeds(power, signal, low, high):
+    """alpha of the strongest fringe of each (k, m) sweep, from an FFT of the
+    sweep resampled onto a uniform power grid from `low` to `high` (power
+    is quadratic in the swept voltage)."""
+    m = 8 * power.shape[1]
+    spacing = (high - low) / (m - 1)
+    # np.linspace(low, high, m) row by row, in one pass
+    uniform = np.arange(m) * spacing[:, None] + low[:, None]
+    uniform[:, -1] = high
+    bins = np.empty(len(power))
+    for i, p in enumerate(uniform):
+        resampled = np.interp(p, power[i], signal[i])
+        resampled -= resampled.sum() / m
+        bins[i] = np.abs(np.fft.rfft(resampled)[1:]).argmax() + 1
+    return TWO_PI * bins / (m * spacing)
 
-    For a fixed alpha the model A + B cos(alpha p) + C sin(alpha p) is
-    linear, so all alphas are fitted at once through their stacked 3x3
-    normal equations. Each rms is measured directly from signal - fit, so
-    the coefficients' error enters only at second order, and the result
-    agrees with _fringe_lstsq to about cond(basis) * m * eps * rms(signal).
-    On sweeps spanning 3/4 of a fringe or more cond(basis) stays below 3;
-    on 3,840 simulated sweeps (8-200 points, detector noise up to 0.05) the
-    two agreed within 2.3e-16 * rms(signal).
+
+def _fringe_screen(p, y, alpha0, step, points):
+    """Position, in steps, of the best point of every heater's alpha grid
+    alpha0 + j step, j < points, refined between the grid points.
+
+    p, y are (m, k) powers and signals. At a fixed alpha the model
+    A + B cos(alpha p) + C sin(alpha p) is linear; with A eliminated, the
+    fit explains E = b^T M^-1 b of the centred signal's sum of squares, so
+    the point of least SSR is the one of largest E. The screen only seeds
+    the polish, so E comes from the normal equations, and cos and sin along
+    the grid come from rotations, since one cos costs about 60
+    multiplications: the first 2^b grid points are rotated by 2^b steps,
+    whose rotation is the square of the one before.
     """
-    phase = alphas[:, None] * power
-    basis = np.stack([np.ones_like(phase), np.cos(phase), np.sin(phase)], 1)
-    gram = basis @ basis.transpose(0, 2, 1)
-    coef = np.linalg.solve(gram, (basis @ signal)[:, :, None])
-    resid = signal - (basis * coef).sum(axis=1)
-    return np.sqrt(np.mean(resid**2, axis=1))
+    m = len(p)
+    # cos, sin, cos^2, cos sin, y cos, y sin at every grid point
+    terms = np.empty((6, points) + p.shape)
+    trig = terms[:2]
+    phase = p * alpha0
+    np.cos(phase, out=trig[0, 0])
+    np.sin(phase, out=trig[1, 0])
+    phase = p * step
+    rc, rs = np.cos(phase), np.sin(phase)
+    swapped = np.empty_like(trig[:, : points // 2])
+    done = 1
+    while done < points:
+        n = min(done, points - done)
+        turned = trig[:, done : done + n]
+        np.multiply(trig[:, :n], rc, out=turned)
+        np.multiply(trig[::-1, :n], rs, out=swapped[:, :n])
+        turned[0] -= swapped[0, :n]
+        turned[1] += swapped[1, :n]
+        rc, rs = rc * rc - rs * rs, 2.0 * rc * rs
+        done += n
+    np.multiply(trig[0], trig, out=terms[2:4])
+    np.multiply(y, trig, out=terms[4:6])
+    sc, ss, scc, scs, syc, sys = column_sums(np.moveaxis(terms, 2, 0))
+    # cos^2 + sin^2 = 1 to rounding, which the screen can ignore
+    mcc, mcs, mss = scc - sc * sc / m, scs - sc * ss / m, m - scc - ss * ss / m
+    sy = column_sums(y)
+    bc, bs = syc - sc * sy / m, sys - ss * sy / m
+    with np.errstate(all="ignore"):
+        explained = (mss * bc * bc - 2.0 * mcs * bc * bs + mcc * bs * bs) / (
+            mcc * mss - mcs * mcs
+        )
+        explained = np.where(np.isfinite(explained), explained, -np.inf)
+        best = np.argmax(explained, axis=0)
+        # the vertex of the parabola through an inner best point and its
+        # two neighbours, kept within half a step of the best point
+        cols = np.arange(best.size)
+        low, mid = explained[np.maximum(best - 1, 0), cols], explained[best, cols]
+        high = explained[np.minimum(best + 1, points - 1), cols]
+        shift = 0.5 * (low - high) / (low - 2.0 * mid + high)
+        inside = (best > 0) & (best < points - 1) & (np.abs(shift) <= 0.5)
+        shift = np.where(inside, shift, 0.0)
+    return best + shift
+
+
+def _fringe_state(p, y, sy, alpha):
+    """Linear fit of y (m, k) on (1, cos, sin)(alpha p) per column, and the
+    variable-projection Gauss-Newton step on alpha from there; sy = sum y.
+
+    The linear fit is solved from its normal equations and refined once on
+    its residual r. With h = dmodel/dalpha = p (C cos - B sin) and P the
+    projector off the linear basis, Kaufman's Jacobian is -P h, so the step
+    is h^T r / h^T P h. Returns the (5, k) state (A, B, C, SSR, step).
+    """
+    m = len(p)
+    terms = np.empty((m, 7) + alpha.shape)
+    c, s = terms[:, 0], terms[:, 1]
+    phase = p * alpha
+    np.cos(phase, out=c)
+    np.sin(phase, out=s)
+    for row, (u, v) in enumerate(((c, c), (c, s), (s, s), (y, c), (y, s)), 2):
+        np.multiply(u, v, out=terms[:, row])
+    sums = column_sums(terms)
+    sc, ss, scc, scs, sss, syc, sys = sums
+    # the normal equations of (1, cos, sin), the constant eliminated first:
+    # the centred 2x2 Gram matrix (mcc, mcs; mcs, mss)
+    mean = sums[:2, None] / m
+    mcc, mcs, mss = scc - mean[0, 0] * sc, scs - mean[0, 0] * ss, sss - mean[1, 0] * ss
+    det = mcc * mss - mcs * mcs
+
+    def solve(s1, s2, s3):
+        # (x_1, x_cos, x_sin) for the right-hand sides (sum z, sum z cos,
+        # sum z sin)
+        e2, e3 = s2 - mean[0] * s1, s3 - mean[1] * s1
+        x2, x3 = (mss * e2 - mcs * e3) / det, (mcc * e3 - mcs * e2) / det
+        return (s1 - x2 * sc - x3 * ss) / m, x2, x3
+
+    a, b, cc = solve(sy, syc, sys)
+    terms2 = np.empty((m, 9) + alpha.shape)
+    r, h = terms2[:, 0], terms2[:, 1]
+    np.subtract(y, a[0], out=r)
+    r -= b[0] * c
+    r -= cc[0] * s
+    np.multiply(cc[0], c, out=h)
+    h -= b[0] * s
+    h *= p
+    for row, (u, v) in enumerate(
+        ((r, c), (h, c), (r, s), (h, s), (r, r), (h, r), (h, h)), 2
+    ):
+        np.multiply(u, v, out=terms2[:, row])
+    sums = column_sums(terms2)
+    # the residual's own fit (refining the coefficients) and h's, solved
+    # together: h^T P h is h^T h less the part h's fit explains
+    rhs = sums[:6].reshape((3, 2) + alpha.shape)
+    fit = solve(*rhs)
+    explained = fit[0] * rhs[0] + fit[1] * rhs[1] + fit[2] * rhs[2]
+    g = sums[7] - (fit[0][0] * rhs[0, 1] + fit[1][0] * rhs[1, 1] + fit[2][0] * rhs[2, 1])
+    state = np.empty((5,) + alpha.shape)
+    state[_A], state[_B], state[_C] = a[0] + fit[0][0], b[0] + fit[1][0], cc[0] + fit[2][0]
+    state[_SSR] = sums[6] - explained[0]
+    state[_STEP] = g / (sums[8] - explained[1])
+    return state
+
+
+def _fringe_polish(p, y, alpha):
+    """Damped Gauss-Newton on alpha of every column, the linear part
+    projected out (Golub & Pereyra 1973, Kaufman's Jacobian).
+
+    A step is rejected if it makes any term non-finite or raises the SSR by
+    more than the SSR's rounding error; within that rounding error the SSR
+    cannot rank two points, so there the step must also shrink the
+    undamped step, and alpha must stay positive. A rejected step multiplies
+    the damping by 10; an accepted one divides it by 10, unless the
+    gradient's secant shows Gauss-Newton converging slowly, when the secant
+    sets it. Each heater stops on its own once its undamped step is below
+    _FIT_STEP_TOL alpha or no damping gives a better point. Every operation
+    acts on each column alone. Returns the final (alpha, state) and a mask
+    of the heaters that stopped within _FIT_ITERATIONS.
+    """
+    final_alpha = np.empty_like(alpha)
+    final_state = np.empty((5,) + alpha.shape)
+    stopped = np.zeros(alpha.shape, bool)
+    live = np.arange(alpha.size)
+    with np.errstate(all="ignore"):
+        sy = column_sums(y)
+        # each residual carries a rounding error of about eps |y|
+        rounding = 4.0 * np.finfo(float).eps * np.sqrt(column_sums(y * y))
+        state = _fringe_state(p, y, sy, alpha)
+        damping = np.full(alpha.shape, _FIT_DAMPING)
+        for iteration in range(_FIT_ITERATIONS + 1):
+            going = (np.abs(state[_STEP]) > _FIT_STEP_TOL * alpha) & (
+                damping <= _FIT_MAX_DAMPING
+            )
+            if not going.all():
+                done = live[~going]
+                final_alpha[done], final_state[:, done] = alpha[~going], state[:, ~going]
+                stopped[done] = True
+                live, alpha, state, damping = (
+                    live[going], alpha[going], state[:, going], damping[going]
+                )
+                p, y, sy, rounding = p[:, going], y[:, going], sy[going], rounding[going]
+            if live.size == 0 or iteration == _FIT_ITERATIONS:
+                break
+            a_try = alpha + state[_STEP] / (1.0 + damping)
+            trial = _fringe_state(p, y, sy, a_try)
+            band = rounding * np.sqrt(state[_SSR])
+            # alpha = 0 is a degenerate fringe, which no step may cross
+            better = np.isfinite(trial).all(0) & (a_try > 0.0) & (
+                (trial[_SSR] < state[_SSR] - band)
+                | (trial[_SSR] <= state[_SSR] + band)
+                & (np.abs(trial[_STEP]) < np.abs(state[_STEP]))
+            )
+            # the change of the gradient over an accepted step measures the
+            # curvature Gauss-Newton leaves out (large residuals); where the
+            # next undamped step turns back by over half of the last one, or
+            # continues at over half its size, the secant ratio of true to
+            # Gauss-Newton curvature sets the damping, below zero to lengthen
+            # the step
+            turn = trial[_STEP] / state[_STEP]
+            secant = (np.abs(turn) > 0.5) & (turn < 0.9)
+            alpha = np.where(better, a_try, alpha)
+            state = np.where(better, trial, state)
+            damping = np.where(
+                better,
+                np.where(secant, (1.0 + damping) * (1.0 - turn) - 1.0, damping / 10.0),
+                np.maximum(damping * 10.0, _FIT_DAMPING),
+            )
+    final_alpha[live], final_state[:, live] = alpha, state
+    return final_alpha, final_state, stopped
+
+
+def _sweep_defect(finite, distinct, constant):
+    """The first input check a sweep of >= 8 samples fails, or None."""
+    if not finite:
+        return "non-finite sweep data"
+    # fewer than 4 distinct powers fit the 4-parameter model at any alpha
+    if distinct < 4:
+        return "degenerate voltage grid"
+    if constant:
+        return "constant signal"
+    return None
+
+
+def fit_phase_responses(power, signal, heater_ids):
+    """Recover (phi0, alpha) of every heater from a (k, m) stack of fringe
+    sweeps: signal against power p = v^2 / R.
+
+    Model: signal = A + B * cos(alpha * p + phi0). An FFT of each sweep
+    seeds alpha, a 101-point grid over 0.75-1.25 times the seed refines it,
+    and a Gauss-Newton polish on alpha alone, with (A, B, C) projected out,
+    converges to the least-squares optimum. Every operation acts on each
+    heater alone, so a heater's fit is the same bits in any stack. Raises
+    FitDegeneracyError for the first heater, in stack order, whose data
+    cannot pin the parameters down (too few samples or distinct powers,
+    non-finite data, a flat fringe, a swept span under one period) or whose
+    polish does not converge. Returns one CalibrationEntry per heater.
+    """
+    power = np.asarray(power, dtype=float)
+    signal = np.asarray(signal, dtype=float)
+    k, m = power.shape
+    if k and m < 8:
+        raise FitDegeneracyError(f"{heater_ids[0]}: need >= 8 samples, got {m}")
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(power).all(1) & np.isfinite(signal).all(1)
+        ordered = np.sort(power, axis=1)
+        distinct = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(1)
+        constant = signal.max(1) - signal.min(1) < 1e-12
+    defects = (_sweep_defect(*checks) for checks in zip(finite, distinct, constant))
+    bad = next(
+        ((i, why) for i, why in enumerate(defects) if why is not None), (k, None)
+    )
+    # the heaters before the first bad sweep are fitted, and a failure
+    # among them is raised first, as a heater-order loop would
+    fitted = bad[0]
+    power, signal = power[:fitted], signal[:fitted]
+    low, high = ordered[:fitted, 0], ordered[:fitted, -1]
+    span = high - low
+    seed = _fringe_seeds(power, signal, low, high)
+    p, y = power.T.copy(), signal.T.copy()
+    grid_step = _ALPHA_GRID[1] - _ALPHA_GRID[0]
+    best = np.empty(fitted)
+    chunk = max(1, _SCREEN_CELLS // (_ALPHA_GRID.size * m))
+    for start in range(0, fitted, chunk):
+        cols = slice(start, start + chunk)
+        best[cols] = _fringe_screen(
+            p[:, cols], y[:, cols], seed[cols] * _ALPHA_GRID[0],
+            seed[cols] * grid_step, _ALPHA_GRID.size,
+        )
+    alpha, state, converged = _fringe_polish(
+        p, y, seed * (_ALPHA_GRID[0] + best * grid_step)
+    )
+
+    entries = []
+    for i in range(fitted):
+        hid = heater_ids[i]
+        a, c1, c2 = float(alpha[i]), float(state[_B, i]), float(state[_C, i])
+        if a < 0:
+            a, c2 = -a, -c2
+        if math.hypot(c1, c2) < 1e-9:
+            raise FitDegeneracyError(f"{hid}: vanishing fringe")
+        if not converged[i]:
+            raise FitDegeneracyError(
+                f"{hid}: fit did not converge in {_FIT_ITERATIONS} iterations"
+            )
+        if a * span[i] < TWO_PI:
+            raise FitDegeneracyError(
+                f"{hid}: swept span {a * span[i]:.3f} rad "
+                "covers less than one fringe period"
+            )
+        entries.append(
+            CalibrationEntry(
+                heater_id=hid,
+                phi0_rad=float(wrap_phase(math.atan2(-c2, c1))),
+                alpha_rad_per_w=a,
+                residual=math.sqrt(float(state[_SSR, i]) / m),
+            )
+        )
+    if bad[1] is not None:
+        raise FitDegeneracyError(f"{heater_ids[bad[0]]}: {bad[1]}")
+    return entries
 
 
 def fit_phase_response(sweep, resistance_ohm):
-    """Recover (phi0, alpha) from one fringe sweep.
-
-    Model: signal = A + B * cos(alpha * p + phi0) with p = v^2 / R. A coarse
-    FFT stage locates the fringe frequency, a grid of linear least-squares
-    fits refines it, and a full nonlinear polish finishes. Raises
-    FitDegeneracyError when the data cannot pin the parameters down (too few
-    samples or distinct powers, non-finite data, a flat fringe, or a swept
-    span under one period).
-    """
+    """fit_phase_responses of one sweep: the same fit, bit for bit."""
     v = np.asarray(sweep.voltages_v, dtype=float)
     signal = np.asarray(sweep.signal, dtype=float)
     if v.shape != signal.shape:
         raise FitDegeneracyError(
             f"{sweep.heater_id}: {v.size} voltages for {signal.size} signal samples"
         )
-    if v.size < 8:
-        raise FitDegeneracyError(
-            f"{sweep.heater_id}: need >= 8 samples, got {v.size}"
-        )
-    if not (np.isfinite(v).all() and np.isfinite(signal).all()):
-        raise FitDegeneracyError(f"{sweep.heater_id}: non-finite sweep data")
-    power = v**2 / float(resistance_ohm)
-    span = float(np.ptp(power))
-    # fewer than 4 distinct powers fit the 4-parameter model at any alpha
-    if np.unique(power).size < 4:
-        raise FitDegeneracyError(f"{sweep.heater_id}: degenerate voltage grid")
-    if float(np.ptp(signal)) < 1e-12:
-        raise FitDegeneracyError(f"{sweep.heater_id}: constant signal")
-
-    # power is quadratic in the swept voltage, so resample onto a uniform
-    # power grid before asking the FFT for the fringe frequency
-    m = 8 * v.size
-    p_uniform = np.linspace(power.min(), power.max(), m)
-    resampled = np.interp(p_uniform, power, signal)
-    spectrum = np.abs(np.fft.rfft(resampled - resampled.mean()))
-    k = int(np.argmax(spectrum[1:])) + 1
-    alpha_init = TWO_PI * k / (m * (span / (m - 1)))
-
-    # screen the alpha grid in one pass, then refit exactly, in grid order,
-    # every alpha screened within the window of the best. The exact winner
-    # is missed only if the screen errs by more than half the window, over
-    # 3000 times the screen's error bound at m = 200, so the winner and its
-    # coefficients are those of a per-alpha loop over the grid
-    alphas = alpha_init * np.linspace(0.75, 1.25, 101)
-    screened = _fringe_screen(power, signal, alphas)
-    window = 1e-9 * float(np.sqrt(np.mean(signal**2)))
-    best = None
-    for alpha in alphas[screened <= screened.min() + window]:
-        coef, rms = _fringe_lstsq(power, signal, alpha)
-        if best is None or rms < best[2]:
-            best = (alpha, coef, rms)
-    alpha0, (a0, c1, c2), _ = best
-
-    def model(p, a, x, y, al):
-        return a + x * np.cos(al * p) + y * np.sin(al * p)
-
-    try:
-        # only the parameters are used, so an indeterminate covariance is moot
-        with ignoring_warnings(OptimizeWarning):
-            params, _ = curve_fit(
-                model,
-                power,
-                signal,
-                p0=(a0, c1, c2, alpha0),
-                maxfev=20000,
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-            )
-    except RuntimeError as exc:
-        raise FitDegeneracyError(f"{sweep.heater_id}: fit failed: {exc}")
-    a, c1, c2, alpha = (float(x) for x in params)
-    if alpha < 0:
-        alpha, c2 = -alpha, -c2
-    amplitude = float(np.hypot(c1, c2))
-    if amplitude < 1e-9:
-        raise FitDegeneracyError(f"{sweep.heater_id}: vanishing fringe")
-    if alpha * span < TWO_PI:
-        raise FitDegeneracyError(
-            f"{sweep.heater_id}: swept span {alpha * span:.3f} rad "
-            "covers less than one fringe period"
-        )
-    phi0 = wrap_phase(float(np.arctan2(-c2, c1)))
-    fitted = model(power, a, c1, c2, alpha)
-    rms = float(np.sqrt(np.mean((fitted - signal) ** 2)))
-    return CalibrationEntry(
-        heater_id=sweep.heater_id,
-        phi0_rad=phi0,
-        alpha_rad_per_w=alpha,
-        residual=rms,
-    )
+    power = v.reshape(1, -1) ** 2 / float(resistance_ohm)
+    return fit_phase_responses(power, signal.reshape(1, -1), [sweep.heater_id])[0]
 
 
 @dataclass(frozen=True)
@@ -519,18 +728,15 @@ class CalibrationRecord:
 
 
 def calibrate_profile(profile, points=64, seed=0, detector_noise_sigma=0.0):
-    """Sweep and fit every heater; returns a CalibrationRecord."""
-    entries = {}
-    for hid, resistance in zip(profile.heater_ids, profile.resistance_ohm.tolist()):
-        sweep = simulate_calibration_sweep(
-            profile,
-            hid,
-            points=points,
-            seed=seed,
-            detector_noise_sigma=detector_noise_sigma,
-        )
-        entries[hid] = fit_phase_response(sweep, resistance)
-    return CalibrationRecord(entries=entries)
+    """Sweep every heater over its default grid, as simulate_calibration_sweep
+    does, and fit all sweeps at once; returns a CalibrationRecord."""
+    v = np.linspace(0.0, profile.v_max_v, points, axis=1)
+    index = np.arange(len(profile.heater_ids))
+    signal = _sweep_signals(profile, index, v, seed, detector_noise_sigma)
+    entries = fit_phase_responses(
+        v**2 / profile.resistance_ohm[:, None], signal, profile.heater_ids
+    )
+    return CalibrationRecord(entries={e.heater_id: e for e in entries})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ import mpmath
 import numpy as np
 
 from . import analysis, hardware, mesh
-from .util import TWO_PI, MeshsimError, ValidationError, child_seed, wrap_phase
+from .util import (
+    TWO_PI,
+    MeshsimError,
+    ValidationError,
+    child_seed,
+    column_sums,
+    wrap_phase,
+)
 
 BAR = "bar"
 CROSS = "cross"
@@ -393,22 +400,6 @@ _GAMMA, _SSR, _GC, _GW, _MCC, _MCW, _MWW = range(7)
 _SGG, _SGC, _SGW, _SCC, _SCW, _SWW, _SIZE = range(7, 14)
 
 
-def _column_sums(x):
-    """Sums over axis 0 by a pairwise tree fixed by len(x) alone.
-
-    Every column's sum is then the same bits whatever the other columns,
-    their number or their memory alignment; numpy's own reductions change
-    their summation order with the array's shape.
-    """
-    while len(x) > 1:
-        half = len(x) // 2
-        head = x[:half] + x[half : 2 * half]
-        if len(x) % 2:
-            head[0] += x[-1]
-        x = head
-    return x[0]
-
-
 def _project(t, z, center, width, offset):
     """Variable projection of scans z (m, k) onto the dip g = exp(-u^2/2),
     u = (t - center) / width, at a fixed (center, width) per column.
@@ -432,7 +423,7 @@ def _project(t, z, center, width, offset):
     )):
         np.multiply(a, b, out=terms[:, row])
     terms[:, 7], terms[:, 8], terms[:, 9], terms[:, 10] = g, hc, hw, z
-    sums = _column_sums(terms)
+    sums = column_sums(terms)
     sgg, sgc, sgw, scc, scw, sww, sgz, sg, sc, sw, sz = sums
     if offset:
         # projecting off the constant first centres every column
@@ -442,7 +433,7 @@ def _project(t, z, center, width, offset):
     gamma = sgz / sgg
     alpha = (sz - gamma * sg) / m if offset else 0.0
     r = z - alpha - gamma * g
-    ssr, gc, gw = _column_sums(np.stack([r * r, hc * r, hw * r], 1))
+    ssr, gc, gw = column_sums(np.stack([r * r, hc * r, hw * r], 1))
     mcc, mcw, mww = scc - sgc * sgc / sgg, scw - sgc * sgw / sgg, sww - sgw * sgw / sgg
     size = np.maximum(
         np.abs(mww * gc - mcw * gw), np.abs(mcc * gw - mcw * gc)
@@ -466,7 +457,7 @@ def _lm_fit(t, z, center, width, offset):
     center, width = center.copy(), width.copy()
     state = _project(t, z, center, width, offset)
     # each residual carries a rounding error of about eps |z|
-    rounding = 4.0 * np.finfo(float).eps * np.sqrt(_column_sums(z * z))
+    rounding = 4.0 * np.finfo(float).eps * np.sqrt(column_sums(z * z))
     damping = np.full(center.shape, _FIT_DAMPING)
     live = np.arange(center.size)
     # a center far off the scan fits noise with the flank of a huge dip
@@ -543,7 +534,7 @@ def _fit_dips(d, y):
         # the starting guesses
         low = np.argmin(y, axis=0)
         upper = y >= np.median(y, axis=0)
-        b0 = _column_sums(np.where(upper, y, 0.0)) / upper.sum(0)
+        b0 = column_sums(np.where(upper, y, 0.0)) / upper.sum(0)
         b0 = np.where(b0 > 0, b0, np.maximum(y.max(0), 1e-9))
         below = y <= b0 - 0.5 * (b0 - y.min(0))
         spread = np.where(below, t, -np.inf).max(0) - np.where(below, t, np.inf).min(0)
@@ -555,7 +546,7 @@ def _fit_dips(d, y):
         width = np.abs(width)
         off = np.abs(t - center) > 2.0 * width
         count = off.sum(0)
-        baseline = _column_sums(np.where(off, y, 0.0)) / count
+        baseline = column_sums(np.where(off, y, 0.0)) / count
         if np.any(count == 0):
             raise ValidationError(
                 "baseline undefined: no samples beyond two widths from the dip"
@@ -578,11 +569,12 @@ def _fit_dips(d, y):
             hh[0] * hh[2] - hh[1] * hh[1]
         )
         sigma = np.sqrt(s[_SSR] / (m - 3) / (b * b * s[_SGG] - coupled))
-        # a degenerate covariance falls back to the relative rms residual
-        # so only genuinely bad fits get flagged
-        sigma = np.where(
-            np.isfinite(sigma) & (sigma > 0), sigma, np.sqrt(s[_SSR] / m) / b
-        )
+        # a degenerate covariance falls back to the relative rms residual;
+        # with any residual left it also marks the fit uncertain (a dip
+        # narrower than the gap it sits in fits noise as a perfect V = 1)
+        degenerate = ~(np.isfinite(sigma) & (sigma > 0))
+        sigma = np.where(degenerate, np.sqrt(s[_SSR] / m) / b, sigma)
+        degenerate &= s[_SSR] > 0
     return [
         GaussianDipFit(
             visibility=float(visibility[j]),
@@ -590,9 +582,7 @@ def _fit_dips(d, y):
             width_um=float(abs(width[j])),
             baseline=float(baseline[j]),
             visibility_sigma=float(sigma[j]),
-            uncertain=bool(
-                not np.isfinite(sigma[j]) or visibility[j] < 3.0 * sigma[j]
-            ),
+            uncertain=bool(degenerate[j] or visibility[j] < 3.0 * sigma[j]),
         )
         for j in range(len(center))
     ]

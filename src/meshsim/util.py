@@ -5,17 +5,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
-import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-# warnings.catch_warnings swaps process-wide filter state, so concurrent
-# suppression blocks must not interleave
-_WARNINGS_LOCK = threading.Lock()
 
 
 class MeshsimError(Exception):
@@ -60,12 +53,21 @@ def wrap_signed(x):
     return np.pi - np.mod(np.pi - np.asarray(x), TWO_PI)
 
 
-@contextmanager
-def ignoring_warnings(category):
-    """Silence warnings of `category` in the block, one thread at a time."""
-    with _WARNINGS_LOCK, warnings.catch_warnings():
-        warnings.simplefilter("ignore", category)
-        yield
+def column_sums(x):
+    """Sums over axis 0 by a pairwise tree fixed by len(x) alone.
+
+    Every column's sum is then the same bits whatever the other columns,
+    their number or their memory alignment; numpy's own reductions change
+    their summation order with the array's shape.
+    """
+    n = len(x)
+    while n > 1:
+        half = n // 2
+        head = x[:half] + x[half : 2 * half]
+        if n % 2:
+            head[0] += x[n - 1]
+        x, n = head, half
+    return x[0]
 
 
 def child_seed(seed, index):

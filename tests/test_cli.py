@@ -24,9 +24,11 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats adds about half a second to every CLI start-up; no module
-    # on the CLI's import path may pull it in
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # scipy.stats adds about half a second to every CLI start-up and
+    # scipy.optimize about a quarter; no module on the CLI's import path may
+    # pull either in
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -34,7 +36,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, meshsim.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, meshsim.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.strip() == "False"

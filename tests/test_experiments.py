@@ -43,17 +43,26 @@ SMALL_CONFIGS = {
 }
 
 
-def _golden_check(name, payload_bytes):
-    """Byte-compare against tests/goldens/<name>; write it on first run."""
+def _golden_compare(name, payload_bytes):
+    """Byte-compare against tests/goldens/<name>, or write it if missing.
+
+    Returns True when the golden was created."""
     path = os.path.join(GOLDEN_DIR, name)
     if not os.path.exists(path):
         os.makedirs(GOLDEN_DIR, exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(payload_bytes)
-        pytest.skip(f"golden {name} created; rerun to compare")
+        return True
     with open(path, "rb") as handle:
         expected = handle.read()
     assert payload_bytes == expected, f"payload drifted from golden {name}"
+    return False
+
+
+def _golden_check(name, payload_bytes):
+    """Byte-compare against tests/goldens/<name>; write it on first run."""
+    if _golden_compare(name, payload_bytes):
+        pytest.skip(f"golden {name} created; rerun to compare")
 
 
 def test_config_defaults():
@@ -176,9 +185,16 @@ def test_campaign_csv_golden(kind):
         for name in os.listdir(GOLDEN_DIR)
         if name.startswith(f"{kind}.") and name.endswith(".csv")
     )
-    assert sorted(csv_files) == pinned
-    for name, text in csv_files.items():
-        _golden_check(f"{kind}.{name}", text.encode())
+    # a pinned golden the campaign no longer writes fails; a CSV without a
+    # golden is written and the test skipped, as for the JSON goldens
+    assert not set(pinned) - set(csv_files), "pinned CSV goldens not written"
+    created = [
+        name
+        for name, text in sorted(csv_files.items())
+        if _golden_compare(f"{kind}.{name}", text.encode())
+    ]
+    if created:
+        pytest.skip(f"CSV goldens {created} created; rerun to compare")
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -191,10 +192,40 @@ def test_fit_degeneracies():
         fit_phase_response(SweepRecord("c03r04.theta", v, fringe[:79]), 100.0)
 
 
+_SPAN = re.compile(r"swept span [0-9.]+")
+
+
+def _fringe_ssr(sweep, resistance, entry):
+    # the least SSR over (A, B, C) at the entry's alpha, by lstsq
+    power = np.asarray(sweep.voltages_v) ** 2 / resistance
+    phase = entry.alpha_rad_per_w * power
+    basis = np.column_stack([np.ones_like(power), np.cos(phase), np.sin(phase)])
+    coef = np.linalg.lstsq(basis, sweep.signal, rcond=None)[0]
+    return float(np.sum((sweep.signal - basis @ coef) ** 2))
+
+
+def _reaches_oracle_optimum(sweep, resistance, got, want):
+    """The fit ends at least as low as the curve_fit oracle and on the same
+    (alpha, phi0), or raises the oracle's FitDegeneracyError. A span under
+    one period is the same failure whatever span the message reports: on
+    an aliased sweep both fits can run off towards alpha = 0, where the
+    point each stops at is arbitrary."""
+    if isinstance(want, str) or isinstance(got, str):
+        return _SPAN.sub("swept span", got) == _SPAN.sub("swept span", want)
+    ours, theirs = (_fringe_ssr(sweep, resistance, e) for e in (got, want))
+    # below the SSR's rounding error two fits cannot be ranked
+    floor = sweep.signal.size * (64 * np.finfo(float).eps * np.max(np.abs(sweep.signal))) ** 2
+    return (
+        ours <= theirs * (1.0 + 1e-9) + floor
+        and abs(got.alpha_rad_per_w - want.alpha_rad_per_w) <= 1e-7 * want.alpha_rad_per_w
+        and abs(wrap_signed(got.phi0_rad - want.phi0_rad)) <= 1e-6
+    )
+
+
 def test_fit_keeps_covariance_warning_inside():
-    # a noiseless fringe through phi0 = 0 ends on a singular Jacobian, so
-    # curve_fit cannot estimate the covariance and warns; the fit uses only
-    # the parameters, which must be the oracle's
+    # a noiseless fringe through phi0 = 0 ends on a singular Jacobian, where
+    # the curve_fit oracle warns that it cannot estimate the covariance; the
+    # projected fit emits no warning and reaches the oracle's optimum
     v = np.linspace(0.0, 10.0, 8)
     sweep = SweepRecord("h", v, 0.5 + 0.5 * np.cos(6.0 * v**2 / 50.0))
     with warnings.catch_warnings(record=True) as caught:
@@ -203,7 +234,8 @@ def test_fit_keeps_covariance_warning_inside():
     assert any("Covariance" in str(w.message) for w in caught)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fit_phase_response(sweep, 50.0) == expected
+        got = fit_phase_response(sweep, 50.0)
+    assert _reaches_oracle_optimum(sweep, 50.0, got, expected)
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +268,7 @@ def test_fit_equals_grid_oracle_on_every_heater_n20(sigma, points):
         )
         r = prof.heaters[hid].resistance_ohm
         got = _fit_outcome(fit_phase_response, sweep, r)
-        assert got == _oracle_outcome(sweep, r), hid
+        assert _reaches_oracle_optimum(sweep, r, got, _oracle_outcome(sweep, r)), hid
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,24 +289,87 @@ def test_fit_equals_grid_oracle_property(
     signal = signal + rng.normal(0.0, sigma, points)
     sweep = SweepRecord("h", v, signal)
     got = _fit_outcome(fit_phase_response, sweep, resistance)
-    assert got == _oracle_outcome(sweep, resistance)
+    assert _reaches_oracle_optimum(
+        sweep, resistance, got, _oracle_outcome(sweep, resistance)
+    )
 
 
-@pytest.mark.parametrize("sigma", [0.0, 0.05])
-def test_fit_confirms_few_grid_points(monkeypatch, sigma):
-    # the screen leaves about one exact refit per heater; a window that
-    # widened back towards the whole 101-point grid would fail here
-    calls = []
-    exact = hardware._fringe_lstsq
+def _at_offset(values, offset):
+    # a copy of values starting `offset` bytes into a fresh buffer
+    raw = np.zeros(values.size * 8 + 64, np.uint8)
+    view = raw[offset : offset + values.size * 8].view(float).reshape(values.shape)
+    view[...] = values
+    return view
 
-    def counted(*args):
-        calls.append(args[2])
-        return exact(*args)
 
-    monkeypatch.setattr(hardware, "_fringe_lstsq", counted)
+def _entry_hex(outcome):
+    if isinstance(outcome, str):
+        return outcome
+    return (
+        outcome.heater_id,
+        outcome.phi0_rad.hex(),
+        outcome.alpha_rad_per_w.hex(),
+        outcome.residual.hex(),
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.05])
+def test_fringe_fit_is_batch_invariant(sigma):
+    # every operation acts on each heater alone, so a heater fits to the
+    # same bits alone, in a stack of 7, in the full n=20 stack and from
+    # inputs at any memory offset
     prof = _calibrated20()
-    calibrate_profile(prof, detector_noise_sigma=sigma)
-    assert len(calls) <= 2 * len(prof.heater_ids)
+    sweeps = [
+        simulate_calibration_sweep(prof, hid, seed=5, detector_noise_sigma=sigma)
+        for hid in prof.heater_ids
+    ]
+    power = np.stack([s.voltages_v for s in sweeps]) ** 2 / prof.resistance_ohm[:, None]
+    signal = np.stack([s.signal for s in sweeps])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [
+            _entry_hex(fit_phase_response(s, r))
+            for s, r in zip(sweeps, prof.resistance_ohm.tolist())
+        ]
+        full = hardware.fit_phase_responses(power, signal, prof.heater_ids)
+        assert [_entry_hex(e) for e in full] == alone
+        picks = np.random.default_rng(np.random.SeedSequence([5, 2])).choice(
+            len(sweeps), 7, replace=False
+        )
+        seven = hardware.fit_phase_responses(
+            power[picks], signal[picks], [prof.heater_ids[i] for i in picks]
+        )
+        assert [_entry_hex(e) for e in seven] == [alone[i] for i in picks]
+        record = calibrate_profile(prof, seed=5, detector_noise_sigma=sigma)
+        assert [_entry_hex(record.entries[h]) for h in prof.heater_ids] == alone
+        for i in picks[:3]:
+            for offset in range(0, 64, 8):
+                got = fit_phase_response(
+                    SweepRecord(
+                        prof.heater_ids[i],
+                        _at_offset(sweeps[i].voltages_v, offset),
+                        _at_offset(sweeps[i].signal, offset),
+                    ),
+                    prof.resistance_ohm[i],
+                )
+                assert _entry_hex(got) == alone[i], (i, offset)
+
+
+def test_fit_raises_the_first_failure_in_stack_order():
+    # a batch raises what a heater-order loop of single fits raises first
+    v = np.linspace(0.0, 10.0, 40)
+    p = v**2 / 100.0
+    good = 0.5 + 0.5 * np.cos(9.2 * p + 0.4)
+    slow = 0.5 + 0.5 * np.cos(4.0 * p + 0.2)
+    flat = np.full(40, 0.25)
+    power = np.stack([p] * 4)
+    with pytest.raises(FitDegeneracyError, match="^b: swept span"):
+        hardware.fit_phase_responses(power, np.stack([good, slow, flat, good]), "abcd")
+    with pytest.raises(FitDegeneracyError, match="^b: constant signal"):
+        hardware.fit_phase_responses(power, np.stack([good, flat, slow, good]), "abcd")
+    entries = hardware.fit_phase_responses(power[:2], np.stack([good, good]), "ab")
+    assert [e.heater_id for e in entries] == ["a", "b"]
+    assert entries[0].alpha_rad_per_w == pytest.approx(9.2, rel=1e-12)
 
 
 def test_noiseless_calibration_recovers_profile():

@@ -267,6 +267,16 @@ def test_fit_flat_data_flagged_uncertain():
     assert fit.uncertain
 
 
+@pytest.mark.parametrize("seed", [71, 195, 1171])
+def test_dip_fit_on_flat_noise_with_degenerate_covariance_is_uncertain(seed):
+    # flat noise fitted by a dip narrower than the gap it sits in: the
+    # covariance is not finite, and the clipped V = 1 must not pass as certain
+    grid = default_delay_grid()
+    values = 1 + 0.02 * np.random.default_rng(seed).standard_normal(grid.size)
+    fit = fit_gaussian_dip(grid, values)
+    assert fit.uncertain
+
+
 def test_fit_validation_errors():
     grid = default_delay_grid()
     with pytest.raises(ValidationError):
