@@ -615,6 +615,8 @@ def fit_phase_responses(power, signal, heater_ids):
     """
     power = np.asarray(power, dtype=float)
     signal = np.asarray(signal, dtype=float)
+    if power.ndim != 2 or signal.shape != power.shape or len(heater_ids) != len(power):
+        raise ValidationError("power and signal must be (k, m) stacks for k heaters")
     k, m = power.shape
     if k and m < 8:
         raise FitDegeneracyError(f"{heater_ids[0]}: need >= 8 samples, got {m}")

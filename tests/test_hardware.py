@@ -367,6 +367,8 @@ def test_fit_raises_the_first_failure_in_stack_order():
         hardware.fit_phase_responses(power, np.stack([good, slow, flat, good]), "abcd")
     with pytest.raises(FitDegeneracyError, match="^b: constant signal"):
         hardware.fit_phase_responses(power, np.stack([good, flat, slow, good]), "abcd")
+    with pytest.raises(ValidationError, match="stacks"):
+        hardware.fit_phase_responses(power, np.stack([good] * 3), "abcd")
     entries = hardware.fit_phase_responses(power[:2], np.stack([good, good]), "ab")
     assert [e.heater_id for e in entries] == ["a", "b"]
     assert entries[0].alpha_rad_per_w == pytest.approx(9.2, rel=1e-12)
