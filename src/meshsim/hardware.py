@@ -143,9 +143,9 @@ class HardwareProfile:
 
     phi0_rad, resistance_ohm and v_max_v are read-only arrays in
     heater_order(n); each heater's alpha is its entry on the crosstalk
-    diagonal. The static splitting-ratio errors are drawn from the
-    disorder seed at construction. Build a changed device with
-    dataclasses.replace.
+    diagonal. The static splitting-ratio errors and their coupler_terms
+    are drawn from the disorder seed at construction. Build a changed
+    device with dataclasses.replace.
     """
 
     name: str
@@ -162,6 +162,7 @@ class HardwareProfile:
     phi_noise_sigma_rad: float = 0.0
     disorder_seed: int = 0
     splitter_errors: np.ndarray = field(init=False, repr=False, compare=False)
+    coupler_terms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = heater_order(self.n)
@@ -205,8 +206,13 @@ class HardwareProfile:
             np.random.SeedSequence([int(self.disorder_seed), _STATIC_STREAM])
         )
         eps = rng.normal(0.0, self.splitter_error_sigma_rad, (len(order) // 2, 2))
-        eps.setflags(write=False)
-        object.__setattr__(self, "splitter_errors", eps)
+        # cos/sin of the inner (1) and outer (2) coupling angles pi/4 + eps,
+        # as the products c1 c2, s1 s2, c1 s2, s1 c2 the cell kernel takes
+        (c1, c2), (s1, s2) = np.cos(np.pi / 4 + eps.T), np.sin(np.pi / 4 + eps.T)
+        terms = np.array([c1 * c2, s1 * s2, c1 * s2, s1 * c2])
+        for name, values in (("splitter_errors", eps), ("coupler_terms", terms)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def heater_ids(self):
@@ -878,31 +884,27 @@ def realized_heater_phases(profile, powers_w):
 # realized (noisy, lossy) transfers
 
 
-def _couplers(kappa):
-    """Stacked 2x2 directional couplers, one per coupling angle."""
-    out = np.empty(kappa.shape + (2, 2), dtype=complex)
-    out[:, 0, 0] = out[:, 1, 1] = np.cos(kappa)
-    out[:, 0, 1] = out[:, 1, 0] = 1j * np.sin(kappa)
-    return out
+def _noisy_transfers(theta, phi, coupler_terms):
+    """Physical unit cells -i C2 diag(e^{i theta}, 1) C1 diag(e^{i phi}, 1):
+    two imperfect 50:50 couplers around the theta shifter, after the phi
+    shifter, in closed form from HardwareProfile.coupler_terms:
 
+        t00 = -i (cc e^{i theta} - ss) e^{i phi}    t01 = sc e^{i theta} + cs
+        t10 = (cs e^{i theta} + sc) e^{i phi}       t11 = -i (cc - ss e^{i theta})
 
-def _phase_shifters(phase):
-    """Stacked diag(exp(i * phase), 1) shifters on the upper mode."""
-    out = np.zeros(phase.shape + (2, 2), dtype=complex)
-    out[:, 0, 0] = np.exp(1j * phase)
-    out[:, 1, 1] = 1.0
-    return out
-
-
-def _noisy_transfers(theta, phi, eps):
-    """Physical unit cells: two imperfect 50:50 couplers (splitting errors
-    eps[:, 0] inner, eps[:, 1] outer) around the theta shifter, preceded by
-    the phi shifter. Returns the (k, 2, 2) stack mesh.propagate takes."""
-    inner = _couplers(np.pi / 4 + eps[:, 0])
-    outer = _couplers(np.pi / 4 + eps[:, 1])
-    return np.exp(-0.5j * np.pi) * (
-        outer @ _phase_shifters(theta) @ inner @ _phase_shifters(phi)
-    )
+    Real elementwise * and + only, so a cell's bits depend on neither the
+    stack shape nor the SIMD dispatch. Returns the (..., 2, 2) stack
+    mesh.propagate takes."""
+    cc, ss, cs, sc = coupler_terms
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    x, y = cc * ct - ss, cc * st
+    u, v = cs * ct + sc, cs * st
+    parts = np.stack([
+        y * cp + x * sp, y * sp - x * cp, sc * ct + cs, sc * st,
+        u * cp - v * sp, u * sp + v * cp, -ss * st, ss * ct - cc,
+    ], axis=-1)
+    return parts.view(complex).reshape(np.shape(theta) + (2, 2))
 
 
 def realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
@@ -957,23 +959,17 @@ def realized_transfers(profile, theta, phi, output_phases, seeds):
 
 def _realize_chunk(profile, theta, phi, output_phases, seeds):
     """Unchecked realized transfers of one chunk of programs."""
-    k, count = theta.shape
     jitter = np.stack([
         np.random.default_rng(
             np.random.SeedSequence([int(seed), _JITTER_STREAM])
-        ).standard_normal((count, 2))
+        ).standard_normal((theta.shape[1], 2))
         for seed in seeds
     ])
-    jitter[..., 0] *= profile.theta_noise_sigma_rad
-    jitter[..., 1] *= profile.phi_noise_sigma_rad
-    # one flat pass over every cell of the chunk: a broadcast (cells, 2, 2)
-    # against (k, cells, 2, 2) product runs slower than the flat stack
+    jitter *= [profile.theta_noise_sigma_rad, profile.phi_noise_sigma_rad]
     transfers = _noisy_transfers(
-        (theta + jitter[..., 0]).ravel(),
-        (phi + jitter[..., 1]).ravel(),
-        np.tile(profile.splitter_errors, (k, 1)),
+        theta + jitter[..., 0], phi + jitter[..., 1], profile.coupler_terms
     )
-    return lossy_products(transfers.reshape(k, count, 2, 2), output_phases, profile)
+    return lossy_products(transfers, output_phases, profile)
 
 
 def _stack_of_one(profile, settings):
@@ -999,7 +995,9 @@ def measure_amplitude_matrices(profile, theta, phi, output_phases, seeds):
     Power is measured one input at a time and normalized per column, so the
     result is insensitive to any loss that acts uniformly along a column.
     """
-    probs = np.abs(realized_transfers(profile, theta, phi, output_phases, seeds)) ** 2
+    z = realized_transfers(profile, theta, phi, output_phases, seeds)
+    # not np.abs(z) ** 2: the complex abs changes bits with the SIMD dispatch
+    probs = z.real**2 + z.imag**2
     sums = probs.sum(axis=1)
     dark = np.flatnonzero((sums <= 0).any(axis=1))
     if dark.size:

@@ -274,23 +274,25 @@ def propagate(transfers, out, col_start=0, col_stop=None, col_amp=None):
 
     `transfers` stacks one 2x2 matrix per cell in cell_addresses(n) order.
     The cells of a column act on disjoint mode pairs, so each column is one
-    batched product over its pairs. A leading batch axis on both, (k, cells,
+    elementwise update of its row pairs: top' = t00 top + t01 bottom and
+    bottom' = t10 top + t11 bottom. A leading batch axis on both, (k, cells,
     2, 2) transfers and a (k, n, n) `out`, runs k programs through the same
-    products. With `col_amp`, every row is scaled by its per-mode amplitude
-    after each column.
+    arithmetic. With `col_amp`, every row is scaled by its per-mode
+    amplitude after each column.
     """
     n = out.shape[-1]
     bounds = _column_bounds(n)
     for column in range(col_start, n if col_stop is None else col_stop):
         start, stop = bounds[column]
         if stop > start:
-            upper = (..., slice(column % 2, n - 1, 2), slice(None))
-            lower = (..., slice(column % 2 + 1, n, 2), slice(None))
-            pairs = transfers[..., start:stop, :, :] @ np.stack(
-                (out[upper], out[lower]), axis=-2
+            t = transfers[..., start:stop, :, :, None]
+            top = out[..., column % 2 : n - 1 : 2, :]
+            bottom = out[..., column % 2 + 1 : n : 2, :]
+            # both new rows are built from the old ones before either is written
+            top[...], bottom[...] = (
+                t[..., 0, 0, :] * top + t[..., 0, 1, :] * bottom,
+                t[..., 1, 0, :] * top + t[..., 1, 1, :] * bottom,
             )
-            out[upper] = pairs[..., 0, :]
-            out[lower] = pairs[..., 1, :]
         if col_amp is not None:
             out *= col_amp[:, None]
     return out
