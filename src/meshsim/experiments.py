@@ -130,7 +130,7 @@ def _hom_scan_params(params, n):
     ):
         raise UsageError("param 'target' must be [column, row] integers")
     column, row = int(target[0]), int(target[1])
-    if not 0 <= column < n - 1 or row not in mesh.rows_in_column(n, column):
+    if (column, row) not in mesh.cell_address_set(n):
         raise UsageError(
             f"param 'target' ({column}, {row}) is not a cell of an n={n} mesh"
         )

@@ -16,7 +16,6 @@ from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import analysis
 from .mesh import (
@@ -660,8 +659,6 @@ def fit_phase_responses(power, signal, heater_ids):
     for i in range(fitted):
         hid = heater_ids[i]
         a, c1, c2 = float(alpha[i]), float(state[_B, i]), float(state[_C, i])
-        if a < 0:
-            a, c2 = -a, -c2
         if math.hypot(c1, c2) < 1e-9:
             raise FitDegeneracyError(f"{hid}: vanishing fringe")
         if not converged[i]:
@@ -702,7 +699,7 @@ def fit_phase_response(sweep, resistance_ohm):
 class CalibrationRecord:
     """Fitted (phi0, alpha) for every heater of one device.
 
-    Treated as immutable, entries included: solve_voltages keeps the factored
+    Treated as immutable, entries included: solve_voltages keeps the inverted
     drive system of the last profile it was solved against on the record.
     """
 
@@ -801,14 +798,14 @@ def _target_vector(profile, target):
 
 
 def _drive_system(profile, calibration):
-    """(phi0, coupling, lu_factor(coupling)) for one (profile, calibration):
-    the calibrated phi0, the coupling diag(fitted alpha) + the profile's
-    crosstalk, and its LU factor, built once per pair.
+    """(phi0, coupling, inverse) for one (profile, calibration): the
+    calibrated phi0, the coupling diag(fitted alpha) + the profile's
+    crosstalk, and its read-only inverse, built once per pair.
 
     They live in a single slot on the record, keyed by the profile's
-    identity, so a record solved against another profile is refactored,
-    never served a stale factor. Concurrent first calls may each build
-    them; they build identical values, so the unlocked slot write is
+    identity, so a record solved against another profile is inverted
+    again, never served a stale inverse. Concurrent first calls may each
+    build them; they build identical values, so the unlocked slot write is
     harmless.
     """
     memo = calibration._drive_memo
@@ -816,7 +813,9 @@ def _drive_system(profile, calibration):
         return memo[1]
     phi0, alpha = calibration.arrays(profile.heater_ids)
     coupling = np.diag(alpha) + profile.crosstalk.offdiagonal()
-    system = (phi0, coupling, lu_factor(coupling))
+    inverse = np.linalg.inv(coupling)
+    inverse.setflags(write=False)
+    system = (phi0, coupling, inverse)
     object.__setattr__(calibration, "_drive_memo", (profile, system))
     return system
 
@@ -830,20 +829,18 @@ def solve_voltages(profile, calibration, target):
     whose solved power comes out negative (its crosstalk background already
     overshoots the residual) is moved up one branch and the system is
     re-solved; backgrounds are bounded well below 2*pi, so each heater moves
-    at most once. C is LU-factored once per (profile, calibration), so each
-    round is one pair of triangular back-substitutions. Raises
-    InfeasibleError when a required power exceeds a heater's budget.
+    at most once. C is inverted once per (profile, calibration), so each
+    round is one matrix-vector product. Raises InfeasibleError when a
+    required power exceeds a heater's budget.
     """
     order = profile.heater_ids
     t = _target_vector(profile, target)
-    phi0, coupling, (lu, piv) = _drive_system(profile, calibration)
+    phi0, coupling, inverse = _drive_system(profile, calibration)
     p_max = profile.v_max_v**2 / profile.resistance_ohm
 
     residual = wrap_phase(t - phi0)
     for iterations in range(1, SOLVE_MAX_SWEEPS + 1):
-        # scipy's getrs wrapper shifts the pivots to 1-based in place for the
-        # call, so threads sharing the cached factor each need their own copy
-        p = lu_solve((lu, piv.copy()), residual)
+        p = inverse @ residual
         below = p < -1e-12
         if not np.any(below):
             break

@@ -24,11 +24,11 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize"])
 def test_cli_import_leaves_scipy_module_unloaded(module):
-    # scipy.stats adds about half a second to every CLI start-up and
-    # scipy.optimize about a quarter; no module on the CLI's import path may
-    # pull either in
+    # scipy is a test dependency only; importing it would also cost every
+    # CLI start-up (scipy.linalg about a third of a second, scipy.stats half
+    # a second, scipy.optimize a quarter)
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(

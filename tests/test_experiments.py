@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from meshsim import cli, compiler, experiments, hardware
+from meshsim import cli, compiler, experiments, hardware, quantum
 from meshsim.experiments import (
     ExperimentConfig,
     report_payload_bytes,
@@ -141,6 +143,23 @@ def test_config_rejects_bad_param_values():
         validate_config({"kind": "delay-sweep", "n": 2})
 
 
+def test_hom_scan_targets_last_mesh_column():
+    # an n-mode mesh has n columns; the last one holds cells too, which
+    # route_to_tbs routes and hom-map scans
+    cfg = validate_config({"kind": "hom-scan", "n": 4,
+                           "params": {"target": [3, 1]}})
+    assert cfg.params["target"] == [3, 1]
+    report = run_campaign(cfg)
+    plan = quantum.route_to_tbs(4, (3, 1))
+    assert report["results"]["input_pair"] == list(plan.input_pair)
+    assert report["results"]["output_pair"] == list(plan.output_pair)
+    assert 0.0 <= report["summary"]["fit"]["visibility"] <= 1.0
+    for target in ([4, 1], [3, 0]):
+        with pytest.raises(UsageError, match="not a cell"):
+            validate_config({"kind": "hom-scan", "n": 4,
+                             "params": {"target": target}})
+
+
 def test_config_rejects_bad_schema_version():
     with pytest.raises(UsageError, match="schema_version"):
         validate_config({"kind": "platform", "schema_version": 99})
@@ -215,6 +234,32 @@ def test_campaigns_start_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for kind in ("fidelity-perm", "hom-map", "calibration"):
         run_campaign(validate_config(dict(SMALL_CONFIGS[kind])), workers=4)
+
+
+def test_campaigns_run_with_scipy_blocked():
+    # scipy is a test dependency only: every campaign kind must run to
+    # completion in a process where importing it fails
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from meshsim.experiments import CAMPAIGNS, run_campaign, validate_config\n"
+        "configs = json.loads(sys.argv[1])\n"
+        "assert sorted(configs) == sorted(CAMPAIGNS), sorted(configs)\n"
+        "for kind in sorted(CAMPAIGNS):\n"
+        "    run_campaign(validate_config(configs[kind]))\n"
+        "print(sorted(CAMPAIGNS))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(SMALL_CONFIGS)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == repr(sorted(experiments.CAMPAIGNS))
 
 
 @pytest.mark.parametrize("kind", ["fidelity-haar", "fidelity-perm"])

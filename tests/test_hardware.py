@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import OptimizeWarning
 
 from meshsim import analysis, compiler, hardware, mesh
@@ -426,10 +426,13 @@ def test_solve_branch_bump():
 
 
 def assert_matches_dense_solve(profile, calibration, target, sol):
+    # the cached inverse and the oracle's fresh LU solve round differently;
+    # the coupling is diagonally dominant (cond_inf under 2), so they agree
+    # to a few ulp of the largest power and take the same branch rounds
     powers, rounds, residual = dense_branch_solve(profile, calibration, target)
-    assert np.array_equal(sol.powers_w, powers)
     assert sol.iterations == rounds
-    assert sol.residual_rad == residual
+    assert np.max(np.abs(sol.powers_w - powers)) <= 1e-13 * np.max(np.abs(powers))
+    assert sol.residual_rad <= 1e-12 and residual <= 1e-12
 
 
 def test_solve_matches_dense_oracle_exact_record_n20():
@@ -492,27 +495,6 @@ def test_solve_threads_share_one_record():
         assert (a.iterations, a.residual_rad) == (b.iterations, b.residual_rad)
 
 
-def test_solve_hands_lapack_a_private_pivot_copy(monkeypatch):
-    # scipy's getrs wrapper shifts the pivot array to 1-based in place for
-    # the call; threads sharing the cached factor's pivots then solve with
-    # each other's shifted pivots, once in a few thousand concurrent solves
-    prof = calibrated_profile(4, disorder_seed=1)
-    cal = CalibrationRecord.exact_from_profile(prof)
-    passed = []
-    real = hardware.lu_solve
-
-    def spy(factor, b, **kwargs):
-        passed.append(factor[1])
-        return real(factor, b, **kwargs)
-
-    monkeypatch.setattr(hardware, "lu_solve", spy)
-    target = np.random.default_rng(2).uniform(0, 2 * np.pi, len(prof.heater_ids))
-    first = solve_voltages(prof, cal, target)
-    assert np.array_equal(solve_voltages(prof, cal, target).powers_w, first.powers_w)
-    shared = cal._drive_memo[1][2][1]
-    assert passed and not any(np.shares_memory(piv, shared) for piv in passed)
-
-
 def test_profile_arrays_read_only_and_views_cached():
     source = np.linspace(0.5, 3.0, 6)
     prof = dataclasses.replace(ideal_profile(3), phi0_rad=source)
@@ -544,6 +526,51 @@ def test_solve_infeasible_budget():
     with pytest.raises(InfeasibleError) as exc:
         solve_voltages(prof, cal, np.array([3.0, 0.1]))
     assert "c00r00.theta" in exc.value.heater_ids
+
+
+@lru_cache(maxsize=None)
+def _solve_device(kind, n, seed, fitted):
+    prof = ideal_profile(n) if kind == "ideal" else calibrated_profile(n, seed)
+    if fitted:
+        return prof, calibrate_profile(prof, seed=seed)
+    return prof, CalibrationRecord.exact_from_profile(prof)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("ideal", "calibrated")),
+    st.integers(2, 6),
+    st.integers(0, 3),
+    st.booleans(),
+    st.floats(0.05, 0.95),
+    st.data(),
+)
+def test_solve_closes_or_names_the_starved_heaters(
+    kind, n, seed, fitted, shrink, data
+):
+    prof, cal = _solve_device(kind, n, seed, fitted)
+    count = len(prof.heater_ids)
+    target = np.array(data.draw(st.lists(
+        st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=count, max_size=count
+    )))
+    full = solve_voltages(prof, cal, target)
+    assert np.all(full.powers_w >= 0)
+    closure = wrap_signed(realized_heater_phases(prof, full.powers_w) - target)
+    assert np.max(np.abs(closure)) <= 1e-9
+    starve = np.array(data.draw(st.lists(
+        st.booleans(), min_size=count, max_size=count
+    ))) & (full.powers_w > 0)
+    assume(starve.any())
+    # a budget of shrink^2 times the solved power leaves those heaters short
+    v_max = np.where(
+        starve, shrink * np.sqrt(full.powers_w * prof.resistance_ohm), prof.v_max_v
+    )
+    starved = dataclasses.replace(prof, v_max_v=v_max)
+    with pytest.raises(InfeasibleError) as exc:
+        solve_voltages(starved, cal, target)
+    assert exc.value.heater_ids == tuple(
+        h for h, s in zip(prof.heater_ids, starve) if s
+    )
 
 
 def test_solve_rejects_non_finite_target():
