@@ -169,15 +169,9 @@ class PlatformEntry:
             )
 
 
-def load_platform_dataset(path=None):
-    """Bundled (or user-supplied) platform CSV as PlatformEntry rows."""
-    if path is None:
-        text = (
-            resources.files("meshsim").joinpath("data/platforms.csv").read_text()
-        )
-    else:
-        with open(path, "r", newline="") as handle:
-            text = handle.read()
+def load_platform_dataset():
+    """Bundled platform CSV as PlatformEntry rows."""
+    text = resources.files("meshsim").joinpath("data/platforms.csv").read_text()
     entries = []
     for row in csv.DictReader(io.StringIO(text)):
         entries.append(

@@ -10,6 +10,7 @@ MESHSIM_OUT_DIR.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,20 +27,6 @@ from .util import (
 
 OUT_DIR_ENV = "MESHSIM_OUT_DIR"
 
-def _add_common_flags(parser):
-    parser.add_argument("--config", metavar="PATH", help="campaign config JSON")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", metavar="DIR", help="artifact output directory")
-    parser.add_argument(
-        "--workers", type=int, help="accepted and ignored; campaigns run serially"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="stdout format (default json)",
-    )
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -51,17 +38,17 @@ def build_parser():
 
     p = sub.add_parser("compile", help="decompose a unitary into mesh settings")
     p.add_argument("--input", metavar="PATH", required=True, help="unitary JSON")
-    _add_common_flags(p)
+    p.add_argument("--out", metavar="DIR", help="artifact output directory")
 
-    p = sub.add_parser("haar", help="draw Haar-random target unitaries")
-    p.add_argument("--n", type=int, default=20, help="mode count (default 20)")
-    p.add_argument("--count", type=int, default=1, help="ensemble size (default 1)")
-    _add_common_flags(p)
-
-    p = sub.add_parser("perm", help="draw distinct permutation targets")
-    p.add_argument("--n", type=int, default=20, help="mode count (default 20)")
-    p.add_argument("--count", type=int, default=1, help="ensemble size (default 1)")
-    _add_common_flags(p)
+    for command, summary in (
+        ("haar", "draw Haar-random target unitaries"),
+        ("perm", "draw distinct permutation targets"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--n", type=int, default=20, help="mode count (default 20)")
+        p.add_argument("--count", type=int, default=1, help="ensemble size (default 1)")
+        p.add_argument("--seed", type=int, default=0, help="ensemble seed (default 0)")
+        p.add_argument("--out", metavar="DIR", help="artifact output directory")
 
     for kind, spec in experiments.CAMPAIGNS.items():
         if spec.subcommand in sub.choices:
@@ -79,7 +66,15 @@ def build_parser():
             p.add_argument(
                 "--count", type=int, help="override the config ensemble size"
             )
-        _add_common_flags(p)
+        p.add_argument("--config", metavar="PATH", help="campaign config JSON")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out", metavar="DIR", help="artifact output directory")
+        p.add_argument(
+            "--format",
+            choices=("json", "csv"),
+            default="json",
+            help="stdout format (default json)",
+        )
 
     return parser
 
@@ -159,14 +154,21 @@ def _run_ensemble(args, kind):
         raise UsageError(f"--n must be >= 2, got {args.n}")
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    seed = args.seed if args.seed is not None else 0
+    if kind == "perm" and args.count > math.factorial(args.n):
+        raise UsageError(f"--count must be <= {args.n}!, got {args.count}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     out_dir = _resolved_out_dir(args, {})
-    manifest_kind = "permutation" if kind == "perm" else kind
-    manifest = compiler.ensemble_manifest(manifest_kind, args.n, seed, args.count)
+    manifest = {
+        "kind": "permutation" if kind == "perm" else kind,
+        "n": args.n,
+        "seed": args.seed,
+        "count": args.count,
+    }
     artifacts = []
     if kind == "haar":
         for index in range(args.count):
-            u = compiler.haar_random(args.n, child_seed(seed, index))
+            u = compiler.haar_random(args.n, child_seed(args.seed, index))
             name = f"haar-{index:03d}.json"
             artifacts.append(name)
             if out_dir:
@@ -175,7 +177,7 @@ def _run_ensemble(args, kind):
                     dumps_canonical(experiments.unitary_to_json_dict(u)),
                 )
     else:
-        perms = compiler.permutation_ensemble(args.n, args.count, seed)
+        perms = compiler.permutation_ensemble(args.n, args.count, args.seed)
         for index, perm in enumerate(perms):
             name = f"perm-{index:03d}.json"
             artifacts.append(name)

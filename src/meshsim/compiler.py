@@ -245,10 +245,3 @@ def permutation_ensemble(n, count, seed):
             seen.add(p)
             out.append(p)
     return out
-
-
-def ensemble_manifest(kind, n, seed, count):
-    """Manifest document describing a generated target ensemble."""
-    if kind not in ("haar", "permutation"):
-        raise ValidationError(f"unknown ensemble kind: {kind!r}")
-    return {"kind": kind, "n": int(n), "seed": int(seed), "count": int(count)}

@@ -130,7 +130,7 @@ def _hom_scan_params(params, n):
     ):
         raise UsageError("param 'target' must be [column, row] integers")
     column, row = int(target[0]), int(target[1])
-    if (column, row) not in mesh.cell_address_set(n):
+    if (column, row) not in mesh.cell_index(n):
         raise UsageError(
             f"param 'target' ({column}, {row}) is not a cell of an n={n} mesh"
         )
@@ -184,6 +184,11 @@ def validate_config(doc):
     count = _require_int(doc, "count", spec.default_count or 1, 1)
     if spec.default_count is None and count != 1:
         raise UsageError(f"config field 'count' must be 1 for kind {kind!r}")
+    # fidelity-perm draws `count` distinct permutations of n modes
+    if kind == "fidelity-perm" and count > math.factorial(n):
+        raise UsageError(
+            f"config field 'count' must be <= {n}! for kind {kind!r}, got {count}"
+        )
     profile = doc.get("profile", "ideal")
     if not isinstance(profile, str) or not profile:
         raise UsageError("config field 'profile' must be a non-empty string")
@@ -369,7 +374,7 @@ def _run_calibration(config):
         "max_phi0_rel_error": max_phi0_rel,
         "max_alpha_rel_error": max_alpha_rel,
         "max_fit_residual": record.max_residual,
-        "max_solve_error_rad": max(solve_errors) if solve_errors else 0.0,
+        "max_solve_error_rad": max(solve_errors),
     }
     csv_files = {
         "calibration.csv": _csv_text(
@@ -640,14 +645,13 @@ CAMPAIGNS = {
 }
 
 
-def run_campaign_with_artifacts(config, workers=None):
+def run_campaign_with_artifacts(config):
     """Run one campaign; returns (report, csv_files).
 
     When out_dir is set the report and CSVs are also written there
     atomically. Everything outside the report's "meta" block is a pure
     function of the config, so identical configs give identical payloads
-    (see report_payload_bytes). `workers` is accepted and ignored: campaigns
-    run serially.
+    (see report_payload_bytes).
     """
     started = time.time()
     started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -675,8 +679,8 @@ def run_campaign_with_artifacts(config, workers=None):
 
 
 def run_campaign(config, workers=None):
-    """run_campaign_with_artifacts, keeping only the report (`workers` is
-    accepted and ignored)."""
+    """run_campaign_with_artifacts, keeping only the report. `workers` is
+    accepted and ignored, only because bench/run.py passes it."""
     report, _ = run_campaign_with_artifacts(config)
     return report
 

@@ -337,14 +337,10 @@ def _sweep_signals(profile, index, v, seed, detector_noise_sigma):
 
 
 def simulate_calibration_sweep(
-    profile,
-    hid,
-    voltages_v=None,
-    points=64,
-    seed=0,
-    detector_noise_sigma=0.0,
+    profile, hid, points=64, seed=0, detector_noise_sigma=0.0
 ):
-    """Monitor-port fringe while one heater is swept and all others idle.
+    """Monitor-port fringe while one heater is swept over `points` evenly
+    spaced voltages from 0 to its v_max and all others idle.
 
     The detected signal is scale * (0.5 + 0.5 * cos(phi(v))) with the scale
     set by the profile's static insertion loss, plus optional Gaussian
@@ -353,14 +349,9 @@ def simulate_calibration_sweep(
     i = heater_index(profile.n).get(hid)
     if i is None:
         raise UnknownHeaterError(f"profile has no heater {hid!r}")
-    v_max = profile.v_max_v[i]
-    if voltages_v is None:
-        voltages_v = np.linspace(0.0, v_max, points)
-    v = np.asarray(voltages_v, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ValidationError("voltage grid must be a 1-d array of >= 2 points")
-    if np.any(v < 0) or np.any(v > v_max * (1 + 1e-12)):
-        raise ValidationError("voltage grid exceeds the heater's budget")
+    if points < 2:
+        raise ValidationError(f"a sweep needs >= 2 voltage points, got {points}")
+    v = np.linspace(0.0, profile.v_max_v[i], points)
     signal = _sweep_signals(profile, [i], v[None], seed, detector_noise_sigma)[0]
     return SweepRecord(heater_id=hid, voltages_v=v, signal=signal)
 
@@ -733,8 +724,8 @@ class CalibrationRecord:
 
 
 def calibrate_profile(profile, points=64, seed=0, detector_noise_sigma=0.0):
-    """Sweep every heater over its default grid, as simulate_calibration_sweep
-    does, and fit all sweeps at once; returns a CalibrationRecord."""
+    """Sweep every heater over the grid simulate_calibration_sweep uses, and
+    fit all sweeps at once; returns a CalibrationRecord."""
     v = np.linspace(0.0, profile.v_max_v, points, axis=1)
     index = np.arange(len(profile.heater_ids))
     signal = _sweep_signals(profile, index, v, seed, detector_noise_sigma)
@@ -941,19 +932,6 @@ def realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
         yield out
 
 
-def realized_transfers(profile, theta, phi, output_phases, seeds):
-    """All k matrices of realized_transfer_chunks (same arguments) as one
-    read-only (k, n, n) stack."""
-    seeds = list(seeds)
-    out = np.empty((len(seeds), profile.n, profile.n), dtype=complex)
-    start = 0
-    for chunk in realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
-        out[start : start + len(chunk)] = chunk
-        start += len(chunk)
-    out.setflags(write=False)
-    return out
-
-
 def _realize_chunk(profile, theta, phi, output_phases, seeds):
     """Unchecked realized transfers of one chunk of programs."""
     jitter = np.stack([
@@ -979,30 +957,35 @@ def _stack_of_one(profile, settings):
 
 
 def realized_transfer(profile, settings, seed=0):
-    """realized_transfers of one program, as a TransferMatrix, whose
-    constructor runs the finite and no-gain checks."""
+    """The realized transfer of one program (see realized_transfer_chunks),
+    as a TransferMatrix, whose constructor runs the finite and no-gain
+    checks."""
     stack = _realize_chunk(profile, *_stack_of_one(profile, settings), [seed])
     return TransferMatrix(profile.n, stack[0])
 
 
 def measure_amplitude_matrices(profile, theta, phi, output_phases, seeds):
     """Amplitude magnitudes of k programs as reconstructed from output power
-    fractions, one AmplitudeMatrix each (arguments as realized_transfers).
+    fractions, one AmplitudeMatrix each (arguments as
+    realized_transfer_chunks, whose chunks are reduced as they arrive).
 
     Power is measured one input at a time and normalized per column, so the
     result is insensitive to any loss that acts uniformly along a column.
     """
-    z = realized_transfers(profile, theta, phi, output_phases, seeds)
-    # not np.abs(z) ** 2: the complex abs changes bits with the SIMD dispatch
-    probs = z.real**2 + z.imag**2
-    sums = probs.sum(axis=1)
-    dark = np.flatnonzero((sums <= 0).any(axis=1))
-    if dark.size:
-        raise ValidationError(
-            f"program {dark[0]}: a column carried no power; cannot normalize"
-        )
-    amplitudes = np.sqrt(probs / sums[:, None, :])
-    return [analysis.AmplitudeMatrix(profile.n, a) for a in amplitudes]
+    out = []
+    for z in realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
+        # not np.abs(z) ** 2: the complex abs changes bits with the SIMD dispatch
+        probs = z.real**2 + z.imag**2
+        sums = probs.sum(axis=1)
+        dark = np.flatnonzero((sums <= 0).any(axis=1))
+        if dark.size:
+            raise ValidationError(
+                f"program {len(out) + dark[0]}: a column carried no power; "
+                "cannot normalize"
+            )
+        amplitudes = np.sqrt(probs / sums[:, None, :])
+        out += [analysis.AmplitudeMatrix(profile.n, a) for a in amplitudes]
+    return out
 
 
 def measure_amplitude_matrix(profile, settings, seed=0):

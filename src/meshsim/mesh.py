@@ -26,7 +26,6 @@ import numpy as np
 from .util import (
     StructureError,
     ValidationError,
-    dumps_canonical,
     wrap_phase,
 )
 
@@ -133,12 +132,6 @@ def cell_addresses(n):
 
 
 @lru_cache(maxsize=None)
-def cell_address_set(n):
-    """cell_addresses(n) as a frozenset, for membership tests."""
-    return frozenset(cell_addresses(n))
-
-
-@lru_cache(maxsize=None)
 def cell_index(n):
     """Read-only map from cell address to its position in cell_addresses(n)."""
     return MappingProxyType({addr: i for i, addr in enumerate(cell_addresses(n))})
@@ -181,7 +174,7 @@ class MeshSettings:
 
     def __init__(self, n, cells, output_phases=None):
         got = set(cells)
-        expected = cell_address_set(n)
+        expected = cell_index(n).keys()
         if got != expected:
             missing = sorted(expected - got)[:3]
             extra = sorted(got - expected)[:3]
@@ -244,18 +237,9 @@ def bar_settings(n):
     return MeshSettings.from_phases(n, np.full(count, np.pi), np.zeros(count))
 
 
-def cell_transfer(setting):
-    """2x2 transfer matrix of one unit cell in the pinned convention."""
-    half = 0.5 * setting.theta
-    s = np.sin(half)
-    c = np.cos(half)
-    pre = np.exp(0.5j * setting.theta)
-    ephi = np.exp(1j * setting.phi)
-    return pre * np.array([[ephi * s, c], [ephi * c, -s]], dtype=complex)
-
-
 def cell_transfers(theta, phi):
-    """cell_transfer of every (theta, phi) pair at once: shape (k, 2, 2)."""
+    """2x2 transfer matrix T(theta, phi) of the pinned convention for every
+    (theta, phi) pair at once: shape theta.shape + (2, 2)."""
     theta = np.asarray(theta, dtype=float)
     half = 0.5 * theta
     s = np.sin(half)
@@ -269,8 +253,8 @@ def cell_transfers(theta, phi):
     return np.exp(0.5j * theta)[..., None, None] * out
 
 
-def propagate(transfers, out, col_start=0, col_stop=None, col_amp=None):
-    """Left-multiply `out` in place by the cell columns [col_start, col_stop).
+def propagate(transfers, out, col_amp=None):
+    """Left-multiply `out` in place by every cell column, first to last.
 
     `transfers` stacks one 2x2 matrix per cell in cell_addresses(n) order.
     The cells of a column act on disjoint mode pairs, so each column is one
@@ -281,9 +265,7 @@ def propagate(transfers, out, col_start=0, col_stop=None, col_amp=None):
     amplitude after each column.
     """
     n = out.shape[-1]
-    bounds = _column_bounds(n)
-    for column in range(col_start, n if col_stop is None else col_stop):
-        start, stop = bounds[column]
+    for column, (start, stop) in enumerate(_column_bounds(n)):
         if stop > start:
             t = transfers[..., start:stop, :, :, None]
             top = out[..., column % 2 : n - 1 : 2, :]
@@ -296,16 +278,6 @@ def propagate(transfers, out, col_start=0, col_stop=None, col_amp=None):
         if col_amp is not None:
             out *= col_amp[:, None]
     return out
-
-
-def partial_mesh_product(settings, col_start, col_stop):
-    """Product of the cell columns in [col_start, col_stop), no phase screen.
-
-    Exposed so column-splitting composition can be checked directly.
-    """
-    transfers = cell_transfers(settings.theta, settings.phi)
-    out = np.eye(settings.n, dtype=complex)
-    return propagate(transfers, out, col_start, col_stop)
 
 
 def mesh_unitary(settings):
@@ -394,13 +366,3 @@ def settings_from_json_dict(doc):
     except (KeyError, TypeError) as err:
         raise StructureError(f"malformed settings document: {err}") from err
     return MeshSettings(n=n, cells=cells, output_phases=phases)
-
-
-def settings_to_json(settings):
-    return dumps_canonical(settings_to_json_dict(settings))
-
-
-def settings_from_json(text):
-    import json
-
-    return settings_from_json_dict(json.loads(text))

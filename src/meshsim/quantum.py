@@ -166,7 +166,7 @@ class RoutingPlan:
 
 
 def _validate_plan_shape(plan):
-    if plan.cell_states.keys() != mesh.cell_address_set(plan.n):
+    if plan.cell_states.keys() != mesh.cell_index(plan.n).keys():
         raise ValidationError(
             f"plan must assign a state to every cell of an n={plan.n} mesh"
         )
@@ -191,7 +191,7 @@ def route_to_tbs(n, target):
     the target.
     """
     target = mesh.CellAddress(int(target[0]), int(target[1]))
-    if target not in mesh.cell_address_set(n):
+    if target not in mesh.cell_index(n):
         raise ValidationError(f"no cell at {tuple(target)} in an n={n} mesh")
     column, row = target
     states = dict.fromkeys(mesh.cell_addresses(n), BAR)
@@ -759,15 +759,7 @@ class VisibilityMap:
     column_anova_p: float
 
 
-def hom_visibility_map(
-    n,
-    source,
-    profile,
-    delays_um=None,
-    *,
-    seed=0,
-    count_noise_sigma=0.0,
-):
+def hom_visibility_map(n, source, profile, *, seed=0, count_noise_sigma=0.0):
     """Scan every cell as a routed TBS and map the fitted visibilities.
 
     Per-cell seeds derive from (seed, cell index), so the transfer chunk
@@ -782,7 +774,7 @@ def hom_visibility_map(
     cells = mesh.cell_addresses(n)
     row_of = np.array([addr.row for addr in cells])
     column_of = np.array([addr.column for addr in cells])
-    d, far = _scan_grid(delays_um, 0.0)
+    d, far = _scan_grid(None, 0.0)
     envelope = source.overlap_at(d, 0.0)
     seeds = [child_seed(seed, index) for index in range(len(cells))]
     theta, pairs = _routes(n)
@@ -904,7 +896,6 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
             plan,
             source,
             profile,
-            default_delay_grid(arm_delay),
             seed=child_seed(seed, index),
             arm_delay_um=arm_delay,
         )
@@ -912,7 +903,6 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
 
     centers = np.asarray(centers, dtype=float)
     total = float(centers[-1] - centers[0])
-    per_heater = total / count if count else float("nan")
     levels = levels.copy()
     levels.setflags(write=False)
     centers.setflags(write=False)
@@ -920,7 +910,7 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
         drive_levels_rad=levels,
         centers_um=centers,
         total_shift_um=total,
-        per_heater_shift_um=float(per_heater),
+        per_heater_shift_um=total / count,
         heater_count=count,
         driven_heater_ids=driven,
         input_pair=plan.input_pair,

@@ -10,6 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def cell_matrix(theta, phi):
+    """Unit cell T(theta, phi) as the mesh module docstring writes it."""
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    e = complex(np.cos(phi), np.sin(phi))
+    pre = complex(np.cos(theta / 2.0), np.sin(theta / 2.0))
+    return pre * np.array([[e * s, c], [e * c, -s]], dtype=complex)
+
+
 def embed_two_mode(n, m, t):
     """Full n x n matrix acting with 2x2 block t on modes (m, m+1)."""
     full = np.eye(n, dtype=complex)
@@ -348,18 +356,12 @@ def _scalar_null(target, other, nulled_tol):
 
 def scalar_clements_decompose(target):
     """Clements decomposition of one unitary, one scalar nulling step and one
-    cell_transfer(CellSetting(...)) matrix per entry, then the left cells
+    cell_transfers(theta, wrap_phase(phi)) matrix per entry, then the left cells
     commuted through the diagonal and scheduled column by column, as
     compiler.clements_decompose defines them. Returns (settings,
     nulling_sequence)."""
     from meshsim.compiler import NULLED_TOL, NullingStep
-    from meshsim.mesh import (
-        CellAddress,
-        CellSetting,
-        MeshSettings,
-        cell_index,
-        cell_transfer,
-    )
+    from meshsim.mesh import CellAddress, MeshSettings, cell_index, cell_transfers
     from meshsim.util import wrap_phase
 
     target = np.array(target, dtype=complex)
@@ -372,14 +374,14 @@ def scalar_clements_decompose(target):
             if diag % 2 == 0:
                 r, c = n - 1 - j, diag - j
                 theta, phi = _scalar_null(v[r, c], -v[r, c + 1], NULLED_TOL)
-                t_dag = cell_transfer(CellSetting(theta, phi)).conj().T
+                t_dag = cell_transfers(theta, wrap_phase(phi)).conj().T
                 v[:, c : c + 2] = v[:, c : c + 2] @ t_dag
                 right_ops.append((c, theta, phi))
                 nulling.append(NullingStep(step, r, c, "right", c))
             else:
                 r, c = n - 1 - diag + j, j
                 theta, phi = _scalar_null(v[r, c], v[r - 1, c], NULLED_TOL)
-                t = cell_transfer(CellSetting(theta, phi))
+                t = cell_transfers(theta, wrap_phase(phi))
                 v[r - 1 : r + 1, :] = t @ v[r - 1 : r + 1, :]
                 left_ops.append((r - 1, theta, phi))
                 nulling.append(NullingStep(step, r, c, "left", r - 1))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meshsim import cli, compiler, hardware
+from meshsim import cli, compiler, experiments, hardware
 from meshsim.experiments import unitary_from_json_dict
 
 
@@ -192,6 +192,10 @@ def test_perm_subcommand_writes_permutations(tmp_path, capsys):
     code, out, err = run_cli(
         ["perm", "--n", "4", "--count", "3", "--out", str(out_dir)], capsys)
     assert code == 0
+    assert json.loads(out) == {
+        "kind": "permutation", "n": 4, "seed": 0, "count": 3,
+        "artifacts": ["perm-000.json", "perm-001.json", "perm-002.json"],
+    }
     docs = [json.load(open(out_dir / f"perm-{i:03d}.json")) for i in range(3)]
     perms = [tuple(d["permutation"]) for d in docs]
     assert len(set(perms)) == 3
@@ -203,6 +207,60 @@ def test_ensemble_flag_validation(capsys):
     assert code == 2
     code, out, err = run_cli(["perm", "--count", "0"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["haar", "--seed", "-1"],
+    ["perm", "--seed", "-1"],
+    ["perm", "--n", "3", "--count", "7"],
+])
+def test_ensemble_out_of_range_values_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert argv[-2] in err
+
+
+def test_fidelity_perm_count_above_n_factorial_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n": 3})
+    code, out, err = run_cli(
+        ["fidelity", "--ensemble", "perm", "--config", cfg, "--count", "7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "3!" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--input", "u.json", "--format", "csv"],
+    ["compile", "--input", "u.json", "--config", "x"],
+    ["compile", "--input", "u.json", "--seed", "1"],
+    ["haar", "--config", "x"],
+    ["perm", "--format", "csv"],
+    ["hom-map", "--workers", "2"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "command", sorted({spec.subcommand for spec in experiments.CAMPAIGNS.values()})
+)
+def test_campaign_subcommands_take_their_flags(command):
+    args = cli.build_parser().parse_args(
+        [command, "--config", "c.json", "--seed", "4", "--out", "d", "--format", "csv"]
+    )
+    assert (args.config, args.seed, args.out, args.format) == ("c.json", 4, "d", "csv")
+
+
+@pytest.mark.parametrize("command", ["haar", "perm"])
+def test_ensemble_subcommands_take_their_flags(command):
+    args = cli.build_parser().parse_args(
+        [command, "--n", "3", "--count", "2", "--seed", "4", "--out", "d"]
+    )
+    assert (args.n, args.count, args.seed, args.out) == (3, 2, 4, "d")
 
 
 def test_compile_round_trip(tmp_path, capsys):
@@ -259,16 +317,6 @@ def test_csv_stdout_matches_primary_artifact(tmp_path, capsys):
     assert code == 0
     with open(out_dir / "scan.csv") as handle:
         assert out == handle.read()
-
-
-def test_stdout_reports_identical_across_worker_counts(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "kind": "hom-map", "n": 4, "profile": "calibrated"})
-    _, out1, _ = run_cli(["hom-map", "--config", cfg, "--workers", "1"], capsys)
-    _, out2, _ = run_cli(["hom-map", "--config", cfg, "--workers", "3"], capsys)
-    strip = lambda text: {k: v for k, v in json.loads(text).items()
-                          if k != "meta"}
-    assert strip(out1) == strip(out2)
 
 
 def test_loss_on_non_finite_profile_exits_one(tmp_path, capsys):

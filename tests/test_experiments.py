@@ -110,6 +110,12 @@ def test_config_rejects_count_on_single_shot_kinds():
             validate_config({"kind": kind, "count": 2})
 
 
+def test_config_rejects_more_permutations_than_exist():
+    assert validate_config({"kind": "fidelity-perm", "n": 3, "count": 6}).count == 6
+    with pytest.raises(UsageError, match="count"):
+        validate_config({"kind": "fidelity-perm", "n": 3, "count": 7})
+
+
 def test_config_rejects_unknown_param():
     with pytest.raises(UsageError, match="unknown params"):
         validate_config({"kind": "hom-map", "params": {"points": 3}})
@@ -214,6 +220,61 @@ def test_campaign_csv_golden(kind):
     ]
     if created:
         pytest.skip(f"CSV goldens {created} created; rerun to compare")
+
+
+# the kinds whose goldens hold their bytes whatever SIMD targets numpy
+# dispatches to and whatever core type OpenBLAS picks; delay-sweep,
+# fidelity-haar and hom-scan still drift with AVX-512 off, and fidelity-haar
+# and fidelity-perm under either OpenBLAS core type
+HOST_INDEPENDENT_KINDS = ("calibration", "hom-map", "loss-report", "platform")
+
+_AVX512 = "X86_V4 AVX512_SPR AVX512_ICL"
+
+_GOLDEN_TEXTS = """
+import json, sys
+from meshsim.experiments import (
+    report_payload_bytes, run_campaign_with_artifacts, validate_config,
+)
+texts = {}
+for kind, doc in json.loads(sys.argv[1]).items():
+    report, csv_files = run_campaign_with_artifacts(validate_config(doc))
+    texts[kind + ".json"] = report_payload_bytes(report).decode()
+    texts.update((kind + "." + name, text) for name, text in csv_files.items())
+print(json.dumps(texts))
+"""
+
+
+@pytest.mark.parametrize("setting", [
+    {},
+    {"NPY_DISABLE_CPU_FEATURES": _AVX512},
+    {"NPY_DISABLE_CPU_FEATURES": _AVX512 + " X86_V3"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+], ids=["default", "no-avx512", "no-avx2", "haswell", "prescott"])
+def test_goldens_hold_under_cpu_dispatch(setting):
+    env = dict(os.environ, **setting)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    configs = {kind: SMALL_CONFIGS[kind] for kind in HOST_INDEPENDENT_KINDS}
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_TEXTS, json.dumps(configs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    texts = json.loads(done.stdout)
+    pinned = sorted(
+        name for name in os.listdir(GOLDEN_DIR)
+        if name.split(".")[0] in HOST_INDEPENDENT_KINDS
+    )
+    assert sorted(texts) == pinned
+    drifted = []
+    for name in pinned:
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
+            if handle.read() != texts[name].encode():
+                drifted.append(name)
+    assert drifted == [], setting
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))

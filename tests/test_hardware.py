@@ -141,6 +141,12 @@ def test_sweep_rejects_unknown_heater():
         simulate_calibration_sweep(prof, "c09r09.theta")
 
 
+@pytest.mark.parametrize("points", [0, 1])
+def test_sweep_needs_two_points(points):
+    with pytest.raises(ValidationError, match=">= 2"):
+        simulate_calibration_sweep(ideal_profile(3), "c00r00.theta", points=points)
+
+
 def test_sweep_fringe_values():
     prof = ideal_profile(3)
     sweep = simulate_calibration_sweep(prof, "c00r00.theta", points=16)
@@ -595,6 +601,15 @@ def test_measure_columns_normalized_and_seeded():
     assert np.allclose(np.linalg.norm(a.magnitudes, axis=0), 1.0, atol=1e-12)
 
 
+def test_measure_empty_stack_gives_no_matrices():
+    prof = calibrated_profile(4, disorder_seed=0)
+    cells = len(mesh.cell_addresses(4))
+    empty = hardware.measure_amplitude_matrices(
+        prof, np.empty((0, cells)), np.empty((0, cells)), np.empty((0, 4)), []
+    )
+    assert empty == []
+
+
 def test_static_disorder_survives_run_seed():
     prof = dataclasses.replace(
         calibrated_profile(4, disorder_seed=9),
@@ -732,4 +747,4 @@ def test_heater_targets_round_trip():
     back = settings_from_heater_phases(
         5, vec, output_phases=settings.output_phases
     )
-    assert mesh.settings_to_json(back) == mesh.settings_to_json(settings)
+    assert mesh.settings_to_json_dict(back) == mesh.settings_to_json_dict(settings)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from meshsim import mesh
-from meshsim.util import StructureError, ValidationError
+from meshsim.util import StructureError, ValidationError, dumps_canonical
 
-from oracles import slow_mesh_product
+from oracles import cell_matrix, slow_mesh_product
 
 
 HALF = (1.0 + 1.0j) / 2.0
@@ -17,35 +17,36 @@ HALF = (1.0 + 1.0j) / 2.0
 
 def test_cell_transfer_golden_entries():
     # frozen values of the pinned convention at the three canonical settings
-    cross = mesh.cell_transfer(mesh.CellSetting(0.0, 0.0))
+    cross = mesh.cell_transfers(0.0, 0.0)
     assert np.allclose(cross, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15)
 
-    bar = mesh.cell_transfer(mesh.CellSetting(np.pi, 0.0))
+    bar = mesh.cell_transfers(np.pi, 0.0)
     assert np.allclose(bar, np.array([[1j, 0.0], [0.0, -1j]]), atol=1e-15)
 
-    half = mesh.cell_transfer(mesh.CellSetting(np.pi / 2, 0.0))
+    half = mesh.cell_transfers(np.pi / 2, 0.0)
     assert np.allclose(half, np.array([[HALF, HALF], [HALF, -HALF]]), atol=1e-15)
 
-    quarter = mesh.cell_transfer(mesh.CellSetting(np.pi / 2, np.pi / 2))
+    quarter = mesh.cell_transfers(np.pi / 2, np.pi / 2)
     assert np.allclose(
         quarter, np.array([[1j * HALF, HALF], [1j * HALF, -HALF]]), atol=1e-15
     )
 
 
 def test_cell_transfer_reflectivity_and_unitarity_grid():
-    thetas = np.linspace(0.0, 2 * np.pi, 41)
-    phis = np.linspace(0.0, 2 * np.pi, 17)
-    for theta in thetas:
-        for phi in phis:
-            t = mesh.cell_transfer(mesh.CellSetting(theta, phi))
-            assert np.allclose(t @ t.conj().T, np.eye(2), atol=1e-12)
-            assert abs(abs(t[0, 0]) ** 2 - np.sin(theta / 2.0) ** 2) < 1e-12
+    thetas, phis = np.meshgrid(
+        np.linspace(0.0, 2 * np.pi, 41), np.linspace(0.0, 2 * np.pi, 17)
+    )
+    stack = mesh.cell_transfers(thetas, phis)
+    for theta, phi, t in zip(thetas.flat, phis.flat, stack.reshape(-1, 2, 2)):
+        assert np.max(np.abs(t - cell_matrix(theta, phi))) <= 1e-15
+        assert np.allclose(t @ t.conj().T, np.eye(2), atol=1e-12)
+        assert abs(abs(t[0, 0]) ** 2 - np.sin(theta / 2.0) ** 2) < 1e-12
 
 
 def test_cell_transfer_is_two_pi_periodic_in_theta():
     for theta in (0.3, 1.1, 2.9):
-        a = mesh.cell_transfer(mesh.CellSetting(theta, 0.7))
-        b = mesh.cell_transfer(mesh.CellSetting(theta + 2 * np.pi, 0.7))
+        a = mesh.cell_transfers(theta, 0.7)
+        b = mesh.cell_transfers(theta + 2 * np.pi, 0.7)
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -97,24 +98,9 @@ def test_mesh_unitary_matches_full_matrix_oracle():
             n,
             placed,
             out,
-            lambda th, ph: mesh.cell_transfer(mesh.CellSetting(th, ph)),
+            cell_matrix,
         )
         assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_mesh_unitary_column_split_associativity():
-    n = 6
-    rng = np.random.default_rng(7)
-    cells = {
-        addr: mesh.CellSetting(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
-        for addr in mesh.cell_addresses(n)
-    }
-    settings = mesh.MeshSettings(n=n, cells=cells, output_phases=np.zeros(n))
-    full = mesh.mesh_unitary(settings).elements
-    for split in range(n + 1):
-        head = mesh.partial_mesh_product(settings, 0, split)
-        tail = mesh.partial_mesh_product(settings, split, n)
-        assert np.max(np.abs(tail @ head - full)) < 1e-12
 
 
 def test_mesh_unitary_rejects_malformed_settings():
@@ -210,19 +196,19 @@ def test_transfer_matrix_rejects_non_finite_entries(bad):
 
 def test_settings_json_round_trip_and_order():
     settings = _random_settings(5, 21)
-    text = mesh.settings_to_json(settings)
+    text = dumps_canonical(mesh.settings_to_json_dict(settings))
     doc = json.loads(text)
     assert doc["n"] == 5
     keys = [(c["col"], c["row"]) for c in doc["cells"]]
     assert keys == sorted(keys)
     assert len(doc["output_phases"]) == 5
-    back = mesh.settings_from_json(text)
+    back = mesh.settings_from_json_dict(json.loads(text))
     assert back.n == settings.n
     for addr, setting in settings.cells.items():
         assert abs(back.cells[addr].theta - setting.theta) < 1e-12
         assert abs(back.cells[addr].phi - setting.phi) < 1e-12
     # byte-stable across repeated serialization
-    assert mesh.settings_to_json(back) == text
+    assert dumps_canonical(mesh.settings_to_json_dict(back)) == text
 
 
 def test_cell_setting_normalizes_phases():

@@ -33,7 +33,9 @@ from meshsim.quantum import (
 from meshsim.util import MeshsimError, ValidationError, child_seed
 
 from oracles import (
+    cell_matrix,
     curve_fit_dip,
+    embed_two_mode,
     fock_two_photon_distribution,
     gram_schmidt_unitary,
     per_item_visibility_map,
@@ -201,8 +203,10 @@ def test_routing_power_isolation_literal(n):
                     abs(amp[m]) ** 2 for m in range(n) if m not in allowed
                 )
                 assert stray < 1e-24
-                t = mesh.partial_mesh_product(settings, column, column + 1)
-                amp = t @ amp
+                for row in mesh.rows_in_column(n, column):
+                    cell = settings.cells[mesh.CellAddress(column, row)]
+                    t = embed_two_mode(n, row, cell_matrix(cell.theta, cell.phi))
+                    amp = t @ amp
             final = {m for m in range(n) if abs(amp[m]) ** 2 > 1e-24}
             assert final <= set(plan.output_pair)
             assert abs(np.sum(np.abs(amp) ** 2) - 1.0) < 1e-12
@@ -378,9 +382,9 @@ def _map_scans(n, disorder_seed, count_noise_sigma):
     plans = [route_to_tbs(n, addr) for addr in mesh.cell_addresses(n)]
     theta = np.array([quantum._plan_theta(plan) for plan in plans])
     seeds = [child_seed(disorder_seed, index) for index in range(len(plans))]
-    transfers = hardware.realized_transfers(
+    transfers = np.concatenate(list(hardware.realized_transfer_chunks(
         profile, theta, np.zeros_like(theta), np.zeros((len(seeds), n)), seeds
-    )
+    )))
     return d, np.array([
         quantum._normalized_counts(
             quantum._pair_terms(m, plan.input_pair, plan.output_pair),
