@@ -18,6 +18,8 @@ COLUMN_NORM_TOL = 1e-6
 # number of identical unit cells that can be concatenated before transmission
 # drops to 1/e, per dB of loss: 10*log10(e)
 E_FOLD_DB = 10.0 * np.log10(np.e)
+# histogram range and bin width of ensemble_statistics
+BIN_LO, BIN_HI, BIN_WIDTH = 0.90, 1.00, 0.0025
 
 # the two reference processors, smaller first
 BUILTIN_PROCESSORS = (
@@ -116,19 +118,19 @@ class EnsembleStats:
         }
 
 
-def ensemble_statistics(values, bin_lo=0.90, bin_hi=1.00, bin_width=0.0025):
+def ensemble_statistics(values):
     """Mean, sample standard deviation, and a fixed-bin histogram.
 
-    Default bins are 0.25% wide over [90%, 100%]; out-of-range values are
-    tallied as underflow/overflow. Values are sorted before reduction so the
-    result does not depend on input order.
+    The bins are BIN_WIDTH (0.25%) wide over [BIN_LO, BIN_HI] = [90%, 100%];
+    out-of-range values are tallied as underflow/overflow. Values are
+    sorted before reduction so the result does not depend on input order.
     """
     values = np.sort(np.asarray(list(values), dtype=float))
     if values.size == 0:
         raise ValidationError("ensemble_statistics needs at least one value")
-    nbins = int(round((bin_hi - bin_lo) / bin_width))
-    edges = np.linspace(bin_lo, bin_hi, nbins + 1)
-    inside = values[(values >= bin_lo) & (values <= bin_hi)]
+    nbins = int(round((BIN_HI - BIN_LO) / BIN_WIDTH))
+    edges = np.linspace(BIN_LO, BIN_HI, nbins + 1)
+    inside = values[(values >= BIN_LO) & (values <= BIN_HI)]
     counts, _ = np.histogram(inside, bins=edges)
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
@@ -137,8 +139,8 @@ def ensemble_statistics(values, bin_lo=0.90, bin_hi=1.00, bin_width=0.0025):
         std=std,
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
-        underflow=int(np.sum(values < bin_lo)),
-        overflow=int(np.sum(values > bin_hi)),
+        underflow=int(np.sum(values < BIN_LO)),
+        overflow=int(np.sum(values > BIN_HI)),
     )
 
 

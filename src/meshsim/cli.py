@@ -159,34 +159,31 @@ def _run_ensemble(args, kind):
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     out_dir = _resolved_out_dir(args, {})
+    artifacts = []
+    if out_dir:  # the ensemble is drawn only when it is written
+        if kind == "haar":
+            docs = (
+                experiments.unitary_to_json_dict(
+                    compiler.haar_random(args.n, child_seed(args.seed, index))
+                )
+                for index in range(args.count)
+            )
+        else:
+            docs = (
+                {"n": args.n, "permutation": list(perm)}
+                for perm in compiler.permutation_ensemble(args.n, args.count, args.seed)
+            )
+        for index, doc in enumerate(docs):
+            name = f"{kind}-{index:03d}.json"
+            atomic_write_text(os.path.join(out_dir, name), dumps_canonical(doc))
+            artifacts.append(name)
     manifest = {
         "kind": "permutation" if kind == "perm" else kind,
         "n": args.n,
         "seed": args.seed,
         "count": args.count,
+        "artifacts": artifacts,
     }
-    artifacts = []
-    if kind == "haar":
-        for index in range(args.count):
-            u = compiler.haar_random(args.n, child_seed(args.seed, index))
-            name = f"haar-{index:03d}.json"
-            artifacts.append(name)
-            if out_dir:
-                atomic_write_text(
-                    os.path.join(out_dir, name),
-                    dumps_canonical(experiments.unitary_to_json_dict(u)),
-                )
-    else:
-        perms = compiler.permutation_ensemble(args.n, args.count, args.seed)
-        for index, perm in enumerate(perms):
-            name = f"perm-{index:03d}.json"
-            artifacts.append(name)
-            if out_dir:
-                atomic_write_text(
-                    os.path.join(out_dir, name),
-                    dumps_canonical({"n": args.n, "permutation": list(perm)}),
-                )
-    manifest["artifacts"] = artifacts if out_dir else []
     sys.stdout.write(dumps_canonical(manifest))
     return 0
 

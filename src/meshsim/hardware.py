@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -771,18 +771,10 @@ def settings_from_heater_phases(n, phases, output_phases=None):
 
 
 def _target_vector(profile, target):
-    order = profile.heater_ids
-    if isinstance(target, Mapping):
-        missing = [h for h in order if h not in target]
-        if missing:
-            raise ValidationError(f"target is missing heaters {missing[:3]}")
-        arr = np.array([float(target[h]) for h in order])
-    else:
-        arr = np.asarray(target, dtype=float)
-        if arr.shape != (len(order),):
-            raise ValidationError(
-                f"target must have {len(order)} phases, got shape {arr.shape}"
-            )
+    count = len(profile.heater_ids)
+    arr = np.asarray(target, dtype=float)
+    if arr.shape != (count,):
+        raise ValidationError(f"target must have {count} phases, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("target phases must be finite")
     return arr

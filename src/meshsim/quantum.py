@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Tuple
 
 import mpmath
 import numpy as np
@@ -22,15 +22,12 @@ from .util import (
     ValidationError,
     child_seed,
     column_sums,
-    wrap_phase,
 )
 
-BAR = "bar"
-CROSS = "cross"
-HALF = "half"
-CELL_STATES = (BAR, CROSS, HALF)
-
-_THETA_BY_STATE = {BAR: math.pi, CROSS: 0.0, HALF: math.pi / 2.0}
+# pinned theta of a routing cell in the bar, cross and 50:50 (half) state
+BAR = math.pi
+CROSS = 0.0
+HALF = math.pi / 2.0
 
 DEFAULT_CENTER_WAVELENGTH_NM = 1562.0
 DEFAULT_BANDWIDTH_FWHM_NM = 12.0
@@ -154,32 +151,42 @@ def two_photon_output_distribution(u, input_pair, overlap):
 class RoutingPlan:
     """Bar/cross program isolating one cell as a two-port splitter.
 
-    `cell_states` covers every cell of the mesh; exactly one cell (the
-    target) is in the half state.
+    `theta` is the read-only pinned theta of every cell, in cell_addresses
+    order: BAR, CROSS or HALF, with exactly one HALF cell, the target.
     """
 
     n: int
     target: mesh.CellAddress
     input_pair: Tuple[int, int]
     output_pair: Tuple[int, int]
-    cell_states: Dict[mesh.CellAddress, str]
+    theta: np.ndarray
+
+    def __post_init__(self):
+        index = mesh.cell_index(self.n)
+        theta = np.array(self.theta, dtype=float)
+        if theta.shape != (len(index),):
+            raise ValidationError(
+                f"plan needs one theta per cell of an n={self.n} mesh, "
+                f"got shape {theta.shape}"
+            )
+        if not np.isin(theta, (BAR, CROSS, HALF)).all():
+            raise ValidationError("plan thetas must each be BAR, CROSS or HALF")
+        if np.flatnonzero(theta == HALF).tolist() != [index.get(tuple(self.target))]:
+            raise ValidationError("plan needs exactly one half cell, at the target")
+        _mode_pair(self.input_pair, self.n, "input")
+        _mode_pair(self.output_pair, self.n, "output")
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
 
 
-def _validate_plan_shape(plan):
-    if plan.cell_states.keys() != mesh.cell_index(plan.n).keys():
-        raise ValidationError(
-            f"plan must assign a state to every cell of an n={plan.n} mesh"
-        )
-    halves = [addr for addr, state in plan.cell_states.items() if state == HALF]
-    for state in plan.cell_states.values():
-        if state not in CELL_STATES:
-            raise ValidationError(f"unknown cell state {state!r}")
-    if halves != [plan.target]:
-        raise ValidationError(
-            f"plan needs exactly one half cell at the target, found {halves}"
-        )
-    _mode_pair(plan.input_pair, plan.n, "input")
-    _mode_pair(plan.output_pair, plan.n, "output")
+def _plan(n, target, input_pair, output_pair, crosses):
+    """RoutingPlan with the target HALF, the cells `crosses` CROSS and every
+    other cell BAR."""
+    index = mesh.cell_index(n)
+    theta = np.full(len(index), BAR)
+    theta[[index[addr] for addr in crosses]] = CROSS
+    theta[index[target]] = HALF
+    return RoutingPlan(n, target, input_pair, output_pair, theta)
 
 
 def route_to_tbs(n, target):
@@ -194,41 +201,19 @@ def route_to_tbs(n, target):
     if target not in mesh.cell_index(n):
         raise ValidationError(f"no cell at {tuple(target)} in an n={n} mesh")
     column, row = target
-    states = dict.fromkeys(mesh.cell_addresses(n), BAR)
-    states[target] = HALF
-    if column == 0:
-        in_a, in_b = row, row + 1
-    else:
-        if row == 0:
-            in_a = 0
-        else:
-            in_a = row - 1
-            states[mesh.CellAddress(column - 1, row - 1)] = CROSS
-        if row == n - 2:
-            in_b = n - 1
-        else:
-            in_b = row + 2
-            states[mesh.CellAddress(column - 1, row + 1)] = CROSS
-    if column == n - 1:
-        out_a, out_b = row, row + 1
-    else:
-        if row == 0:
-            out_a = 0
-        else:
-            out_a = row - 1
-            states[mesh.CellAddress(column + 1, row - 1)] = CROSS
-        if row == n - 2:
-            out_b = n - 1
-        else:
-            out_b = row + 2
-            states[mesh.CellAddress(column + 1, row + 1)] = CROSS
-    return RoutingPlan(
-        n=n,
-        target=target,
-        input_pair=(in_a, in_b),
-        output_pair=(out_a, out_b),
-        cell_states=states,
-    )
+    pairs, crosses = [], []
+    # the column before the target routes the inputs, the one after the outputs
+    for side in (column - 1, column + 1):
+        upper, lower = row, row + 1
+        if 0 <= side < n:
+            if row > 0:
+                upper = row - 1
+                crosses.append(mesh.CellAddress(side, row - 1))
+            if row < n - 2:
+                lower = row + 2
+                crosses.append(mesh.CellAddress(side, row + 1))
+        pairs.append((upper, lower))
+    return _plan(n, target, pairs[0], pairs[1], crosses)
 
 
 def _cell_touching(n, column, mode):
@@ -240,29 +225,32 @@ def _cell_touching(n, column, mode):
 
 
 def _trace(plan, mode, col_start, col_stop):
-    """Walk one photon through bar/cross cells; half cells are an error."""
-    used = {}
+    """Walk one photon through bar/cross cells; half cells are an error.
+    Returns its exit mode and the set of cells it touched."""
+    index = mesh.cell_index(plan.n)
+    used = set()
     for column in range(col_start, col_stop):
         addr = _cell_touching(plan.n, column, mode)
         if addr is None:
             continue
-        state = plan.cell_states[addr]
-        used[addr] = "upper" if mode == addr.row else "lower"
-        if state == HALF:
+        used.add(addr)
+        theta = plan.theta[index[addr]]
+        if theta == HALF:
             raise MeshsimError(
                 f"trace entered the splitting cell {tuple(addr)} away from "
                 "the planned meeting point"
             )
-        if state == CROSS:
+        if theta == CROSS:
             mode = addr.row + 1 if mode == addr.row else addr.row
     return mode, used
 
 
 def _check_shared(shared, plan, strict, what):
+    index = mesh.cell_index(plan.n)
     for addr in sorted(shared):
         if strict:
             raise MeshsimError(f"{what} paths share cell {tuple(addr)}")
-        if plan.cell_states[addr] != BAR:
+        if plan.theta[index[addr]] != BAR:
             raise MeshsimError(
                 f"{what} paths share the non-bar cell {tuple(addr)}"
             )
@@ -274,9 +262,8 @@ def verify_routing(plan, strict=True):
     Raises on any violation. With strict=True the input (and output) paths
     may not touch a common cell at all; with strict=False shared cells are
     tolerated when they are in the bar state, which a co-propagating
-    boundary pair needs. Returns the cells used by each traced path.
+    boundary pair needs.
     """
-    _validate_plan_shape(plan)
     column, row = plan.target
     in_a, in_b = plan.input_pair
     mode_a, used_a = _trace(plan, in_a, 0, column)
@@ -286,7 +273,7 @@ def verify_routing(plan, strict=True):
             f"photons arrive on modes {sorted((mode_a, mode_b))}, not the "
             f"target ports {(row, row + 1)}"
         )
-    _check_shared(used_a.keys() & used_b.keys(), plan, strict, "input")
+    _check_shared(used_a & used_b, plan, strict, "input")
     out_upper, used_u = _trace(plan, row, column + 1, plan.n)
     out_lower, used_l = _trace(plan, row + 1, column + 1, plan.n)
     if {out_upper, out_lower} != set(plan.output_pair):
@@ -294,44 +281,23 @@ def verify_routing(plan, strict=True):
             f"target outputs reach modes {sorted((out_upper, out_lower))}, "
             f"not the planned pair {tuple(sorted(plan.output_pair))}"
         )
-    _check_shared(used_u.keys() & used_l.keys(), plan, strict, "output")
-    return {
-        "input_cells": (used_a, used_b),
-        "output_cells": (used_u, used_l),
-    }
-
-
-def _plan_theta(plan):
-    """Pinned, wrapped theta of every cell of a routing plan, in
-    cell_addresses order."""
-    _validate_plan_shape(plan)
-    return wrap_phase(np.array([
-        _THETA_BY_STATE[plan.cell_states[addr]]
-        for addr in mesh.cell_addresses(plan.n)
-    ]))
+    _check_shared(used_u & used_l, plan, strict, "output")
 
 
 @lru_cache(maxsize=None)
 def _routes(n):
-    """Read-only (cells, cells) pinned thetas and (input, output) mode pairs
-    of the route_to_tbs plan of every cell, in cell_addresses order, planned
-    once per n. Only these are kept: the 190 plans with their per-cell state
-    dicts would cost about 2 MB at n=20."""
-    cells = mesh.cell_addresses(n)
-    theta = np.empty((len(cells), len(cells)))
-    pairs = []
-    for plan_theta, addr in zip(theta, cells):
-        plan = route_to_tbs(n, addr)
-        plan_theta[:] = _plan_theta(plan)
-        pairs.append((plan.input_pair, plan.output_pair))
+    """Read-only (cells, cells) stack of the route_to_tbs plan thetas of
+    every cell and their (input, output) mode pairs, in cell_addresses
+    order, planned once per n."""
+    plans = [route_to_tbs(n, addr) for addr in mesh.cell_addresses(n)]
+    theta = np.array([plan.theta for plan in plans])
     theta.setflags(write=False)
-    return theta, tuple(pairs)
+    return theta, tuple((plan.input_pair, plan.output_pair) for plan in plans)
 
 
 def plan_to_settings(plan):
     """Mesh program for a routing plan: pinned thetas, all phis zero."""
-    theta = _plan_theta(plan)
-    return mesh.MeshSettings.from_phases(plan.n, theta, np.zeros(theta.size))
+    return mesh.MeshSettings.from_phases(plan.n, plan.theta, np.zeros(plan.theta.size))
 
 
 def default_delay_grid(center_um=0.0):
@@ -635,15 +601,6 @@ def _check_scan_inputs(profile, n, count_noise_sigma):
         raise ValidationError("count noise sigma must be >= 0")
 
 
-def _realize_routes(profile, theta, seeds):
-    """Realized transfers of routed programs, one run seed each, yielded a
-    hardware chunk at a time: (k, cells) pinned thetas as _plan_theta gives
-    them, zero phis and output phases, as plan_to_settings programs them."""
-    return hardware.realized_transfer_chunks(
-        profile, theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)), seeds
-    )
-
-
 def _normalized_counts(terms, envelope, far, seed, count_noise_sigma):
     """Coincidences of one scan from the two pair terms of its realized
     transfer (as _pair_terms gives them), given the source envelope x(tau)
@@ -660,6 +617,27 @@ def _normalized_counts(terms, envelope, far, seed, count_noise_sigma):
     if base <= 0:
         raise MeshsimError("scan has no off-dip coincidences to normalize by")
     return counts / base
+
+
+def _routed_scans(profile, theta, pairs, seeds, envelopes, fars, count_noise_sigma):
+    """Normalized coincidences of k routed scans, one per row of the
+    (k, cells) thetas, realized with zero phis and output phases as
+    plan_to_settings programs them and one run seed each. Each realized
+    chunk is reduced to its scans' counts as it arrives; scan i uses the
+    (input, output) mode pairs pairs[i], the source envelope envelopes[i]
+    and the baseline samples fars[i]. Returns the k scans in order."""
+    scans = []
+    for transfers in hardware.realized_transfer_chunks(
+        profile, theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)), seeds
+    ):
+        scans += [
+            _normalized_counts(
+                _pair_terms(m, *pairs[i]), envelopes[i], fars[i], seeds[i],
+                count_noise_sigma,
+            )
+            for i, m in enumerate(transfers, len(scans))
+        ]
+    return scans
 
 
 def hom_scan(
@@ -681,10 +659,9 @@ def hom_scan(
     """
     _check_scan_inputs(profile, plan.n, count_noise_sigma)
     d, far = _scan_grid(delays_um, arm_delay_um)
-    transfer = next(_realize_routes(profile, _plan_theta(plan)[None], [seed]))[0]
-    normalized = _normalized_counts(
-        _pair_terms(transfer, plan.input_pair, plan.output_pair),
-        source.overlap_at(d, arm_delay_um), far, seed, count_noise_sigma,
+    (normalized,) = _routed_scans(
+        profile, plan.theta[None], [(plan.input_pair, plan.output_pair)], [seed],
+        [source.overlap_at(d, arm_delay_um)], [far], count_noise_sigma,
     )
     fit = fit_gaussian_dip(d, normalized)
     normalized.setflags(write=False)
@@ -765,9 +742,8 @@ def hom_visibility_map(n, source, profile, *, seed=0, count_noise_sigma=0.0):
     Per-cell seeds derive from (seed, cell index), so the transfer chunk
     cannot change the map. Every scan is the hom_scan of its routing plan:
     the routes are planned once per n, the delay grid, source envelope and
-    baseline samples once per map; each realized chunk of transfers is
-    reduced to its scans' two pair terms, the count model runs per scan,
-    and one fit_gaussian_dips call fits all scans. Row and column one-way
+    baseline samples once per map, all scans are realized in one routed
+    call, and one fit_gaussian_dips call fits them. Row and column one-way
     ANOVA p-values probe for systematic structure along either mesh axis.
     """
     _check_scan_inputs(profile, n, count_noise_sigma)
@@ -778,14 +754,10 @@ def hom_visibility_map(n, source, profile, *, seed=0, count_noise_sigma=0.0):
     envelope = source.overlap_at(d, 0.0)
     seeds = [child_seed(seed, index) for index in range(len(cells))]
     theta, pairs = _routes(n)
-    terms = []
-    for transfers in _realize_routes(profile, theta, seeds):
-        start = len(terms)
-        terms += [_pair_terms(m, *pair) for m, pair in zip(transfers, pairs[start:])]
-    scans = [
-        _normalized_counts(term, envelope, far, item_seed, count_noise_sigma)
-        for term, item_seed in zip(terms, seeds)
-    ]
+    scans = _routed_scans(
+        profile, theta, pairs, seeds, [envelope] * len(seeds), [far] * len(seeds),
+        count_noise_sigma,
+    )
     visibilities = np.array([fit.visibility for fit in fit_gaussian_dips(d, scans)])
     stats = analysis.ensemble_statistics(visibilities)
     visibilities.setflags(write=False)
@@ -808,20 +780,9 @@ def diagonal_interferometer_plan(n):
     """
     if n < 3:
         raise ValidationError("diagonal interferometer needs n >= 3")
-    states = dict.fromkeys(mesh.cell_addresses(n), BAR)
-    for c in range(1, n - 2):
-        states[mesh.CellAddress(c, c)] = CROSS
-    for c in range(2, n - 1):
-        states[mesh.CellAddress(c, c - 2)] = CROSS
-    target = mesh.CellAddress(n - 1, n - 3)
-    states[target] = HALF
-    return RoutingPlan(
-        n=n,
-        target=target,
-        input_pair=(0, 1),
-        output_pair=(n - 3, n - 2),
-        cell_states=states,
-    )
+    crosses = [mesh.CellAddress(c, c) for c in range(1, n - 2)]
+    crosses += [mesh.CellAddress(c, c - 2) for c in range(2, n - 1)]
+    return _plan(n, mesh.CellAddress(n - 1, n - 3), (0, 1), (n - 3, n - 2), crosses)
 
 
 def diagonal_arm_heaters(n):
@@ -855,7 +816,9 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
     interferometer moves by that amount per heater while the control layer
     holds the interferometric phases at the plan settings. Each drive level
     yields one HOM scan on a grid centered at the expected delay; the
-    fitted centers trace the delay line.
+    fitted centers trace the delay line. Each level's scan is the hom_scan
+    of the plan with run seed child_seed(seed, level index); all levels are
+    realized in one routed call, and each is fitted on its own grid.
     """
     if source is None:
         source = PhotonPairSource()
@@ -889,19 +852,20 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
 
     lam_um = source.center_wavelength_nm * 1e-3
     count = len(driven)
-    centers = []
-    for index, level in enumerate(levels):
-        arm_delay = count * float(level) * lam_um / TWO_PI
-        scan = hom_scan(
-            plan,
-            source,
-            profile,
-            seed=child_seed(seed, index),
-            arm_delay_um=arm_delay,
-        )
-        centers.append(scan.fit.center_um)
-
-    centers = np.asarray(centers, dtype=float)
+    arm_delays = [count * float(level) * lam_um / TWO_PI for level in levels]
+    grids = [_scan_grid(None, arm_delay) for arm_delay in arm_delays]
+    scans = _routed_scans(
+        profile,
+        np.repeat(plan.theta[None], levels.size, axis=0),
+        [(plan.input_pair, plan.output_pair)] * levels.size,
+        [child_seed(seed, index) for index in range(levels.size)],
+        [source.overlap_at(d, a) for (d, _), a in zip(grids, arm_delays)],
+        [far for _, far in grids],
+        0.0,
+    )
+    centers = np.array(
+        [fit_gaussian_dip(d, scan).center_um for (d, _), scan in zip(grids, scans)]
+    )
     total = float(centers[-1] - centers[0])
     levels = levels.copy()
     levels.setflags(write=False)

@@ -202,6 +202,22 @@ def test_perm_subcommand_writes_permutations(tmp_path, capsys):
     assert all(sorted(p) == [0, 1, 2, 3] for p in perms)
 
 
+@pytest.mark.parametrize("argv", [
+    ["haar", "--n", "20", "--count", "1000"],
+    ["perm", "--n", "4", "--count", "3"],
+])
+def test_ensemble_without_out_dir_draws_nothing(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ensemble drawn with no output directory")
+
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    monkeypatch.setattr(compiler, "haar_random", refuse)
+    monkeypatch.setattr(compiler, "permutation_ensemble", refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["artifacts"] == []
+
+
 def test_ensemble_flag_validation(capsys):
     code, out, err = run_cli(["haar", "--n", "1"], capsys)
     assert code == 2

@@ -585,7 +585,7 @@ def test_solve_rejects_non_finite_target():
     with pytest.raises(ValidationError, match="finite"):
         solve_voltages(prof, cal, np.array([np.nan, 1.0]))
     with pytest.raises(ValidationError, match="finite"):
-        solve_voltages(prof, cal, {h: np.inf for h in prof.heater_ids})
+        solve_voltages(prof, cal, np.full(len(prof.heater_ids), np.inf))
 
 
 def test_measure_columns_normalized_and_seeded():

@@ -30,7 +30,7 @@ from meshsim.quantum import (
     two_photon_output_distribution,
     verify_routing,
 )
-from meshsim.util import MeshsimError, ValidationError, child_seed
+from meshsim.util import TWO_PI, MeshsimError, ValidationError, child_seed
 
 from oracles import (
     cell_matrix,
@@ -123,7 +123,7 @@ def test_route_trivial_n2():
     plan = route_to_tbs(2, (0, 0))
     assert plan.input_pair == (0, 1)
     assert plan.output_pair == (0, 1)
-    assert plan.cell_states[mesh.CellAddress(0, 0)] == HALF
+    assert plan.theta[mesh.cell_index(2)[mesh.CellAddress(0, 0)]] == HALF
     verify_routing(plan, strict=True)
 
 
@@ -136,7 +136,7 @@ def test_route_all_cells_verify_strict():
     n = 20
     for addr in mesh.cell_addresses(n):
         plan = route_to_tbs(n, addr)
-        halves = [a for a, s in plan.cell_states.items() if s == HALF]
+        halves = [a for a, t in zip(mesh.cell_addresses(n), plan.theta) if t == HALF]
         assert halves == [addr]
         verify_routing(plan, strict=True)
 
@@ -157,6 +157,7 @@ def _expected_modes_by_stage(plan, start_mode):
     on, both splitter branches are live.
     """
     n = plan.n
+    index = mesh.cell_index(n)
     column_target = plan.target.column
     stages = []
     mode = start_mode
@@ -164,7 +165,7 @@ def _expected_modes_by_stage(plan, start_mode):
         stages.append({mode})
         row = mode if column % 2 == mode % 2 else mode - 1
         if 0 <= row <= n - 2:
-            state = plan.cell_states[mesh.CellAddress(column, row)]
+            state = plan.theta[index[mesh.CellAddress(column, row)]]
             if state == CROSS:
                 mode = row + 1 if mode == row else row
     branches = {plan.target.row, plan.target.row + 1}
@@ -174,7 +175,7 @@ def _expected_modes_by_stage(plan, start_mode):
         for m in branches:
             row = m if column % 2 == m % 2 else m - 1
             if 0 <= row <= n - 2:
-                state = plan.cell_states[mesh.CellAddress(column, row)]
+                state = plan.theta[index[mesh.CellAddress(column, row)]]
                 if state == CROSS:
                     nxt.add(row + 1 if m == row else row)
                 else:
@@ -214,18 +215,65 @@ def test_routing_power_isolation_literal(n):
 
 def test_verify_routing_detects_tampering():
     plan = route_to_tbs(8, (3, 3))
-    broken = dict(plan.cell_states)
+    broken = plan.theta.copy()
     # disable one of the output crosses
-    broken[mesh.CellAddress(4, 2)] = BAR
+    broken[mesh.cell_index(8)[mesh.CellAddress(4, 2)]] = BAR
     bad = quantum.RoutingPlan(
         n=plan.n,
         target=plan.target,
         input_pair=plan.input_pair,
         output_pair=plan.output_pair,
-        cell_states=broken,
+        theta=broken,
     )
     with pytest.raises(MeshsimError):
         verify_routing(bad, strict=True)
+
+
+def _plan_with(plan, **changes):
+    fields = dict(
+        n=plan.n, target=plan.target, input_pair=plan.input_pair,
+        output_pair=plan.output_pair, theta=plan.theta,
+    )
+    return quantum.RoutingPlan(**{**fields, **changes})
+
+
+def _theta_with(plan, values):
+    theta = plan.theta.copy()
+    for addr, value in values.items():
+        theta[mesh.cell_index(plan.n)[addr]] = value
+    return theta
+
+
+@pytest.mark.parametrize("case", [
+    "short theta", "unknown theta", "nan theta", "two halves", "half off target",
+    "input out of range", "output out of range",
+])
+def test_routing_plan_checks_itself_at_construction(case):
+    plan = route_to_tbs(6, (2, 2))
+    off = mesh.CellAddress(0, 0)
+    changes = {
+        "short theta": dict(theta=plan.theta[:-1]),
+        "unknown theta": dict(theta=_theta_with(plan, {off: 1.0})),
+        "nan theta": dict(theta=_theta_with(plan, {off: np.nan})),
+        "two halves": dict(theta=_theta_with(plan, {off: HALF})),
+        "half off target": dict(theta=_theta_with(plan, {off: HALF, plan.target: BAR})),
+        "input out of range": dict(input_pair=(1, 6)),
+        "output out of range": dict(output_pair=(-1, 3)),
+    }[case]
+    with pytest.raises(ValidationError):
+        _plan_with(plan, **changes)
+
+
+def test_routing_plan_theta_is_a_read_only_copy():
+    plan = route_to_tbs(6, (2, 2))
+    theta = plan.theta.copy()
+    copy = _plan_with(plan, theta=theta)
+    theta[0] = CROSS
+    assert np.array_equal(copy.theta, plan.theta)
+    with pytest.raises(ValueError):
+        plan.theta[0] = CROSS
+    assert set(plan.theta.tolist()) == {BAR, CROSS, HALF}
+    assert (BAR, CROSS, HALF) == (math.pi, 0.0, math.pi / 2.0)
 
 
 def test_verify_routing_strictness_modes():
@@ -380,7 +428,7 @@ def _map_scans(n, disorder_seed, count_noise_sigma):
     d, far = quantum._scan_grid(None, 0.0)
     envelope = src.overlap_at(d, 0.0)
     plans = [route_to_tbs(n, addr) for addr in mesh.cell_addresses(n)]
-    theta = np.array([quantum._plan_theta(plan) for plan in plans])
+    theta = np.array([plan.theta for plan in plans])
     seeds = [child_seed(disorder_seed, index) for index in range(len(plans))]
     transfers = np.concatenate(list(hardware.realized_transfer_chunks(
         profile, theta, np.zeros_like(theta), np.zeros((len(seeds), n)), seeds
@@ -742,6 +790,28 @@ def test_delay_sweep_tracks_drive():
     assert report["results"]["centers_um"] == sweep.centers_um.tolist()
     assert report["summary"]["heater_count"] == 36
     assert len(report["results"]["driven_heater_ids"]) == 36
+
+
+@pytest.mark.parametrize("n, disorder_seed, seed, levels", [
+    (8, 0, 3, [0.0, 0.4, 1.1, 2.0, 9.5]),
+    (20, 1, 11, [0.0, 0.5, 1.5, 2.5, 4.0, 9.4]),
+])
+def test_delay_sweep_equals_its_per_level_scans(n, disorder_seed, seed, levels):
+    # the sweep realizes all levels in one call; each level must still be
+    # the hom_scan of the diagonal plan at that level, bit for bit
+    profile = hardware.calibrated_profile(n, disorder_seed=disorder_seed)
+    source = PhotonPairSource()
+    sweep = diagonal_delay_sweep(n, profile, levels, source, seed=seed)
+    plan = diagonal_interferometer_plan(n)
+    lam_um = source.center_wavelength_nm * 1e-3
+    expected = [
+        hom_scan(
+            plan, source, profile, seed=child_seed(seed, index),
+            arm_delay_um=sweep.heater_count * level * lam_um / TWO_PI,
+        ).fit.center_um
+        for index, level in enumerate(levels)
+    ]
+    assert [c.hex() for c in sweep.centers_um.tolist()] == [c.hex() for c in expected]
 
 
 def test_delay_sweep_validation():
