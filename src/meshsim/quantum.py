@@ -623,21 +623,20 @@ def _routed_scans(profile, theta, pairs, seeds, envelopes, fars, count_noise_sig
     """Normalized coincidences of k routed scans, one per row of the
     (k, cells) thetas, realized with zero phis and output phases as
     plan_to_settings programs them and one run seed each. Each realized
-    chunk is reduced to its scans' counts as it arrives; scan i uses the
-    (input, output) mode pairs pairs[i], the source envelope envelopes[i]
-    and the baseline samples fars[i]. Returns the k scans in order."""
-    scans = []
+    chunk is reduced to its scans' pair terms (scan i at the (input,
+    output) mode pairs pairs[i]) as it arrives; the count model then runs
+    per scan, on the source envelope envelopes[i] and the baseline samples
+    fars[i]. Interleaving the count model with the realization made a noisy
+    n=20 map about 1% slower. Returns the k scans in order."""
+    terms = []
     for transfers in hardware.realized_transfer_chunks(
         profile, theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)), seeds
     ):
-        scans += [
-            _normalized_counts(
-                _pair_terms(m, *pairs[i]), envelopes[i], fars[i], seeds[i],
-                count_noise_sigma,
-            )
-            for i, m in enumerate(transfers, len(scans))
-        ]
-    return scans
+        terms += [_pair_terms(m, *pairs[i]) for i, m in enumerate(transfers, len(terms))]
+    return [
+        _normalized_counts(term, envelopes[i], fars[i], seeds[i], count_noise_sigma)
+        for i, term in enumerate(terms)
+    ]
 
 
 def hom_scan(
