@@ -85,6 +85,8 @@ def _matrix_of(u):
 
 def _mode_pair(pair, n, label):
     a, b = (int(pair[0]), int(pair[1]))
+    if (a, b) != tuple(pair):
+        raise ValidationError(f"{label} modes must be a pair of integers, got {pair}")
     if a == b:
         raise ValidationError(f"{label} modes must be distinct, got {pair}")
     for m in (a, b):
@@ -173,10 +175,11 @@ class RoutingPlan:
             raise ValidationError("plan thetas must each be BAR, CROSS or HALF")
         if np.flatnonzero(theta == HALF).tolist() != [index.get(tuple(self.target))]:
             raise ValidationError("plan needs exactly one half cell, at the target")
-        _mode_pair(self.input_pair, self.n, "input")
-        _mode_pair(self.output_pair, self.n, "output")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
+        for side in ("input", "output"):
+            pair = _mode_pair(getattr(self, f"{side}_pair"), self.n, side)
+            object.__setattr__(self, f"{side}_pair", pair)
 
 
 def _plan(n, target, input_pair, output_pair, crosses):

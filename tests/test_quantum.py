@@ -89,6 +89,10 @@ def test_two_photon_input_validation():
         two_photon_coincidence(u, (0, 3), (0, 1), 0.5)
     with pytest.raises(ValidationError):
         two_photon_coincidence(u, (0, 1), (0, 2), 1.5)
+    with pytest.raises(ValidationError):
+        two_photon_coincidence(u, (0.5, 1), (0, 2), 0.5)
+    with pytest.raises(ValidationError):
+        two_photon_coincidence(u, (0, 1, 2), (0, 2), 0.5)
 
 
 def test_two_photon_matches_fock_oracle():
@@ -246,7 +250,7 @@ def _theta_with(plan, values):
 
 @pytest.mark.parametrize("case", [
     "short theta", "unknown theta", "nan theta", "two halves", "half off target",
-    "input out of range", "output out of range",
+    "input out of range", "output out of range", "fractional mode",
 ])
 def test_routing_plan_checks_itself_at_construction(case):
     plan = route_to_tbs(6, (2, 2))
@@ -259,6 +263,7 @@ def test_routing_plan_checks_itself_at_construction(case):
         "half off target": dict(theta=_theta_with(plan, {off: HALF, plan.target: BAR})),
         "input out of range": dict(input_pair=(1, 6)),
         "output out of range": dict(output_pair=(-1, 3)),
+        "fractional mode": dict(input_pair=(0.5, 3)),
     }[case]
     with pytest.raises(ValidationError):
         _plan_with(plan, **changes)
@@ -273,6 +278,9 @@ def test_routing_plan_theta_is_a_read_only_copy():
     with pytest.raises(ValueError):
         plan.theta[0] = CROSS
     assert set(plan.theta.tolist()) == {BAR, CROSS, HALF}
+    # mode pairs are stored as the validated integer tuples
+    floats = _plan_with(plan, input_pair=np.array([1.0, 4.0]))
+    assert floats.input_pair == (1, 4) and type(floats.input_pair[0]) is int
     assert (BAR, CROSS, HALF) == (math.pi, 0.0, math.pi / 2.0)
 
 
