@@ -269,7 +269,7 @@ def test_routing_plan_checks_itself_at_construction(case):
         _plan_with(plan, **changes)
 
 
-def test_routing_plan_theta_is_a_read_only_copy():
+def test_routing_plan_keeps_a_read_only_theta_copy():
     plan = route_to_tbs(6, (2, 2))
     theta = plan.theta.copy()
     copy = _plan_with(plan, theta=theta)
