@@ -332,32 +332,26 @@ def _run_calibration(config):
         detector_noise_sigma=config.params["detector_noise_sigma"],
     )
     order = hardware.heater_order(config.n)
-    heater_rows = []
-    max_phi0_rel = 0.0
-    max_alpha_rel = 0.0
-    for hid, phi0_true, alpha_true in zip(
-        order, profile.phi0_rad.tolist(), profile.alpha_rad_per_w.tolist()
-    ):
-        fit = record.entries[hid]
-        if phi0_true == 0:
-            # no relative error exists at phi0 = 0 (every heater of the
-            # ideal profile); report the wrapped absolute error instead
-            phi0_rel = abs(float(wrap_signed(fit.phi0_rad - phi0_true)))
-        else:
-            phi0_rel = abs(fit.phi0_rad - phi0_true) / abs(phi0_true)
-        alpha_rel = abs(fit.alpha_rad_per_w - alpha_true) / abs(alpha_true)
-        max_phi0_rel = max(max_phi0_rel, phi0_rel)
-        max_alpha_rel = max(max_alpha_rel, alpha_rel)
-        heater_rows.append(
-            {
-                "heater_id": hid,
-                "phi0_true_rad": phi0_true,
-                "phi0_fit_rad": fit.phi0_rad,
-                "alpha_true_rad_per_w": alpha_true,
-                "alpha_fit_rad_per_w": fit.alpha_rad_per_w,
-                "residual": fit.residual,
-            }
-        )
+    phi0, alpha, residual = record.arrays(order)
+    phi0_true, alpha_true = profile.phi0_rad, profile.alpha_rad_per_w
+    # no relative error exists at phi0 = 0 (every heater of the ideal
+    # profile); report the wrapped absolute error instead
+    at_zero = phi0_true == 0
+    phi0_rel = np.where(
+        at_zero,
+        np.abs(wrap_signed(phi0 - phi0_true)),
+        np.abs(phi0 - phi0_true) / np.abs(np.where(at_zero, 1.0, phi0_true)),
+    )
+    alpha_rel = np.abs(alpha - alpha_true) / np.abs(alpha_true)
+    columns = {
+        "heater_id": order,
+        "phi0_true_rad": phi0_true.tolist(),
+        "phi0_fit_rad": phi0.tolist(),
+        "alpha_true_rad_per_w": alpha_true.tolist(),
+        "alpha_fit_rad_per_w": alpha.tolist(),
+        "residual": residual.tolist(),
+    }
+    heater_rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     solve_errors = []
     for check in range(config.count):
@@ -371,14 +365,14 @@ def _run_calibration(config):
 
     results = {"heaters": heater_rows, "solve_check_errors_rad": solve_errors}
     summary = {
-        "max_phi0_rel_error": max_phi0_rel,
-        "max_alpha_rel_error": max_alpha_rel,
-        "max_fit_residual": record.max_residual,
+        "max_phi0_rel_error": float(phi0_rel.max()),
+        "max_alpha_rel_error": float(alpha_rel.max()),
+        "max_fit_residual": float(residual.max()),
         "max_solve_error_rad": max(solve_errors),
     }
     csv_files = {
         "calibration.csv": _csv_text(
-            ",".join(heater_rows[0]), [row.values() for row in heater_rows]
+            ",".join(columns), [row.values() for row in heater_rows]
         )
     }
     return results, summary, csv_files

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -583,16 +583,16 @@ def _fringe_polish(p, y, alpha):
     return final_alpha, final_state, stopped
 
 
-def _sweep_defect(finite, distinct, constant):
-    """The first input check a sweep of >= 8 samples fails, or None."""
-    if not finite:
-        return "non-finite sweep data"
-    # fewer than 4 distinct powers fit the 4-parameter model at any alpha
-    if distinct < 4:
-        return "degenerate voltage grid"
-    if constant:
-        return "constant signal"
-    return None
+# why a heater's fit fails, in the order a single fit checks: three input
+# checks, then the vanishing fringe, the polish and the swept span
+_FIT_FAILURES = (
+    "non-finite sweep data",
+    "degenerate voltage grid",
+    "constant signal",
+    "vanishing fringe",
+    f"fit did not converge in {_FIT_ITERATIONS} iterations",
+    "swept span {:.3f} rad covers less than one fringe period",
+)
 
 
 def fit_phase_responses(power, signal, heater_ids):
@@ -607,7 +607,8 @@ def fit_phase_responses(power, signal, heater_ids):
     FitDegeneracyError for the first heater, in stack order, whose data
     cannot pin the parameters down (too few samples or distinct powers,
     non-finite data, a flat fringe, a swept span under one period) or whose
-    polish does not converge. Returns one CalibrationEntry per heater.
+    polish does not converge. Returns the (phi0, alpha, rms residual)
+    arrays in stack order.
     """
     power = np.asarray(power, dtype=float)
     signal = np.asarray(signal, dtype=float)
@@ -616,18 +617,16 @@ def fit_phase_responses(power, signal, heater_ids):
     k, m = power.shape
     if k and m < 8:
         raise FitDegeneracyError(f"{heater_ids[0]}: need >= 8 samples, got {m}")
+    failed = np.zeros((len(_FIT_FAILURES), k), bool)
     with np.errstate(all="ignore"):
-        finite = np.isfinite(power).all(1) & np.isfinite(signal).all(1)
+        failed[0] = ~(np.isfinite(power).all(1) & np.isfinite(signal).all(1))
         ordered = np.sort(power, axis=1)
-        distinct = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(1)
-        constant = signal.max(1) - signal.min(1) < 1e-12
-    defects = (_sweep_defect(*checks) for checks in zip(finite, distinct, constant))
-    bad = next(
-        ((i, why) for i, why in enumerate(defects) if why is not None), (k, None)
-    )
+        # fewer than 4 distinct powers fit the 4-parameter model at any alpha
+        failed[1] = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(1) < 4
+        failed[2] = signal.max(1) - signal.min(1) < 1e-12
     # the heaters before the first bad sweep are fitted, and a failure
     # among them is raised first, as a heater-order loop would
-    fitted = bad[0]
+    fitted = int(np.argmax(failed.any(0))) if failed.any() else k
     power, signal = power[:fitted], signal[:fitted]
     low, high = ordered[:fitted, 0], ordered[:fitted, -1]
     span = high - low
@@ -645,37 +644,28 @@ def fit_phase_responses(power, signal, heater_ids):
     alpha, state, converged = _fringe_polish(
         p, y, seed * (_ALPHA_GRID[0] + best * grid_step)
     )
-
-    entries = []
-    for i in range(fitted):
-        hid = heater_ids[i]
-        a, c1, c2 = float(alpha[i]), float(state[_B, i]), float(state[_C, i])
-        if math.hypot(c1, c2) < 1e-9:
-            raise FitDegeneracyError(f"{hid}: vanishing fringe")
-        if not converged[i]:
-            raise FitDegeneracyError(
-                f"{hid}: fit did not converge in {_FIT_ITERATIONS} iterations"
-            )
-        if a * span[i] < TWO_PI:
-            raise FitDegeneracyError(
-                f"{hid}: swept span {a * span[i]:.3f} rad "
-                "covers less than one fringe period"
-            )
-        entries.append(
-            CalibrationEntry(
-                heater_id=hid,
-                phi0_rad=float(wrap_phase(math.atan2(-c2, c1))),
-                alpha_rad_per_w=a,
-                residual=math.sqrt(float(state[_SSR, i]) / m),
-            )
-        )
-    if bad[1] is not None:
-        raise FitDegeneracyError(f"{heater_ids[bad[0]]}: {bad[1]}")
-    return entries
+    turns = alpha * span
+    failed[3, :fitted] = np.hypot(state[_B], state[_C]) < 1e-9
+    failed[4, :fitted] = ~converged
+    failed[5, :fitted] = turns < TWO_PI
+    if failed.any():
+        i = int(np.argmax(failed.any(0)))
+        why = _FIT_FAILURES[int(np.argmax(failed[:, i]))]
+        # only the span message takes a value, and only a fitted heater has one
+        raise FitDegeneracyError(f"{heater_ids[i]}: " + why.format(*turns[i : i + 1]))
+    # a scalar atan2 per heater: np.arctan2 rounds differently by SIMD path
+    phi0 = [math.atan2(-c, b) for b, c in zip(state[_B].tolist(), state[_C].tolist())]
+    return wrap_phase(np.array(phi0)), alpha, np.sqrt(state[_SSR] / m)
 
 
 def fit_phase_response(sweep, resistance_ohm):
-    """fit_phase_responses of one sweep: the same fit, bit for bit."""
+    """fit_phase_responses of one sweep: the same fit, bit for bit, as a
+    CalibrationEntry."""
+    if not 0.0 < float(resistance_ohm) < math.inf:
+        raise ValidationError(
+            f"{sweep.heater_id}: resistance must be finite and > 0, "
+            f"got {resistance_ohm}"
+        )
     v = np.asarray(sweep.voltages_v, dtype=float)
     signal = np.asarray(sweep.signal, dtype=float)
     if v.shape != signal.shape:
@@ -683,21 +673,26 @@ def fit_phase_response(sweep, resistance_ohm):
             f"{sweep.heater_id}: {v.size} voltages for {signal.size} signal samples"
         )
     power = v.reshape(1, -1) ** 2 / float(resistance_ohm)
-    return fit_phase_responses(power, signal.reshape(1, -1), [sweep.heater_id])[0]
+    fit = fit_phase_responses(power, signal.reshape(1, -1), [sweep.heater_id])
+    return CalibrationEntry(sweep.heater_id, *(float(x[0]) for x in fit))
 
 
 @dataclass(frozen=True)
 class CalibrationRecord:
     """Fitted (phi0, alpha) for every heater of one device.
 
-    Treated as immutable, entries included: solve_voltages keeps the inverted
-    drive system of the last profile it was solved against on the record.
+    Immutable, entries included (they are kept as a read-only copy):
+    solve_voltages keeps the inverted drive system of the last profile it
+    was solved against on the record.
     """
 
-    entries: Dict[str, CalibrationEntry]
+    entries: Mapping[str, CalibrationEntry]
     _drive_memo: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     @classmethod
     def exact_from_profile(cls, profile):
@@ -713,14 +708,12 @@ class CalibrationRecord:
         }
         return cls(entries=entries)
 
-    @property
-    def max_residual(self):
-        return max(e.residual for e in self.entries.values())
-
     def arrays(self, order):
+        """(phi0, alpha, residual) arrays in the given heater order."""
         phi0 = np.array([self.entries[h].phi0_rad for h in order])
         alpha = np.array([self.entries[h].alpha_rad_per_w for h in order])
-        return phi0, alpha
+        residual = np.array([self.entries[h].residual for h in order])
+        return phi0, alpha, residual
 
 
 def calibrate_profile(profile, points=64, seed=0, detector_noise_sigma=0.0):
@@ -729,9 +722,10 @@ def calibrate_profile(profile, points=64, seed=0, detector_noise_sigma=0.0):
     v = np.linspace(0.0, profile.v_max_v, points, axis=1)
     index = np.arange(len(profile.heater_ids))
     signal = _sweep_signals(profile, index, v, seed, detector_noise_sigma)
-    entries = fit_phase_responses(
+    fit = fit_phase_responses(
         v**2 / profile.resistance_ohm[:, None], signal, profile.heater_ids
     )
+    entries = map(CalibrationEntry, profile.heater_ids, *(x.tolist() for x in fit))
     return CalibrationRecord(entries={e.heater_id: e for e in entries})
 
 
@@ -794,7 +788,9 @@ def _drive_system(profile, calibration):
     memo = calibration._drive_memo
     if memo is not None and memo[0] is profile:
         return memo[1]
-    phi0, alpha = calibration.arrays(profile.heater_ids)
+    if calibration.entries.keys() != set(profile.heater_ids):
+        raise ValidationError("the calibration record is for another heater set")
+    phi0, alpha, _ = calibration.arrays(profile.heater_ids)
     coupling = np.diag(alpha) + profile.crosstalk.offdiagonal()
     inverse = np.linalg.inv(coupling)
     inverse.setflags(write=False)
@@ -1001,13 +997,11 @@ def insertion_loss_per_mode(profile):
 
 def profile_to_json_dict(profile):
     order = profile.heater_ids
-    index = heater_index(profile.n)
     off = profile.crosstalk.offdiagonal()
     couplings = [
         {"i": order[i], "j": order[j], "rad_per_w": float(off[i, j])}
         for i, j in zip(*np.nonzero(off))
     ]
-    couplings.sort(key=lambda c: (index[c["i"]], index[c["j"]]))
     return {
         "name": profile.name,
         "n": profile.n,

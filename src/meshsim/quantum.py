@@ -84,8 +84,12 @@ def _matrix_of(u):
 
 
 def _mode_pair(pair, n, label):
-    a, b = (int(pair[0]), int(pair[1]))
-    if (a, b) != tuple(pair):
+    try:
+        a, b = (int(pair[0]), int(pair[1]))
+        whole = (a, b) == tuple(pair)
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        whole = False
+    if not whole:
         raise ValidationError(f"{label} modes must be a pair of integers, got {pair}")
     if a == b:
         raise ValidationError(f"{label} modes must be distinct, got {pair}")

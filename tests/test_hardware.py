@@ -198,6 +198,17 @@ def test_fit_degeneracies():
         fit_phase_response(SweepRecord("c03r04.theta", v, fringe[:79]), 100.0)
 
 
+@pytest.mark.parametrize("resistance", [-100.0, 0.0, np.nan, np.inf])
+def test_fit_rejects_a_bad_resistance(resistance):
+    # a negative resistance would fit 2*pi - phi0 and a zero one divide by 0
+    v = np.linspace(0.0, 10.0, 80)
+    fringe = 0.5 + 0.5 * np.cos(9.2 * v**2 / 100.0 + 1.019)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^c02r01.theta: resistance"):
+            fit_phase_response(SweepRecord("c02r01.theta", v, fringe), resistance)
+
+
 _SPAN = re.compile(r"swept span [0-9.]+")
 
 
@@ -319,6 +330,14 @@ def _entry_hex(outcome):
     )
 
 
+def _fits_hex(heater_ids, fit):
+    # fit_phase_responses' (phi0, alpha, residual) arrays as _entry_hex rows
+    columns = (x.tolist() for x in fit)
+    return [
+        (hid,) + tuple(x.hex() for x in row) for hid, *row in zip(heater_ids, *columns)
+    ]
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.05])
 def test_fringe_fit_is_batch_invariant(sigma):
     # every operation acts on each heater alone, so a heater fits to the
@@ -338,14 +357,13 @@ def test_fringe_fit_is_batch_invariant(sigma):
             for s, r in zip(sweeps, prof.resistance_ohm.tolist())
         ]
         full = hardware.fit_phase_responses(power, signal, prof.heater_ids)
-        assert [_entry_hex(e) for e in full] == alone
+        assert _fits_hex(prof.heater_ids, full) == alone
         picks = np.random.default_rng(np.random.SeedSequence([5, 2])).choice(
             len(sweeps), 7, replace=False
         )
-        seven = hardware.fit_phase_responses(
-            power[picks], signal[picks], [prof.heater_ids[i] for i in picks]
-        )
-        assert [_entry_hex(e) for e in seven] == [alone[i] for i in picks]
+        ids = [prof.heater_ids[i] for i in picks]
+        seven = hardware.fit_phase_responses(power[picks], signal[picks], ids)
+        assert _fits_hex(ids, seven) == [alone[i] for i in picks]
         record = calibrate_profile(prof, seed=5, detector_noise_sigma=sigma)
         assert [_entry_hex(record.entries[h]) for h in prof.heater_ids] == alone
         for i in picks[:3]:
@@ -375,9 +393,11 @@ def test_fit_raises_the_first_failure_in_stack_order():
         hardware.fit_phase_responses(power, np.stack([good, flat, slow, good]), "abcd")
     with pytest.raises(ValidationError, match="stacks"):
         hardware.fit_phase_responses(power, np.stack([good] * 3), "abcd")
-    entries = hardware.fit_phase_responses(power[:2], np.stack([good, good]), "ab")
-    assert [e.heater_id for e in entries] == ["a", "b"]
-    assert entries[0].alpha_rad_per_w == pytest.approx(9.2, rel=1e-12)
+    phi0, alpha, residual = hardware.fit_phase_responses(
+        power[:2], np.stack([good, good]), "ab"
+    )
+    assert phi0.shape == alpha.shape == residual.shape == (2,)
+    assert alpha[0] == alpha[1] == pytest.approx(9.2, rel=1e-12)
 
 
 def test_noiseless_calibration_recovers_profile():
@@ -389,7 +409,7 @@ def test_noiseless_calibration_recovers_profile():
         assert entry.alpha_rad_per_w == pytest.approx(
             model.alpha_rad_per_w, rel=1e-9
         )
-    assert record.max_residual < 1e-10
+    assert max(record.arrays(prof.heater_ids)[2]) < 1e-10
 
 
 def test_solve_voltages_ideal_exact():
@@ -470,6 +490,32 @@ def test_solve_record_reused_across_profiles():
     for prof in (first, second, first, second):
         target = rng.uniform(0, 2 * np.pi, len(prof.heater_ids))
         assert_matches_dense_solve(prof, cal, target, solve_voltages(prof, cal, target))
+
+
+def test_record_entries_are_read_only():
+    # the drive-solve inverse is kept on the record, so an entry edited in
+    # place would leave it stale; the record holds a read-only copy
+    prof = calibrated_profile(4, disorder_seed=0)
+    entries = dict(calibrate_profile(prof).entries)
+    record = CalibrationRecord(entries=entries)
+    solve_voltages(prof, record, np.zeros(len(prof.heater_ids)))
+    hid = prof.heater_ids[0]
+    edited = dataclasses.replace(entries[hid], phi0_rad=0.5)
+    with pytest.raises(TypeError):
+        record.entries[hid] = edited
+    entries[hid] = edited
+    assert record.entries[hid].phi0_rad != 0.5
+    # records still compare by value
+    assert record == CalibrationRecord(entries=dict(record.entries))
+    assert record != CalibrationRecord(entries=entries)
+
+
+@pytest.mark.parametrize("record_n", [3, 5])
+def test_solve_rejects_a_record_for_another_heater_set(record_n):
+    prof = calibrated_profile(4, disorder_seed=0)
+    record = CalibrationRecord.exact_from_profile(calibrated_profile(record_n))
+    with pytest.raises(ValidationError, match="another heater set"):
+        solve_voltages(prof, record, np.zeros(len(prof.heater_ids)))
 
 
 def test_solve_threads_share_one_record():

@@ -93,6 +93,11 @@ def test_two_photon_input_validation():
         two_photon_coincidence(u, (0.5, 1), (0, 2), 0.5)
     with pytest.raises(ValidationError):
         two_photon_coincidence(u, (0, 1, 2), (0, 2), 0.5)
+    for malformed in ((1,), ("a", 1), None, (np.inf, 1)):
+        with pytest.raises(ValidationError):
+            two_photon_coincidence(u, malformed, (0, 2), 0.5)
+        with pytest.raises(ValidationError):
+            two_photon_coincidence(u, (0, 2), malformed, 0.5)
 
 
 def test_two_photon_matches_fock_oracle():
@@ -251,6 +256,7 @@ def _theta_with(plan, values):
 @pytest.mark.parametrize("case", [
     "short theta", "unknown theta", "nan theta", "two halves", "half off target",
     "input out of range", "output out of range", "fractional mode",
+    "one mode", "text mode", "no pair", "infinite mode",
 ])
 def test_routing_plan_checks_itself_at_construction(case):
     plan = route_to_tbs(6, (2, 2))
@@ -264,6 +270,10 @@ def test_routing_plan_checks_itself_at_construction(case):
         "input out of range": dict(input_pair=(1, 6)),
         "output out of range": dict(output_pair=(-1, 3)),
         "fractional mode": dict(input_pair=(0.5, 3)),
+        "one mode": dict(input_pair=(1,)),
+        "text mode": dict(output_pair=("a", 1)),
+        "no pair": dict(input_pair=None),
+        "infinite mode": dict(output_pair=(np.inf, 1)),
     }[case]
     with pytest.raises(ValidationError):
         _plan_with(plan, **changes)

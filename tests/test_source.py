@@ -1,11 +1,13 @@
 """Static checks over the package source, run without a linter."""
 
 import ast
+import functools
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "meshsim"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "meshsim"
 
 
 def unused_imports(source):
@@ -41,3 +43,76 @@ def test_unused_import_check_finds_unread_names():
 )
 def test_module_imports_only_names_it_uses(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def top_level_names(source):
+    """(line, name) of every top-level function, class and UPPER_CASE
+    constant a module defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(
+                (node.lineno, target.id)
+                for target in targets
+                if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+            )
+    return names
+
+
+def read_names(source):
+    """Every name a module reads, as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def orphan_names(defining, read):
+    """(line, name) of the names `defining` defines at top level that are
+    not in the set `read`."""
+    return [
+        (line, name) for line, name in top_level_names(defining) if name not in read
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def names_read_in_repo():
+    return set().union(
+        *(
+            read_names(path.read_text())
+            for folder in ("src", "tests", "bench")
+            for path in (ROOT / folder).rglob("*.py")
+        )
+    )
+
+
+def test_orphan_check_finds_unread_names():
+    defining = (
+        "LIMIT = 3\n"
+        "_SCALE: float = 2.0\n"
+        "lower = 1\n"
+        "def used():\n    return LIMIT\n"
+        "def unused():\n    pass\n"
+        "class Kept:\n    pass\n"
+        "class Dropped:\n    pass\n"
+    )
+    reader = "from m import used\nimport m\nm.Kept()\n"
+    read = read_names(defining) | read_names(reader)
+    assert orphan_names(defining, read) == [
+        (2, "_SCALE"), (6, "unused"), (10, "Dropped")
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in PACKAGE.glob("*.py"))
+)
+def test_module_defines_only_names_something_reads(module):
+    assert orphan_names((PACKAGE / module).read_text(), names_read_in_repo()) == []
