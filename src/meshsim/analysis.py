@@ -147,8 +147,8 @@ def ensemble_statistics(values):
 def useful_processor_size(loss_per_unit_cell_db):
     """Unit cells that fit in series before transmission drops below 1/e."""
     loss = float(loss_per_unit_cell_db)
-    if loss <= 0:
-        raise ValidationError("loss per unit cell must be > 0")
+    if not 0 < loss < np.inf:
+        raise ValidationError("loss per unit cell must be finite and > 0")
     return int(np.floor(E_FOLD_DB / loss))
 
 

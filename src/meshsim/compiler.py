@@ -105,7 +105,9 @@ def _null(target, other):
 
 
 def decompose_stack(targets):
-    """Decompose a (k, n, n) stack of unitaries, n >= 2, into MeshSettings.
+    """Decompose a (k, n, n) stack of unitaries, n >= 2, into (theta, phi,
+    output_phases) arrays of shapes (k, cells), (k, cells) and (k, n), each
+    row the phase vectors MeshSettings.from_phases stores for its target.
 
     Each target must be unitary within 1e-8 (clements_decompose checks). The
     nulling schedule is the same for every target, so each step updates the
@@ -114,7 +116,7 @@ def decompose_stack(targets):
     v = np.array(targets, dtype=complex)
     if v.ndim != 3 or v.shape[1] != v.shape[2] or v.shape[1] < 2:
         raise ValidationError(f"expected a (k, n, n) stack with n >= 2, got {v.shape}")
-    k, n = v.shape[0], v.shape[-1]
+    n = v.shape[-1]
     steps, left, cell_step = _schedule(n)
     thetas, phis = [], []
     for s in steps:
@@ -150,15 +152,11 @@ def decompose_stack(targets):
             mu[m] = np.where(bar, mu1 - phi - np.pi, np.where(cross, mu2 - phi, mu[m]))
             mu[m + 1] = np.where(bar, mu2 + np.pi, np.where(cross, mu1, mu[m + 1]))
 
-    cell_theta = step_theta[:, cell_step]
-    cell_phi = wrap_phase(np.stack(phis, axis=1)[:, cell_step])
-    # from_phases wraps once more; np.mod is not idempotent for tiny negative
-    # phases, so both wraps are part of the result
-    out = wrap_phase(np.stack(mu, axis=1))
-    return [
-        MeshSettings.from_phases(n, cell_theta[i], cell_phi[i], output_phases=out[i])
-        for i in range(k)
-    ]
+    # phi and the output phases get the two wraps from_phases gives a wrapped
+    # vector: np.mod is not idempotent for tiny negative phases
+    cell_phi = wrap_phase(wrap_phase(np.stack(phis, axis=1)[:, cell_step]))
+    out = wrap_phase(wrap_phase(np.stack(mu, axis=1)))
+    return step_theta[:, cell_step], cell_phi, out
 
 
 def clements_decompose(u):
@@ -194,7 +192,8 @@ def clements_decompose(u):
             residual=0.0,
             nulling_sequence=(),
         )
-    (settings,) = decompose_stack(target[None])
+    theta, phi, out = decompose_stack(target[None])
+    settings = MeshSettings.from_phases(n, theta[0], phi[0], output_phases=out[0])
     residual = float(np.max(np.abs(mesh_unitary(settings).elements - target)))
     return DecompositionReport(
         settings=settings, residual=residual, nulling_sequence=_schedule(n)[0]
@@ -220,6 +219,8 @@ def permutation_unitary(perm):
     """0/1 unitary routing input i to output perm[i]."""
     perm = tuple(int(p) for p in perm)
     n = len(perm)
+    if n < 1:
+        raise ValidationError("a permutation needs >= 1 mode")
     if sorted(perm) != list(range(n)):
         raise ValidationError(f"not a bijection on 0..{n - 1}: {perm}")
     u = np.zeros((n, n), dtype=complex)
@@ -231,6 +232,8 @@ def permutation_unitary(perm):
 def permutation_ensemble(n, count, seed):
     """Seeded list of `count` distinct permutations, uniform without
     replacement (rejection sampling keeps the marginal uniform)."""
+    if n < 1:
+        raise ValidationError("mode count must be >= 1")
     if count < 1:
         raise ValidationError("count must be >= 1")
     total = math.factorial(n)

@@ -23,6 +23,7 @@ from .util import (
     atomic_write_text,
     child_seed,
     dumps_canonical,
+    wrap_phase,
     wrap_signed,
 )
 
@@ -279,26 +280,21 @@ def _run_fidelity(config):
             return compiler.haar_random(config.n, child_seed(config.seed, index))
         return compiler.permutation_unitary(permutations[index])
 
-    def realize(settings):
-        drive = hardware.solve_voltages(
-            profile, calibration, hardware.heater_targets(settings)
-        )
-        realized = hardware.realized_heater_phases(profile, drive.powers_w)
-        return hardware.settings_from_heater_phases(
-            config.n, realized, output_phases=settings.output_phases
-        )
-
     fidelities, max_errors = [], []
     for start in range(0, config.count, COMPILE_CHUNK):
         indices = range(start, min(start + COMPILE_CHUNK, config.count))
         targets = [make_target(index) for index in indices]
-        compiled = compiler.decompose_stack([t.elements for t in targets])
-        realized = [realize(settings) for settings in compiled]
+        theta, phi, out = compiler.decompose_stack([t.elements for t in targets])
+        # heater_order interleaves each cell's theta and phi heaters
+        commanded = np.stack([theta, phi], axis=2).reshape(len(targets), -1)
+        realized = wrap_phase(np.array([
+            hardware.realized_heater_phases(
+                profile, hardware.solve_voltages(profile, calibration, t).powers_w
+            )
+            for t in commanded
+        ]))
         measured = hardware.measure_amplitude_matrices(
-            profile,
-            np.array([s.theta for s in realized]),
-            np.array([s.phi for s in realized]),
-            np.array([s.output_phases for s in realized]),
+            profile, realized[:, 0::2], realized[:, 1::2], out,
             [child_seed(config.seed, index) for index in indices],
         )
         for target, amplitudes in zip(targets, measured):

@@ -160,7 +160,6 @@ class HardwareProfile:
     theta_noise_sigma_rad: float = 0.0
     phi_noise_sigma_rad: float = 0.0
     disorder_seed: int = 0
-    splitter_errors: np.ndarray = field(init=False, repr=False, compare=False)
     coupler_terms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -209,9 +208,8 @@ class HardwareProfile:
         # as the products c1 c2, s1 s2, c1 s2, s1 c2 the cell kernel takes
         (c1, c2), (s1, s2) = np.cos(np.pi / 4 + eps.T), np.sin(np.pi / 4 + eps.T)
         terms = np.array([c1 * c2, s1 * s2, c1 * s2, s1 * c2])
-        for name, values in (("splitter_errors", eps), ("coupler_terms", terms)):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        terms.setflags(write=False)
+        object.__setattr__(self, "coupler_terms", terms)
 
     @property
     def heater_ids(self):
@@ -318,6 +316,9 @@ def _sweep_signals(profile, index, v, seed, detector_noise_sigma):
     voltages v (k, m): scale * (0.5 + 0.5 * cos(phi(v))) with the scale set
     by the profile's static insertion loss, plus each heater's own stream of
     Gaussian detector noise."""
+    # NaN fails the comparison, so it is rejected too
+    if not 0 <= detector_noise_sigma < np.inf:
+        raise ValidationError("detector noise sigma must be finite and >= 0")
     il_db = 2 * profile.coupling_loss_db_per_facet + (
         profile.propagation_loss_db_per_cm * profile.path_length_cm
     )

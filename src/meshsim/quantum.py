@@ -342,18 +342,6 @@ class GaussianDipFit:
         }
 
 
-def _flat_fit(delays, values):
-    span = float(np.ptp(delays))
-    return GaussianDipFit(
-        visibility=0.0,
-        center_um=float(np.mean(delays)),
-        width_um=span / 4.0 if span > 0 else 1.0,
-        baseline=float(np.mean(values)),
-        visibility_sigma=float("inf"),
-        uncertain=True,
-    )
-
-
 # Levenberg-Marquardt on (center, width): iterations per pass, the starting
 # damping, the damping past which no step can lower the SSR, and the
 # Gauss-Newton step, relative to the width, below which a scan has converged.
@@ -473,10 +461,12 @@ def fit_gaussian_dips(delays_um, values):
     the visibility. Both passes are linear in the baseline and visibility,
     so those are projected out and only (center, width) iterate, for
     _FIT_CHUNK scans at once. Every operation acts on each scan alone, so
-    a scan's fit is the same bits in any stack. Flat scans return zero
-    visibility flagged uncertain. Raises when a scan has no sample off the
-    dip, because its baseline is then undefined. Returns one GaussianDipFit
-    per scan.
+    a scan's fit is the same bits in any stack. Raises when a scan has no
+    sample off the dip, because its baseline is then undefined. Returns the
+    GaussianDipFit fields as arrays in stack order: (visibility, center_um,
+    width_um, baseline, visibility_sigma, uncertain). A flat scan's row is
+    zero visibility at the mean delay, a quarter of the span wide, on the
+    scan's mean, with an infinite sigma and flagged uncertain.
     """
     d = np.asarray(delays_um, dtype=float)
     v = np.ascontiguousarray(values, dtype=float)
@@ -490,18 +480,23 @@ def fit_gaussian_dips(delays_um, values):
     if span <= 0:
         raise ValidationError("delay samples must not be all equal")
     flat = np.ptp(v, axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(v), axis=1))
-    fits = [_flat_fit(d, row) if is_flat else None for row, is_flat in zip(v, flat)]
+    k = len(v)
+    # every row starts as a flat scan's; the dip fits overwrite theirs
+    fits = (
+        np.zeros(k), np.full(k, np.mean(d)), np.full(k, span / 4.0),
+        np.mean(v, axis=1), np.full(k, np.inf), np.ones(k, dtype=bool),
+    )
     dips = np.flatnonzero(~flat)
     for start in range(0, dips.size, _FIT_CHUNK):
         chunk = dips[start : start + _FIT_CHUNK]
-        for index, fit in zip(chunk, _fit_dips(d, v[chunk].T.copy())):
-            fits[index] = fit
+        for column, part in zip(fits, _fit_dips(d, v[chunk].T.copy())):
+            column[chunk] = part
     return fits
 
 
 def _fit_dips(d, y):
     """The two-pass fits of fit_gaussian_dips for the scans y (m, k) on the
-    delays d, none of them flat."""
+    delays d, none of them flat, as its six arrays."""
     m, span, t = d.size, float(np.ptp(d)), d[:, None]
     with np.errstate(all="ignore"):
         # the starting guesses
@@ -548,17 +543,8 @@ def _fit_dips(d, y):
         degenerate = ~(np.isfinite(sigma) & (sigma > 0))
         sigma = np.where(degenerate, np.sqrt(s[_SSR] / m) / b, sigma)
         degenerate &= s[_SSR] > 0
-    return [
-        GaussianDipFit(
-            visibility=float(visibility[j]),
-            center_um=float(center[j]),
-            width_um=float(abs(width[j])),
-            baseline=float(baseline[j]),
-            visibility_sigma=float(sigma[j]),
-            uncertain=bool(degenerate[j] or visibility[j] < 3.0 * sigma[j]),
-        )
-        for j in range(len(center))
-    ]
+    uncertain = degenerate | (visibility < 3.0 * sigma)
+    return visibility, center, np.abs(width), baseline, sigma, uncertain
 
 
 def fit_gaussian_dip(delays_um, values):
@@ -571,7 +557,8 @@ def fit_gaussian_dip(delays_um, values):
     v = np.asarray(values, dtype=float)
     if d.ndim != 1 or d.shape != v.shape:
         raise ValidationError("delays and values must be matching 1-d arrays")
-    return fit_gaussian_dips(d, v[None])[0]
+    fits = fit_gaussian_dips(d, v[None])
+    return GaussianDipFit(*(column[0].item() for column in fits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,8 +591,9 @@ def _scan_grid(delays_um, arm_delay_um):
 def _check_scan_inputs(profile, n, count_noise_sigma):
     if profile.n != n:
         raise ValidationError(f"profile is for n={profile.n}, plan for n={n}")
-    if count_noise_sigma < 0:
-        raise ValidationError("count noise sigma must be >= 0")
+    # NaN fails the comparison, so it is rejected too
+    if not 0 <= count_noise_sigma < np.inf:
+        raise ValidationError("count noise sigma must be finite and >= 0")
 
 
 def _normalized_counts(terms, envelope, far, seed, count_noise_sigma):
@@ -764,7 +752,7 @@ def hom_visibility_map(n, source, profile, *, seed=0, count_noise_sigma=0.0):
         profile, theta, pairs, seeds, [envelope] * len(seeds), [far] * len(seeds),
         count_noise_sigma,
     )
-    visibilities = np.array([fit.visibility for fit in fit_gaussian_dips(d, scans)])
+    visibilities = fit_gaussian_dips(d, scans)[0]
     stats = analysis.ensemble_statistics(visibilities)
     visibilities.setflags(write=False)
     return VisibilityMap(

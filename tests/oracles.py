@@ -262,11 +262,18 @@ def dense_branch_solve(profile, calibration, target, max_rounds=500):
     return p, rounds, float(np.max(np.abs(wrapped)))
 
 
+# the curve_fit restarts of grid_fringe_fit: at most this many passes, and
+# the relative move of alpha at which it has settled
+ORACLE_PASSES = 20
+ORACLE_ALPHA_SETTLED = 1e-12
+
+
 def grid_fringe_fit(sweep, resistance_ohm):
     """Fringe fit with the alpha grid scored one lstsq call per point: the
     FFT seed, the 101-point loop over alpha_init * [0.75, 1.25] keeping the
     first strictly smaller rms, and the curve_fit polish, as
-    hardware.fit_phase_response defines them. Returns a CalibrationEntry."""
+    hardware.fit_phase_response defines them, the polish restarted until
+    alpha settles. Returns a CalibrationEntry."""
     from scipy.optimize import curve_fit
 
     from meshsim.hardware import CalibrationEntry
@@ -292,32 +299,45 @@ def grid_fringe_fit(sweep, resistance_ohm):
     k = int(np.argmax(spectrum[1:])) + 1
     alpha_init = TWO_PI * k / (m * (span / (m - 1)))
 
-    best = None
-    for alpha in alpha_init * np.linspace(0.75, 1.25, 101):
+    def linear_part(alpha):
         basis = np.column_stack(
             [np.ones_like(power), np.cos(alpha * power), np.sin(alpha * power)]
         )
         coef, _, _, _ = np.linalg.lstsq(basis, signal, rcond=None)
         resid = signal - basis @ coef
-        rms = float(np.sqrt(np.mean(resid**2)))
+        return coef, float(np.sqrt(np.mean(resid**2)))
+
+    best = None
+    for alpha in alpha_init * np.linspace(0.75, 1.25, 101):
+        coef, rms = linear_part(alpha)
         if best is None or rms < best[2]:
             best = (alpha, coef, rms)
-    alpha0, (a0, c1, c2), _ = best
+    alpha, coef, _ = best
 
     def model(p, a, x, y, al):
         return a + x * np.cos(al * p) + y * np.sin(al * p)
 
+    # one curve_fit pass can stop short of the optimum (1.25e-7 relative in
+    # alpha on a recorded sweep), and a restart from its own parameters does
+    # not move; so each restart starts from its alpha with the linear part
+    # solved there, until alpha moves by at most ORACLE_ALPHA_SETTLED
+    # relative (it can cycle by an ulp) or after ORACLE_PASSES passes
     try:
-        params, _ = curve_fit(
-            model,
-            power,
-            signal,
-            p0=(a0, c1, c2, alpha0),
-            maxfev=20000,
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
+        for _ in range(ORACLE_PASSES):
+            params, _ = curve_fit(
+                model,
+                power,
+                signal,
+                p0=(*coef, alpha),
+                maxfev=20000,
+                xtol=1e-15,
+                ftol=1e-15,
+                gtol=1e-15,
+            )
+            moved, alpha = abs(params[3] - alpha), params[3]
+            if moved <= ORACLE_ALPHA_SETTLED * abs(alpha):
+                break
+            coef, _ = linear_part(alpha)
     except RuntimeError as exc:
         raise FitDegeneracyError(f"{sweep.heater_id}: fit failed: {exc}")
     a, c1, c2, alpha = (float(x) for x in params)

@@ -12,7 +12,6 @@ printed breakdown for the measured numbers.
 import time
 
 import numpy as np
-import pytest
 from oracles import fock_two_photon_distribution
 
 from meshsim import analysis, compiler, experiments, hardware, mesh, quantum

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meshsim import analysis, compiler
+from meshsim import compiler
 from meshsim.analysis import (
     AmplitudeMatrix,
     PlatformEntry,
@@ -130,6 +130,9 @@ def test_useful_processor_size_golden():
         useful_processor_size(0.0)
     with pytest.raises(ValidationError):
         useful_processor_size(-1.0)
+    for loss in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            useful_processor_size(loss)
 
 
 def test_bundled_platform_dataset():

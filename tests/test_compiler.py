@@ -113,27 +113,31 @@ def test_decompose_determinism_byte_identical():
     assert dumps_canonical(a) == dumps_canonical(b)
 
 
-def _phase_hex(settings):
-    return [
-        x.hex()
-        for phases in (settings.theta, settings.phi, settings.output_phases)
-        for x in phases.tolist()
-    ]
+def _phase_hex(theta, phi, output_phases):
+    return [x.hex() for phases in (theta, phi, output_phases) for x in phases.tolist()]
+
+
+def _settings_hex(settings):
+    return _phase_hex(settings.theta, settings.phi, settings.output_phases)
 
 
 def _assert_matches_scalar_oracle(targets):
     """Stacked compiling in every chunk size, and the single-target wrapper,
     give the oracle's phases bit for bit and a round trip under 1e-8."""
     expected = [scalar_clements_decompose(t) for t in targets]
-    want = [_phase_hex(settings) for settings, _ in expected]
+    want = [_settings_hex(settings) for settings, _ in expected]
+    n = len(targets[0])
     for chunk in CHUNKS:
         got = []
         for start in range(0, len(targets), chunk):
-            got += compiler.decompose_stack(np.stack(targets[start : start + chunk]))
-        assert [_phase_hex(settings) for settings in got] == want, chunk
+            stacks = compiler.decompose_stack(np.stack(targets[start : start + chunk]))
+            k, cells = len(stacks[0]), n * (n - 1) // 2
+            assert [a.shape for a in stacks] == [(k, cells), (k, cells), (k, n)]
+            got += map(_phase_hex, *stacks)
+        assert got == want, chunk
     for target, hexes, (_, nulling) in zip(targets, want, expected):
         report = compiler.clements_decompose(target)
-        assert _phase_hex(report.settings) == hexes
+        assert _settings_hex(report.settings) == hexes
         assert report.nulling_sequence == nulling
         assert report.residual < 1e-8
         rebuilt = mesh.mesh_unitary(report.settings).elements
@@ -252,6 +256,8 @@ def test_permutation_unitary_rejects_non_bijection():
         compiler.permutation_unitary((0, 0, 1))
     with pytest.raises(ValidationError):
         compiler.permutation_unitary((0, 3, 1))
+    with pytest.raises(ValidationError, match="mode"):
+        compiler.permutation_unitary(())
 
 
 def test_permutation_ensemble_exhaustive_s3():
@@ -275,3 +281,6 @@ def test_permutation_ensemble_count_bounds():
         compiler.permutation_ensemble(3, 7, seed=0)
     with pytest.raises(ValidationError):
         compiler.permutation_ensemble(3, 0, seed=0)
+    # haar_random rejects n = 0 too
+    with pytest.raises(ValidationError, match="mode"):
+        compiler.permutation_ensemble(0, 1, seed=0)

@@ -10,7 +10,6 @@ import pytest
 
 from meshsim import cli, compiler, experiments, hardware, quantum
 from meshsim.experiments import (
-    ExperimentConfig,
     report_payload_bytes,
     run_campaign,
     run_campaign_with_artifacts,

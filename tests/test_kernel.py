@@ -76,7 +76,10 @@ def _programs20(kind):
     """190 n=20 programs: compiled Haar targets or every routed cell."""
     if kind == "haar":
         targets = [compiler.haar_random(N, seed).elements for seed in range(190)]
-        return tuple(compiler.decompose_stack(targets))
+        return tuple(
+            mesh.MeshSettings.from_phases(N, theta, phi, output_phases=out)
+            for theta, phi, out in zip(*compiler.decompose_stack(targets))
+        )
     return tuple(
         quantum.plan_to_settings(quantum.route_to_tbs(N, addr))
         for addr in mesh.cell_addresses(N)

@@ -423,11 +423,17 @@ def test_dip_fit_warning_suppression_is_thread_safe():
     assert all(fit == expected for fit in results)
 
 
+def _row_hex(values):
+    return tuple(value.hex() if isinstance(value, float) else value for value in values)
+
+
 def _fit_hex(fit):
-    return tuple(
-        value.hex() if isinstance(value, float) else value
-        for value in dataclasses.astuple(fit)
-    )
+    return _row_hex(dataclasses.astuple(fit))
+
+
+def _fits_hex(fits):
+    """_fit_hex of each scan's row of the fit_gaussian_dips arrays."""
+    return [_row_hex(row) for row in zip(*(column.tolist() for column in fits))]
 
 
 def _at_offset(values, offset):
@@ -486,7 +492,7 @@ def test_dip_fit_is_pure_across_memory_offsets(case):
             got = fit_gaussian_dip(_at_offset(d, offset), _at_offset(values, offset))
             assert _fit_hex(got) == expected, offset
         stacked = fit_gaussian_dips(d, np.stack([values] * 5))
-        assert {_fit_hex(fit) for fit in stacked} == {expected}
+        assert set(_fits_hex(stacked)) == {expected}
 
 
 @pytest.mark.parametrize("count_noise_sigma", [0.0, 0.02])
@@ -499,7 +505,25 @@ def test_dip_fit_is_batch_invariant_on_map_scans(count_noise_sigma):
         for size in (1, 7, 190):
             picks = rng.choice(len(scans), size, replace=False)
             batch = fit_gaussian_dips(d, scans[picks])
-            assert [_fit_hex(fit) for fit in batch] == [alone[i] for i in picks]
+            assert _fits_hex(batch) == [alone[i] for i in picks]
+
+
+def test_flat_scans_fill_their_rows_of_a_stack():
+    # a flat row is zero visibility at the mean delay, a quarter of the span
+    # wide, on the scan's mean, with an infinite sigma and uncertain; the dip
+    # between two flat rows fits as it does alone
+    d = default_delay_grid()
+    flat = np.full(d.size, 0.7)
+    dip = 1.0 - 0.9 * np.exp(-0.5 * (d / 50.0) ** 2)
+    fits = fit_gaussian_dips(d, np.stack([flat, dip, 2.0 * flat]))
+    assert [column.shape for column in fits] == [(3,)] * 6
+    assert fits[5].dtype == bool
+    center, width = float(np.mean(d)), float(np.ptp(d)) / 4.0
+    assert _fits_hex(fits) == [
+        _row_hex((0.0, center, width, float(np.mean(flat)), math.inf, True)),
+        _fit_hex(fit_gaussian_dip(d, dip)),
+        _row_hex((0.0, center, width, float(np.mean(2.0 * flat)), math.inf, True)),
+    ]
 
 
 def test_dip_fit_center_stays_on_the_scan():
@@ -527,14 +551,13 @@ def test_dip_fit_reaches_the_curve_fit_optimum(count_noise_sigma):
     # pass two of the projected fit ends at least as low as curve_fit's,
     # and on the same visibility
     d, scans = _map_scans(20, 3, count_noise_sigma)
-    for scan, fit in zip(scans, fit_gaussian_dips(d, scans)):
+    fits = fit_gaussian_dips(d, scans)
+    for scan, fitted in zip(scans, zip(*fits[:4])):
         visibility, center, width, baseline = curve_fit_dip(d, scan)
-        ours = _dip_ssr(
-            d, scan, fit.visibility, fit.center_um, fit.width_um, fit.baseline
-        )
+        ours = _dip_ssr(d, scan, *fitted)
         theirs = _dip_ssr(d, scan, visibility, center, width, baseline)
         assert ours <= theirs * (1.0 + 1e-9)
-        assert abs(fit.visibility - visibility) <= 1e-6
+        assert abs(fitted[0] - visibility) <= 1e-6
 
 
 @settings(max_examples=60, deadline=None)
@@ -565,7 +588,7 @@ def test_dip_fit_recovers_noiseless_dip_property(visibility, center, width, base
     assert abs(fit.width_um - width) <= 1e-8 * width
     assert abs(fit.baseline - baseline) <= 1e-8 * baseline
     assert not fit.uncertain
-    assert _fit_hex(batch[1]) == _fit_hex(fit)
+    assert _fits_hex(batch)[1] == _fit_hex(fit)
 
 
 def test_hom_scan_ideal_dip():
@@ -665,6 +688,19 @@ def test_hom_scan_seeding_and_noise():
         hom_scan(plan, src, profile, count_noise_sigma=-0.1)
     with pytest.raises(ValidationError):
         hom_scan(plan, src, hardware.ideal_profile(6))
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+def test_scans_reject_non_finite_or_negative_count_noise(sigma):
+    n = 4
+    profile = hardware.calibrated_profile(n)
+    src = PhotonPairSource()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="count noise sigma"):
+            hom_scan(route_to_tbs(n, (1, 1)), src, profile, count_noise_sigma=sigma)
+        with pytest.raises(ValidationError, match="count noise sigma"):
+            hom_visibility_map(n, src, profile, count_noise_sigma=sigma)
 
 
 def _campaign(doc):

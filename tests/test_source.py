@@ -45,6 +45,20 @@ def test_module_imports_only_names_it_uses(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
+# the orphan check below counts an import as a read, so an unused import in
+# a test or bench file could keep a dead package name alive
+@pytest.mark.parametrize(
+    "path",
+    sorted(
+        str(path.relative_to(ROOT))
+        for folder in ("tests", "bench")
+        for path in (ROOT / folder).glob("*.py")
+    ),
+)
+def test_test_and_bench_files_import_only_names_they_use(path):
+    assert unused_imports((ROOT / path).read_text()) == []
+
+
 def top_level_names(source):
     """(line, name) of every top-level function, class and UPPER_CASE
     constant a module defines."""
