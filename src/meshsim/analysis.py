@@ -128,6 +128,8 @@ def ensemble_statistics(values):
     values = np.sort(np.asarray(list(values), dtype=float))
     if values.size == 0:
         raise ValidationError("ensemble_statistics needs at least one value")
+    if not np.isfinite(values).all():
+        raise ValidationError("ensemble values must be finite")
     nbins = int(round((BIN_HI - BIN_LO) / BIN_WIDTH))
     edges = np.linspace(BIN_LO, BIN_HI, nbins + 1)
     inside = values[(values >= BIN_LO) & (values <= BIN_HI)]

@@ -24,13 +24,15 @@ from .mesh import (
     cell_transfers,
     mesh_unitary,
 )
-from .util import ValidationError, wrap_phase
+from .util import ValidationError, seeded_rng, wrap_phase
 
 DECOMPOSE_INPUT_TOL = 1e-8
 # entries at or below this magnitude count as already nulled; the deterministic
 # branch parks the cell at bar (pi, 0), or cross (0, 0) when the partner
 # entry is the vanishing one
 NULLED_TOL = 1e-12
+
+_PERMUTATION_STREAM = 1
 
 
 class NullingStep(NamedTuple):
@@ -205,7 +207,7 @@ def haar_random(n, seed):
     the R diagonal phases folded back into Q. Deterministic per seed."""
     if n < 1:
         raise ValidationError("mode count must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = seeded_rng(seed)
     z = (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     ) / np.sqrt(2.0)
@@ -239,7 +241,7 @@ def permutation_ensemble(n, count, seed):
     total = math.factorial(n)
     if count > total:
         raise ValidationError(f"count {count} exceeds {n}! = {total}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
+    rng = seeded_rng(seed, _PERMUTATION_STREAM)
     seen = set()
     out: List[Tuple[int, ...]] = []
     while len(out) < count:

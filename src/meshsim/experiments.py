@@ -23,6 +23,7 @@ from .util import (
     atomic_write_text,
     child_seed,
     dumps_canonical,
+    seeded_rng,
     wrap_phase,
     wrap_signed,
 )
@@ -351,9 +352,7 @@ def _run_calibration(config):
 
     solve_errors = []
     for check in range(config.count):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, _SOLVE_CHECK_STREAM, check])
-        )
+        rng = seeded_rng(config.seed, _SOLVE_CHECK_STREAM, check)
         target = rng.uniform(0.0, TWO_PI, len(order))
         drive = hardware.solve_voltages(profile, record, target)
         realized = hardware.realized_heater_phases(profile, drive.powers_w)

@@ -37,6 +37,7 @@ from .util import (
     atomic_write_text,
     column_sums,
     dumps_canonical,
+    seeded_rng,
     wrap_phase,
     wrap_signed,
 )
@@ -60,6 +61,7 @@ CALIBRATED_COUPLING_LOSS_DB = 0.9
 CALIBRATED_PROP_LOSS_DB_PER_CM = 0.07
 CALIBRATED_PATH_LENGTH_CM = 15.7
 
+_PROFILE_STREAM = 11
 _STATIC_STREAM = 101
 _JITTER_STREAM = 202
 _SWEEP_STREAM = 303
@@ -80,6 +82,8 @@ def heater_id(column, row, kind):
 @lru_cache(maxsize=None)
 def heater_order(n):
     """Canonical heater ids: cells sorted by (col, row), theta before phi."""
+    if n < 2:
+        raise ValidationError(f"a device needs n >= 2 modes, got {n}")
     return tuple(
         heater_id(addr.column, addr.row, kind)
         for addr in cell_addresses(n)
@@ -200,9 +204,7 @@ class HardwareProfile:
             and 0 <= self.phi_noise_sigma_rad < np.inf
         ):
             raise ValidationError("noise sigmas must be finite and >= 0")
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(self.disorder_seed), _STATIC_STREAM])
-        )
+        rng = seeded_rng(self.disorder_seed, _STATIC_STREAM)
         eps = rng.normal(0.0, self.splitter_error_sigma_rad, (len(order) // 2, 2))
         # cos/sin of the inner (1) and outer (2) coupling angles pi/4 + eps,
         # as the products c1 c2, s1 s2, c1 s2, s1 c2 the cell kernel takes
@@ -280,7 +282,7 @@ def calibrated_profile(n, disorder_seed=0):
     crosstalk between cell partners and diagonally adjacent cells, and the
     measured loss and noise figures of the 20-mode reference unit."""
     count = len(heater_order(n))
-    rng = np.random.default_rng(np.random.SeedSequence([disorder_seed, 11]))
+    rng = seeded_rng(disorder_seed, _PROFILE_STREAM)
     phi0 = rng.uniform(0.2, 6.08, count)
     alpha = DEFAULT_ALPHA_RAD_PER_W * (1.0 + rng.uniform(0.0, 0.04, count))
     return HardwareProfile(
@@ -329,9 +331,7 @@ def _sweep_signals(profile, index, v, seed, detector_noise_sigma):
     signal = scale * (0.5 + 0.5 * np.cos(phase))
     if detector_noise_sigma > 0:
         signal = signal + np.stack([
-            np.random.default_rng(
-                np.random.SeedSequence([int(seed), _SWEEP_STREAM, int(i)])
-            ).normal(0.0, detector_noise_sigma, v.shape[1])
+            seeded_rng(seed, _SWEEP_STREAM, i).normal(0.0, detector_noise_sigma, v.shape[1])
             for i in index
         ])
     return signal
@@ -871,7 +871,7 @@ def _noisy_transfers(theta, phi, coupler_terms):
 
     Real elementwise * and + only, so a cell's bits depend on neither the
     stack shape nor the SIMD dispatch. Returns the (..., 2, 2) stack
-    mesh.propagate takes."""
+    mesh.lossy_products takes."""
     cc, ss, cs, sc = coupler_terms
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
@@ -924,16 +924,17 @@ def realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
 def _realize_chunk(profile, theta, phi, output_phases, seeds):
     """Unchecked realized transfers of one chunk of programs."""
     jitter = np.stack([
-        np.random.default_rng(
-            np.random.SeedSequence([int(seed), _JITTER_STREAM])
-        ).standard_normal((theta.shape[1], 2))
+        seeded_rng(seed, _JITTER_STREAM).standard_normal((theta.shape[1], 2))
         for seed in seeds
     ])
     jitter *= [profile.theta_noise_sigma_rad, profile.phi_noise_sigma_rad]
     transfers = _noisy_transfers(
         theta + jitter[..., 0], phi + jitter[..., 1], profile.coupler_terms
     )
-    return lossy_products(transfers, output_phases, profile)
+    return lossy_products(
+        transfers, output_phases, profile.coupling_loss_db_per_facet,
+        profile.propagation_loss_db_per_cm, profile.path_length_cm,
+    )
 
 
 def _stack_of_one(profile, settings):
@@ -1081,7 +1082,7 @@ def profile_from_json_dict(doc):
             splitter_error_sigma_rad=float(doc["splitter_error_sigma_rad"]),
             theta_noise_sigma_rad=float(doc["theta_noise_sigma_rad"]),
             phi_noise_sigma_rad=float(doc["phi_noise_sigma_rad"]),
-            disorder_seed=int(doc["disorder_seed"]),
+            disorder_seed=doc["disorder_seed"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed profile document: {exc}")

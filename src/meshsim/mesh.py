@@ -253,70 +253,49 @@ def cell_transfers(theta, phi):
     return np.exp(0.5j * theta)[..., None, None] * out
 
 
-def propagate(transfers, out, col_amp=None):
-    """Left-multiply `out` in place by every cell column, first to last.
-
-    `transfers` stacks one 2x2 matrix per cell in cell_addresses(n) order.
-    The cells of a column act on disjoint mode pairs, so each column is one
-    elementwise update of its row pairs: top' = t00 top + t01 bottom and
-    bottom' = t10 top + t11 bottom. A leading batch axis on both, (k, cells,
-    2, 2) transfers and a (k, n, n) `out`, runs k programs through the same
-    arithmetic. With `col_amp`, every row is scaled by its per-mode
-    amplitude after each column.
-    """
-    n = out.shape[-1]
-    for column, (start, stop) in enumerate(_column_bounds(n)):
-        if stop > start:
-            t = transfers[..., start:stop, :, :, None]
-            top = out[..., column % 2 : n - 1 : 2, :]
-            bottom = out[..., column % 2 + 1 : n : 2, :]
-            # both new rows are built from the old ones before either is written
-            top[...], bottom[...] = (
-                t[..., 0, 0, :] * top + t[..., 0, 1, :] * bottom,
-                t[..., 1, 0, :] * top + t[..., 1, 1, :] * bottom,
-            )
-        if col_amp is not None:
-            out *= col_amp[:, None]
-    return out
-
-
 def mesh_unitary(settings):
     """Compose all cells in column order, then the output phase screen.
 
     The earliest column acts first on the input state, so the returned matrix
     is  diag(exp(i * output_phases)) . T_last ... T_first.
     """
-    out = np.eye(settings.n, dtype=complex)
-    propagate(cell_transfers(settings.theta, settings.phi), out)
-    out = np.exp(1j * settings.output_phases)[:, None] * out
-    return Unitary(settings.n, out)
+    transfers = cell_transfers(settings.theta, settings.phi)
+    out = lossy_products(transfers[None], settings.output_phases[None], 0.0, 0.0, 0.0)
+    return Unitary(settings.n, out[0])
 
 
-def lossy_products(transfers, output_phases, profile):
-    """Lossy transfer matrices of k programs at once: facet coupling loss at
-    both ends plus uniform per-column propagation loss derived from each
-    mode's path length, around the cells and the output phase screen.
+def lossy_products(transfers, output_phases, facet_db, prop_db, path_cm):
+    """Transfer matrices of k programs at once: the cell columns, first to
+    last, then the output phase screen, with facet coupling loss at both ends
+    and an equal share of the path's propagation loss after each column.
 
-    `transfers` is a (k, cells, 2, 2) cell stack, `output_phases` (k, n).
-    Returns the unchecked (k, n, n) products. `profile` needs
-    coupling_loss_db_per_facet, propagation_loss_db_per_cm and
-    path_length_cm (scalar or per-mode) attributes.
+    `transfers` is a (k, cells, 2, 2) stack in cell_addresses(n) order and
+    `output_phases` (k, n); the loss figures are dB per facet, dB per cm and
+    cm. The cells of a column act on disjoint mode pairs, so a column is one
+    elementwise update of its row pairs: top' = t00 top + t01 bottom and
+    bottom' = t10 top + t11 bottom. Returns the unchecked (k, n, n) products.
     """
     k, n = output_phases.shape
-    facet_db = float(profile.coupling_loss_db_per_facet)
-    prop_db = float(profile.propagation_loss_db_per_cm)
-    paths = np.broadcast_to(
-        np.asarray(profile.path_length_cm, dtype=float), (n,)
-    )
-    if facet_db < 0 or prop_db < 0 or np.any(paths < 0):
-        raise ValidationError("loss parameters must be non-negative")
+    # NaN fails every comparison, so these bounds reject it too
+    if not (0 <= facet_db < np.inf and 0 <= prop_db < np.inf and 0 <= path_cm < np.inf):
+        raise ValidationError("loss figures must be finite and >= 0")
 
     facet_amp = 10.0 ** (-facet_db / 20.0)
-    # each of the n columns carries an equal share of the mode's path
-    col_amp = 10.0 ** (-(prop_db * paths / n) / 20.0)
+    # an (n,) array power: numpy's SIMD power rounds unlike a scalar one
+    col_amp = 10.0 ** (-(prop_db * np.full(n, path_cm) / n) / 20.0)
 
     out = np.tile(np.eye(n, dtype=complex) * facet_amp, (k, 1, 1))
-    propagate(transfers, out, col_amp=col_amp)
+    for column, (start, stop) in enumerate(_column_bounds(n)):
+        if stop > start:
+            t = transfers[:, start:stop, :, :, None]
+            top = out[:, column % 2 : n - 1 : 2, :]
+            bottom = out[:, column % 2 + 1 : n : 2, :]
+            # both new rows are built from the old ones before either is written
+            top[...], bottom[...] = (
+                t[..., 0, 0, :] * top + t[..., 0, 1, :] * bottom,
+                t[..., 1, 0, :] * top + t[..., 1, 1, :] * bottom,
+            )
+        out *= col_amp[:, None]
     out = np.exp(1j * output_phases)[..., None] * out
     out *= facet_amp
     return out
@@ -328,7 +307,11 @@ def apply_loss(settings, profile):
     With all loss parameters zero the result equals mesh_unitary exactly.
     """
     transfers = cell_transfers(settings.theta, settings.phi)
-    out = lossy_products(transfers[None], settings.output_phases[None], profile)
+    out = lossy_products(
+        transfers[None], settings.output_phases[None],
+        profile.coupling_loss_db_per_facet, profile.propagation_loss_db_per_cm,
+        profile.path_length_cm,
+    )
     return TransferMatrix(settings.n, out[0])
 
 

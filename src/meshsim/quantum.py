@@ -22,6 +22,7 @@ from .util import (
     ValidationError,
     child_seed,
     column_sums,
+    seeded_rng,
 )
 
 # pinned theta of a routing cell in the bar, cross and 50:50 (half) state
@@ -33,6 +34,14 @@ DEFAULT_CENTER_WAVELENGTH_NM = 1562.0
 DEFAULT_BANDWIDTH_FWHM_NM = 12.0
 DEFAULT_SCHMIDT_NUMBER = 1.1
 
+# the source's center wavelength in micrometers, and the Gaussian sigma of
+# its dip envelope in micrometers of path delay
+_LAM_UM = DEFAULT_CENTER_WAVELENGTH_NM * 1e-3
+COHERENCE_SIGMA_UM = (
+    math.sqrt(2.0 * math.log(2.0)) / math.pi * _LAM_UM * _LAM_UM
+    / (DEFAULT_BANDWIDTH_FWHM_NM * 1e-3)
+)
+
 # Fraction of samples (largest |delay|) averaged into the raw-count baseline.
 BASELINE_FRACTION = 0.2
 MIN_FIT_SAMPLES = 10
@@ -42,36 +51,23 @@ _COUNT_STREAM = 404
 
 @dataclass(frozen=True)
 class PhotonPairSource:
-    """Degenerate photon-pair source with a Gaussian joint spectrum.
+    """Degenerate photon-pair source with a Gaussian joint spectrum of the
+    fixed DEFAULT_CENTER_WAVELENGTH_NM and DEFAULT_BANDWIDTH_FWHM_NM.
 
     The mutual overlap at zero delay is the purity ceiling 1/K set by the
     effective Schmidt mode number K; it bounds every fitted visibility.
     """
 
-    center_wavelength_nm: float = DEFAULT_CENTER_WAVELENGTH_NM
-    bandwidth_fwhm_nm: float = DEFAULT_BANDWIDTH_FWHM_NM
     mutual_overlap_at_zero_delay: float = 1.0 / DEFAULT_SCHMIDT_NUMBER
 
     def __post_init__(self):
-        if not self.center_wavelength_nm > 0:
-            raise ValidationError("center wavelength must be positive")
-        if not self.bandwidth_fwhm_nm > 0:
-            raise ValidationError("source bandwidth must be positive")
         if not 0.0 <= self.mutual_overlap_at_zero_delay <= 1.0:
             raise ValidationError("mutual overlap must lie in [0, 1]")
 
-    @property
-    def coherence_sigma_um(self):
-        """Gaussian sigma of the dip envelope, in micrometers of path delay."""
-        lam_um = self.center_wavelength_nm * 1e-3
-        dlam_um = self.bandwidth_fwhm_nm * 1e-3
-        return math.sqrt(2.0 * math.log(2.0)) / math.pi * lam_um * lam_um / dlam_um
-
     def overlap_at(self, delay_um, arm_delay_um=0.0):
         """Pairwise overlap x(tau) for a path-delay mismatch in micrometers."""
-        sig = self.coherence_sigma_um
-        tau = np.asarray(delay_um, dtype=float) - arm_delay_um
-        return self.mutual_overlap_at_zero_delay * np.exp(-0.5 * (tau / sig) ** 2)
+        z = (np.asarray(delay_um, dtype=float) - arm_delay_um) / COHERENCE_SIGMA_UM
+        return self.mutual_overlap_at_zero_delay * np.exp(-0.5 * z**2)
 
 
 def _matrix_of(u):
@@ -603,9 +599,7 @@ def _normalized_counts(terms, envelope, far, seed, count_noise_sigma):
     p_classical, p_interference = terms
     counts = p_classical + envelope * p_interference
     if count_noise_sigma > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), _COUNT_STREAM])
-        )
+        rng = seeded_rng(seed, _COUNT_STREAM)
         counts = counts * (1.0 + count_noise_sigma * rng.standard_normal(counts.size))
         counts = np.maximum(counts, 0.0)
     base = float(np.mean(counts[far]))
@@ -844,9 +838,8 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
             f"{max_span:.6g} rad"
         )
 
-    lam_um = source.center_wavelength_nm * 1e-3
     count = len(driven)
-    arm_delays = [count * float(level) * lam_um / TWO_PI for level in levels]
+    arm_delays = [count * float(level) * _LAM_UM / TWO_PI for level in levels]
     grids = [_scan_grid(None, arm_delay) for arm_delay in arm_delays]
     scans = _routed_scans(
         profile,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 
@@ -70,14 +71,30 @@ def column_sums(x):
     return x[0]
 
 
+def _seed_sequence(key):
+    """SeedSequence of a key of non-negative integers such as (seed, stream,
+    index); a fractional, negative or bool part raises ValidationError."""
+    try:
+        entropy = [operator.index(part) for part in key]
+    except TypeError:
+        entropy = [-1]
+    if min(entropy) < 0 or any(isinstance(part, bool) for part in key):
+        raise ValidationError(f"seeds must be non-negative integers, got {key}")
+    return np.random.SeedSequence(entropy)
+
+
+def seeded_rng(*key):
+    """Generator drawn from the SeedSequence of `key` (see _seed_sequence)."""
+    return np.random.default_rng(_seed_sequence(key))
+
+
 def child_seed(seed, index):
     """Derive a stable 64-bit item seed from a campaign seed and item index.
 
     Uses the splittable SeedSequence scheme, so an item's draws depend only
     on (seed, index), never on which other items run or in what order.
     """
-    state = np.random.SeedSequence([int(seed), int(index)]).generate_state(2, np.uint64)
-    return int(state[0])
+    return int(_seed_sequence((seed, index)).generate_state(2, np.uint64)[0])
 
 
 def normalize_floats(obj):

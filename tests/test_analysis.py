@@ -122,6 +122,15 @@ def test_ensemble_statistics_empty():
         ensemble_statistics([])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_ensemble_statistics_rejects_non_finite_values(bad):
+    # with warnings as errors, the check must come before any reduction warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="finite"):
+            ensemble_statistics([0.95, bad])
+
+
 def test_useful_processor_size_golden():
     assert useful_processor_size(4.3429) == 1
     assert useful_processor_size(0.1) == 43

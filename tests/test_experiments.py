@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from meshsim import cli, compiler, experiments, hardware, quantum
+from meshsim import cli, compiler, experiments, hardware, mesh, quantum
 from meshsim.experiments import (
     report_payload_bytes,
     run_campaign,
@@ -17,7 +17,7 @@ from meshsim.experiments import (
     unitary_to_json_dict,
     validate_config,
 )
-from meshsim.util import UsageError, ValidationError
+from meshsim.util import UsageError, ValidationError, child_seed
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -163,6 +163,35 @@ def test_hom_scan_targets_last_mesh_column():
         with pytest.raises(UsageError, match="not a cell"):
             validate_config({"kind": "hom-scan", "n": 4,
                              "params": {"target": target}})
+
+
+# public calls that draw from a seed they are given
+SEEDED_CALLS = {
+    "haar_random": lambda seed: compiler.haar_random(3, seed),
+    "permutation_ensemble": lambda seed: compiler.permutation_ensemble(3, 2, seed),
+    "calibrated_profile": lambda seed: hardware.calibrated_profile(3, seed),
+    "realized_transfer": lambda seed: hardware.realized_transfer(
+        hardware.ideal_profile(3), mesh.bar_settings(3), seed
+    ),
+    "hom_scan": lambda seed: quantum.hom_scan(
+        quantum.route_to_tbs(3, (0, 0)), quantum.PhotonPairSource(),
+        hardware.ideal_profile(3), seed=seed,
+    ),
+    "hom_visibility_map": lambda seed: quantum.hom_visibility_map(
+        3, quantum.PhotonPairSource(), hardware.ideal_profile(3), seed=seed
+    ),
+    "diagonal_delay_sweep": lambda seed: quantum.diagonal_delay_sweep(
+        3, hardware.ideal_profile(3), [0.0, 1.0], seed=seed
+    ),
+    "child_seed": lambda seed: child_seed(seed, 0),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), True, "3"])
+@pytest.mark.parametrize("call", sorted(SEEDED_CALLS))
+def test_seeds_must_be_non_negative_integers(call, seed):
+    with pytest.raises(ValidationError, match="non-negative integers"):
+        SEEDED_CALLS[call](seed)
 
 
 def test_config_rejects_bad_schema_version():

@@ -775,6 +775,27 @@ def test_profile_loader_rejects_repeated_entries(edit, message):
         profile_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("build", [heater_order, ideal_profile, calibrated_profile])
+def test_devices_need_two_modes(build):
+    with pytest.raises(ValidationError, match="n >= 2"):
+        build(1)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n", 1, "n >= 2"),
+        ("disorder_seed", 2.5, "non-negative integers"),
+        ("disorder_seed", -1, "non-negative integers"),
+    ],
+)
+def test_profile_loader_rejects_one_mode_and_bad_seeds(key, value, message):
+    doc = hardware.profile_to_json_dict(calibrated_profile(2, disorder_seed=5))
+    doc[key] = value
+    with pytest.raises(ValidationError, match="malformed profile document: .*" + message):
+        profile_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "path, value",
     [

@@ -141,7 +141,7 @@ def _random_settings(n, seed):
 
 def test_apply_loss_zero_loss_is_bitwise_mesh_unitary():
     settings = _random_settings(6, 11)
-    lossy = mesh.apply_loss(settings, _LossProfile(0.0, 0.0, np.full(6, 15.7)))
+    lossy = mesh.apply_loss(settings, _LossProfile(0.0, 0.0, 15.7))
     clean = mesh.mesh_unitary(settings)
     assert np.max(np.abs(lossy.elements - clean.elements)) == 0.0
 
@@ -149,7 +149,7 @@ def test_apply_loss_zero_loss_is_bitwise_mesh_unitary():
 def test_apply_loss_uniform_total_scales_singular_values():
     settings = _random_settings(5, 3)
     # 2 x 0.9 facet + 0.07 * 15.7 propagation = 2.899 dB total
-    profile = _LossProfile(0.9, 0.07, np.full(5, 15.7))
+    profile = _LossProfile(0.9, 0.07, 15.7)
     lossy = mesh.apply_loss(settings, profile)
     expected = 10.0 ** (-2.899 / 20.0)
     svals = np.linalg.svd(lossy.elements, compute_uv=False)
@@ -158,7 +158,7 @@ def test_apply_loss_uniform_total_scales_singular_values():
 
 def test_apply_loss_facets_only_straight_path_transmission():
     settings = mesh.bar_settings(4)
-    lossy = mesh.apply_loss(settings, _LossProfile(0.9, 0.0, np.full(4, 15.7)))
+    lossy = mesh.apply_loss(settings, _LossProfile(0.9, 0.0, 15.7))
     trans = np.abs(np.diagonal(lossy.elements)) ** 2
     assert np.allclose(trans, 10.0 ** (-1.8 / 10.0), atol=1e-12)
 
@@ -166,7 +166,19 @@ def test_apply_loss_facets_only_straight_path_transmission():
 def test_apply_loss_rejects_negative_loss():
     settings = mesh.bar_settings(3)
     with pytest.raises(ValidationError):
-        mesh.apply_loss(settings, _LossProfile(-0.1, 0.0, np.full(3, 15.7)))
+        mesh.apply_loss(settings, _LossProfile(-0.1, 0.0, 15.7))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+@pytest.mark.parametrize("slot", range(3))
+def test_lossy_products_rejects_bad_loss_figures(bad, slot):
+    # NaN fails every comparison, so a "< 0" test alone lets it through
+    figures = [0.9, 0.07, 15.7]
+    figures[slot] = bad
+    settings = mesh.bar_settings(3)
+    transfers = mesh.cell_transfers(settings.theta, settings.phi)[None]
+    with pytest.raises(ValidationError, match="loss figures must be finite and >= 0"):
+        mesh.lossy_products(transfers, settings.output_phases[None], *figures)
 
 
 def test_transfer_matrix_rejects_gain():

@@ -57,20 +57,20 @@ def test_source_fields_and_coherence_length():
     lam_um = 1562.0 * 1e-3
     dlam_um = 12.0 * 1e-3
     expected = math.sqrt(2.0 * math.log(2.0)) / math.pi * lam_um**2 / dlam_um
-    assert abs(src.coherence_sigma_um - expected) < 1e-12
-    assert abs(src.coherence_sigma_um - 76.2006487) < 1e-6
+    assert abs(quantum.COHERENCE_SIGMA_UM - expected) < 1e-12
+    assert abs(quantum.COHERENCE_SIGMA_UM - 76.2006487) < 1e-6
     assert abs(src.mutual_overlap_at_zero_delay - 1.0 / 1.1) < 1e-15
 
 
 def test_source_validation():
     with pytest.raises(ValidationError):
-        PhotonPairSource(bandwidth_fwhm_nm=0.0)
-    with pytest.raises(ValidationError):
-        PhotonPairSource(bandwidth_fwhm_nm=-3.0)
-    with pytest.raises(ValidationError):
-        PhotonPairSource(center_wavelength_nm=0.0)
-    with pytest.raises(ValidationError):
         PhotonPairSource(mutual_overlap_at_zero_delay=1.2)
+
+
+@pytest.mark.parametrize("field", ["center_wavelength_nm", "bandwidth_fwhm_nm"])
+def test_source_wavelength_and_bandwidth_are_fixed(field):
+    with pytest.raises(TypeError):
+        PhotonPairSource(**{field: float("inf")})
 
 
 def test_fifty_fifty_trivials():
@@ -857,7 +857,7 @@ def test_delay_sweep_equals_its_per_level_scans(n, disorder_seed, seed, levels):
     source = PhotonPairSource()
     sweep = diagonal_delay_sweep(n, profile, levels, source, seed=seed)
     plan = diagonal_interferometer_plan(n)
-    lam_um = source.center_wavelength_nm * 1e-3
+    lam_um = quantum.DEFAULT_CENTER_WAVELENGTH_NM * 1e-3
     expected = [
         hom_scan(
             plan, source, profile, seed=child_seed(seed, index),

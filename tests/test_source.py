@@ -130,3 +130,44 @@ def test_orphan_check_finds_unread_names():
 )
 def test_module_defines_only_names_something_reads(module):
     assert orphan_names((PACKAGE / module).read_text(), names_read_in_repo()) == []
+
+
+# util.seeded_rng and util.child_seed check every part of a seed key, so no
+# other module builds a generator or a SeedSequence of its own
+RNG_CONSTRUCTORS = {"default_rng", "SeedSequence"}
+
+
+def rng_constructor_calls(source):
+    """(line, name) of every call of a function named default_rng or
+    SeedSequence, reached as an attribute (np.random.default_rng) or as an
+    imported name."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in RNG_CONSTRUCTORS:
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_rng_constructor_check_finds_calls():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import SeedSequence\n"
+        "rng = np.random.default_rng(3)\n"
+        "seq = SeedSequence([1, 2])\n"
+        "other = seeded_rng(1, 2)\n"
+        "nested = f(np.random.default_rng(\n    np.random.SeedSequence(4)))\n"
+    )
+    assert rng_constructor_calls(source) == [
+        (3, "default_rng"), (4, "SeedSequence"), (6, "default_rng"),
+        (7, "SeedSequence"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "util.py")
+)
+def test_only_util_builds_generators(module):
+    assert rng_constructor_calls((PACKAGE / module).read_text()) == []
