@@ -83,17 +83,19 @@ def _magnitude_pair(target, measured):
 
 
 def amplitude_fidelity(target, measured):
-    """F = (1/N) Tr(|Udag| . M) for target unitary U and measured magnitudes M.
+    """F = (1/N) Tr(|Udag| . M) for target unitary U and measured magnitudes M,
+    or the (k,) F of (k, n, n) stacks of both.
 
     Both factors have unit-norm columns, so F = 1 exactly when M equals |U|.
     """
     tmag, mmag = _magnitude_pair(target, measured)
     # Tr(|Udag| M) with |Udag| = |U|^T reduces to the elementwise sum
-    return float(np.sum(tmag * mmag) / tmag.shape[0])
+    return np.sum(tmag * mmag, axis=(-2, -1)) / tmag.shape[-1]
 
 
 def error_matrix(target, measured):
-    """Signed elementwise difference |target| - measured."""
+    """Signed elementwise difference |target| - measured, of one matrix or a
+    stack."""
     tmag, mmag = _magnitude_pair(target, measured)
     return tmag - mmag
 

@@ -284,8 +284,8 @@ def _run_fidelity(config):
     fidelities, max_errors = [], []
     for start in range(0, config.count, COMPILE_CHUNK):
         indices = range(start, min(start + COMPILE_CHUNK, config.count))
-        targets = [make_target(index) for index in indices]
-        theta, phi, out = compiler.decompose_stack([t.elements for t in targets])
+        targets = np.array([make_target(index).elements for index in indices])
+        theta, phi, out = compiler.decompose_stack(targets)
         # heater_order interleaves each cell's theta and phi heaters
         commanded = np.stack([theta, phi], axis=2).reshape(len(targets), -1)
         realized = wrap_phase(np.array([
@@ -298,10 +298,9 @@ def _run_fidelity(config):
             profile, realized[:, 0::2], realized[:, 1::2], out,
             [child_seed(config.seed, index) for index in indices],
         )
-        for target, amplitudes in zip(targets, measured):
-            error = analysis.error_matrix(target, amplitudes)
-            fidelities.append(float(analysis.amplitude_fidelity(target, amplitudes)))
-            max_errors.append(float(np.max(np.abs(error))))
+        fidelities += analysis.amplitude_fidelity(targets, measured).tolist()
+        error = analysis.error_matrix(targets, measured)
+        max_errors += np.max(np.abs(error), axis=(1, 2)).tolist()
     stats = analysis.ensemble_statistics(fidelities)
     results = {"fidelities": fidelities, "max_error_entries": max_errors}
     if permutations is not None:

@@ -955,14 +955,15 @@ def realized_transfer(profile, settings, seed=0):
 
 
 def measure_amplitude_matrices(profile, theta, phi, output_phases, seeds):
-    """Amplitude magnitudes of k programs as reconstructed from output power
-    fractions, one AmplitudeMatrix each (arguments as
+    """Read-only (k, n, n) amplitude magnitudes of k programs as
+    reconstructed from output power fractions (arguments as
     realized_transfer_chunks, whose chunks are reduced as they arrive).
 
     Power is measured one input at a time and normalized per column, so the
     result is insensitive to any loss that acts uniformly along a column.
     """
-    out = []
+    out = np.empty((len(theta), profile.n, profile.n))
+    start = 0
     for z in realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
         # not np.abs(z) ** 2: the complex abs changes bits with the SIMD dispatch
         probs = z.real**2 + z.imag**2
@@ -970,18 +971,20 @@ def measure_amplitude_matrices(profile, theta, phi, output_phases, seeds):
         dark = np.flatnonzero((sums <= 0).any(axis=1))
         if dark.size:
             raise ValidationError(
-                f"program {len(out) + dark[0]}: a column carried no power; "
+                f"program {start + dark[0]}: a column carried no power; "
                 "cannot normalize"
             )
-        amplitudes = np.sqrt(probs / sums[:, None, :])
-        out += [analysis.AmplitudeMatrix(profile.n, a) for a in amplitudes]
+        out[start : start + len(z)] = np.sqrt(probs / sums[:, None, :])
+        start += len(z)
+    out.setflags(write=False)
     return out
 
 
 def measure_amplitude_matrix(profile, settings, seed=0):
-    """measure_amplitude_matrices of one program."""
+    """measure_amplitude_matrices of one program, as an AmplitudeMatrix."""
     stacks = _stack_of_one(profile, settings)
-    return measure_amplitude_matrices(profile, *stacks, [seed])[0]
+    magnitudes = measure_amplitude_matrices(profile, *stacks, [seed])[0]
+    return analysis.AmplitudeMatrix(profile.n, magnitudes)
 
 
 def insertion_loss_per_mode(profile):

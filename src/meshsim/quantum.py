@@ -102,16 +102,24 @@ def _overlap_value(x):
     return x
 
 
-def _pair_terms(m, input_pair, output_pair):
-    """(|q1|^2 + |q2|^2, 2 Re(q1 q2*)) for inputs (a, b), outputs (c, d).
+def _pair_terms(m, pairs):
+    """(|q1|^2 + |q2|^2, 2 Re(q1 q2*)) of each matrix of a (k, n, n) stack
+    for its inputs (a, b) and outputs (c, d), one ((a, b), (c, d)) per matrix.
 
-    The coincidence at pairwise overlap x is the first plus x times the second.
+    The coincidence at pairwise overlap x is the first plus x times the
+    second. Real arithmetic and libm's pow of np.hypot give the bits of
+    scalar complex * and abs(q) ** 2; array complex *, np.abs and x * x do not.
     """
-    a, b = input_pair
-    c, d = output_pair
-    q1 = m[c, a] * m[d, b]
-    q2 = m[c, b] * m[d, a]
-    return abs(q1) ** 2 + abs(q2) ** 2, 2.0 * (q1 * q2.conjugate()).real
+    (a, b), (c, d) = np.moveaxis(np.asarray(pairs), 0, -1)
+    i = np.arange(len(m))
+
+    def product(row, col, row2, col2):
+        x, y = m[i, row, col], m[i, row2, col2]
+        return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+
+    (r1, i1), (r2, i2) = product(c, a, d, b), product(c, b, d, a)
+    classical = np.float_power(np.hypot(r1, i1), 2) + np.float_power(np.hypot(r2, i2), 2)
+    return classical, 2.0 * (r1 * r2 + i1 * i2)
 
 
 def two_photon_coincidence(u, input_pair, output_pair, overlap):
@@ -126,8 +134,8 @@ def two_photon_coincidence(u, input_pair, output_pair, overlap):
     a, b = _mode_pair(input_pair, m.shape[0], "input")
     c, d = _mode_pair(output_pair, m.shape[0], "output")
     x = _overlap_value(overlap)
-    classical, interference = _pair_terms(m, (a, b), (c, d))
-    return float(classical + x * interference)
+    classical, interference = _pair_terms(m[None], [((a, b), (c, d))])
+    return float(classical[0] + x * interference[0])
 
 
 def two_photon_output_distribution(u, input_pair, overlap):
@@ -139,14 +147,15 @@ def two_photon_output_distribution(u, input_pair, overlap):
     n = m.shape[0]
     a, b = _mode_pair(input_pair, n, "input")
     x = _overlap_value(overlap)
-    probs = {}
+    outputs = [(c, d) for c in range(n) for d in range(c + 1, n)]
+    classical, interference = _pair_terms(
+        np.broadcast_to(m, (len(outputs), n, n)), [((a, b), pair) for pair in outputs]
+    )
+    probs = dict(zip(outputs, (classical + x * interference).tolist()))
     for c in range(n):
         amp = m[c, a] * m[c, b]
         probs[(c, c)] = float((1.0 + x) * abs(amp) ** 2)
-        for d in range(c + 1, n):
-            classical, interference = _pair_terms(m, (a, b), (c, d))
-            probs[(c, d)] = float(classical + x * interference)
-    return probs
+    return dict(sorted(probs.items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,12 +299,14 @@ def verify_routing(plan, strict=True):
 @lru_cache(maxsize=None)
 def _routes(n):
     """Read-only (cells, cells) stack of the route_to_tbs plan thetas of
-    every cell and their (input, output) mode pairs, in cell_addresses
-    order, planned once per n."""
+    every cell and (cells, 2, 2) stack of their (input, output) mode pairs,
+    in cell_addresses order, planned once per n."""
     plans = [route_to_tbs(n, addr) for addr in mesh.cell_addresses(n)]
     theta = np.array([plan.theta for plan in plans])
+    pairs = np.array([(plan.input_pair, plan.output_pair) for plan in plans])
     theta.setflags(write=False)
-    return theta, tuple((plan.input_pair, plan.output_pair) for plan in plans)
+    pairs.setflags(write=False)
+    return theta, pairs
 
 
 def plan_to_settings(plan):
@@ -399,8 +410,9 @@ def _project(t, z, center, width, offset):
 
 
 def _lm_fit(t, z, center, width, offset):
-    """Damped Gauss-Newton on (center, width) of every column of z, the
-    linear part projected out (Golub & Pereyra 1973, Kaufman's Jacobian).
+    """Damped Gauss-Newton on (center, width) of every column of z on the
+    delays t (m, k), the linear part projected out (Golub & Pereyra 1973,
+    Kaufman's Jacobian).
 
     A step is rejected if it makes any term non-finite, moves the center
     off the scanned delays or raises the SSR by more than the SSR's
@@ -418,7 +430,7 @@ def _lm_fit(t, z, center, width, offset):
     damping = np.full(center.shape, _FIT_DAMPING)
     live = np.arange(center.size)
     # a center far off the scan fits noise with the flank of a huge dip
-    first, last = t.min(), t.max()
+    first, last = t.min(0), t.max(0)
     for _ in range(_FIT_ITERATIONS):
         s, lam = state[:, live], damping[live]
         going = (s[_SIZE] > _FIT_STEP_TOL) & (lam <= _FIT_MAX_DAMPING)
@@ -433,9 +445,9 @@ def _lm_fit(t, z, center, width, offset):
         c, w = center[live], width[live]
         c_try = c + (mww * gc - mcw * gw) / det
         w_try = w + (mcc * gw - mcw * gc) / det
-        trial = _project(t, z[:, live], c_try, w_try, offset)
+        trial = _project(t[:, live], z[:, live], c_try, w_try, offset)
         band = rounding[live] * np.sqrt(s[_SSR])
-        inside = (first <= c_try) & (c_try <= last)
+        inside = (first[live] <= c_try) & (c_try <= last[live])
         better = np.isfinite(trial[:_SIZE]).all(0) & inside & (
             (trial[_SSR] < s[_SSR] - band)
             | (trial[_SSR] <= s[_SSR] + band) & (trial[_SIZE] < s[_SIZE])
@@ -448,7 +460,8 @@ def _lm_fit(t, z, center, width, offset):
 
 
 def fit_gaussian_dips(delays_um, values):
-    """Two-pass Gaussian dip fits of a (k, m) stack of scans on one grid.
+    """Two-pass Gaussian dip fits of a (k, m) stack of scans on one grid of
+    m delays, or on a (k, m) grid of one row per scan.
 
     Pass one fits baseline, visibility, center and width; the baseline is
     then re-estimated from the samples more than two fitted widths away
@@ -464,36 +477,37 @@ def fit_gaussian_dips(delays_um, values):
     zero visibility at the mean delay, a quarter of the span wide, on the
     scan's mean, with an infinite sigma and flagged uncertain.
     """
-    d = np.asarray(delays_um, dtype=float)
+    d = np.ascontiguousarray(delays_um, dtype=float)
     v = np.ascontiguousarray(values, dtype=float)
-    if d.ndim != 1 or v.ndim != 2 or v.shape[1] != d.size:
-        raise ValidationError("values must be a (k, m) stack on m delays")
-    if d.size < MIN_FIT_SAMPLES:
+    if v.ndim != 2 or d.shape not in (v.shape, v.shape[1:]):
+        raise ValidationError("values must be a (k, m) stack on m or (k, m) delays")
+    if v.shape[1] < MIN_FIT_SAMPLES:
         raise ValidationError(f"dip fit needs >= {MIN_FIT_SAMPLES} samples")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(v))):
         raise ValidationError("dip fit input must be finite")
-    span = float(np.ptp(d))
-    if span <= 0:
+    span = np.ptp(d, axis=-1)
+    if np.any(span <= 0):
         raise ValidationError("delay samples must not be all equal")
     flat = np.ptp(v, axis=1) <= 1e-12 * np.maximum(1.0, np.max(np.abs(v), axis=1))
     k = len(v)
     # every row starts as a flat scan's; the dip fits overwrite theirs
     fits = (
-        np.zeros(k), np.full(k, np.mean(d)), np.full(k, span / 4.0),
+        np.zeros(k), np.full(k, np.mean(d, axis=-1)), np.full(k, span / 4.0),
         np.mean(v, axis=1), np.full(k, np.inf), np.ones(k, dtype=bool),
     )
+    grid = np.broadcast_to(d, v.shape)
     dips = np.flatnonzero(~flat)
     for start in range(0, dips.size, _FIT_CHUNK):
         chunk = dips[start : start + _FIT_CHUNK]
-        for column, part in zip(fits, _fit_dips(d, v[chunk].T.copy())):
+        for column, part in zip(fits, _fit_dips(grid[chunk].T.copy(), v[chunk].T.copy())):
             column[chunk] = part
     return fits
 
 
-def _fit_dips(d, y):
+def _fit_dips(t, y):
     """The two-pass fits of fit_gaussian_dips for the scans y (m, k) on the
-    delays d, none of them flat, as its six arrays."""
-    m, span, t = d.size, float(np.ptp(d)), d[:, None]
+    delays t (m, k), none of them flat, as its six arrays."""
+    m, span = len(t), np.ptp(t, axis=0)
     with np.errstate(all="ignore"):
         # the starting guesses
         low = np.argmin(y, axis=0)
@@ -504,7 +518,7 @@ def _fit_dips(d, y):
         spread = np.where(below, t, -np.inf).max(0) - np.where(below, t, np.inf).min(0)
         width = np.where(below.sum(0) >= 2, spread / 2.355, span / 8.0)
         width = np.maximum(width, span / m)
-        center = d[low]
+        center = np.take_along_axis(t, low[None], 0)[0]
 
         center, width, _ = _lm_fit(t, y, center, width, offset=True)
         width = np.abs(width)
@@ -569,9 +583,8 @@ class HomScan:
 
 
 def _scan_grid(delays_um, arm_delay_um):
-    """Read-only delay samples of a scan (the default grid centered on the
-    arm delay when None) and the indices of the BASELINE_FRACTION of them
-    farthest from zero delay, which set the raw-count baseline."""
+    """Read-only delay samples of a scan: the default grid centered on the
+    arm delay when None."""
     if delays_um is None:
         delays_um = default_delay_grid(arm_delay_um)
     d = np.array(delays_um, dtype=float)
@@ -580,52 +593,39 @@ def _scan_grid(delays_um, arm_delay_um):
     if not np.all(np.isfinite(d)):
         raise ValidationError("delay samples must be finite")
     d.setflags(write=False)
-    k = max(1, int(round(BASELINE_FRACTION * d.size)))
-    return d, np.argsort(np.abs(d))[-k:]
+    return d
 
 
-def _check_scan_inputs(profile, n, count_noise_sigma):
-    if profile.n != n:
-        raise ValidationError(f"profile is for n={profile.n}, plan for n={n}")
+def _routed_scans(profile, theta, pairs, seeds, delays, envelope, count_noise_sigma):
+    """Normalized (k, m) coincidences of k routed scans, one per row of the
+    (k, cells) thetas, realized with zero phis and output phases as
+    plan_to_settings programs them and one run seed each. Each realized
+    chunk is reduced to its scans' pair terms at the (k, 2, 2) mode pairs
+    as it arrives. Scan i sees the source envelope x(tau) over its delays
+    (`delays` and `envelope` are one row, or one row per scan) and is
+    normalized by the mean of its BASELINE_FRACTION of samples farthest
+    from zero delay."""
     # NaN fails the comparison, so it is rejected too
     if not 0 <= count_noise_sigma < np.inf:
         raise ValidationError("count noise sigma must be finite and >= 0")
-
-
-def _normalized_counts(terms, envelope, far, seed, count_noise_sigma):
-    """Coincidences of one scan from the two pair terms of its realized
-    transfer (as _pair_terms gives them), given the source envelope x(tau)
-    over the delays, normalized by the mean of the baseline samples `far`."""
-    p_classical, p_interference = terms
-    counts = p_classical + envelope * p_interference
-    if count_noise_sigma > 0:
-        rng = seeded_rng(seed, _COUNT_STREAM)
-        counts = counts * (1.0 + count_noise_sigma * rng.standard_normal(counts.size))
-        counts = np.maximum(counts, 0.0)
-    base = float(np.mean(counts[far]))
-    if base <= 0:
-        raise MeshsimError("scan has no off-dip coincidences to normalize by")
-    return counts / base
-
-
-def _routed_scans(profile, theta, pairs, seeds, envelopes, fars, count_noise_sigma):
-    """Normalized coincidences of k routed scans, one per row of the
-    (k, cells) thetas, realized with zero phis and output phases as
-    plan_to_settings programs them and one run seed each. Each realized
-    chunk is reduced to its scans' pair terms (scan i at the (input,
-    output) mode pairs pairs[i]) as it arrives; the count model then runs
-    per scan, on the source envelope envelopes[i] and the baseline samples
-    fars[i]. Interleaving the count model with the realization made a noisy
-    n=20 map about 1% slower. Returns the k scans in order."""
-    terms = []
+    pairs, terms, start = np.asarray(pairs), [], 0
     for transfers in hardware.realized_transfer_chunks(
         profile, theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)), seeds
     ):
-        terms += [_pair_terms(m, *pairs[i]) for i, m in enumerate(transfers, len(terms))]
-    return [
-        _normalized_counts(term, envelopes[i], fars[i], seeds[i], count_noise_sigma)
-        for i, term in enumerate(terms)
-    ]
+        terms.append(_pair_terms(transfers, pairs[start : start + len(transfers)]))
+        start += len(transfers)
+    classical, interference = np.concatenate(terms, axis=1)[..., None]
+    counts = classical + envelope * interference
+    k, m = counts.shape
+    if count_noise_sigma > 0:
+        noise = np.stack([seeded_rng(s, _COUNT_STREAM).standard_normal(m) for s in seeds])
+        counts = np.maximum(counts * (1.0 + count_noise_sigma * noise), 0.0)
+    size = max(1, int(round(BASELINE_FRACTION * m)))
+    far = np.broadcast_to(np.argsort(np.abs(delays), axis=-1)[..., -size:], (k, size))
+    base = np.mean(np.take_along_axis(counts, far, axis=1), axis=1)
+    if np.any(base <= 0):
+        raise MeshsimError("scan has no off-dip coincidences to normalize by")
+    return counts / base[:, None]
 
 
 def hom_scan(
@@ -645,11 +645,10 @@ def hom_scan(
     envelope is centered on `arm_delay_um`. Raw coincidences are normalized
     by the mean of the 20% of samples farthest from zero delay.
     """
-    _check_scan_inputs(profile, plan.n, count_noise_sigma)
-    d, far = _scan_grid(delays_um, arm_delay_um)
+    d = _scan_grid(delays_um, arm_delay_um)
     (normalized,) = _routed_scans(
         profile, plan.theta[None], [(plan.input_pair, plan.output_pair)], [seed],
-        [source.overlap_at(d, arm_delay_um)], [far], count_noise_sigma,
+        d, source.overlap_at(d, arm_delay_um), count_noise_sigma,
     )
     fit = fit_gaussian_dip(d, normalized)
     normalized.setflags(write=False)
@@ -674,17 +673,15 @@ def _anova_p(groups):
     x = SS_within / (SS_within + SS_between) is evaluated at _ANOVA_DPS
     digits and rounded once, so the result does not depend on the numpy,
     scipy or BLAS build. Degenerate inputs give 1.0 (fewer than two
-    non-empty groups, no within-group degrees of freedom, all values
-    equal, or a non-finite value) or 0.0 (no within-group spread around
-    unequal group means).
+    non-empty groups, no within-group degrees of freedom, or all values
+    equal) or 0.0 (no within-group spread around unequal group means). The
+    values must be finite; a NaN or infinity raises.
     """
     groups = [np.asarray(g, dtype=float) for g in groups if len(g) > 0]
     total = sum(g.size for g in groups)
     d_between = len(groups) - 1
     d_within = total - len(groups)
     if d_between < 1 or d_within < 1:
-        return 1.0
-    if not all(np.isfinite(g).all() for g in groups):
         return 1.0
     # Every float is an integer over a power of two, so scaling by the
     # largest denominator makes all values integers. The common scale
@@ -729,22 +726,19 @@ def hom_visibility_map(n, source, profile, *, seed=0, count_noise_sigma=0.0):
 
     Per-cell seeds derive from (seed, cell index), so the transfer chunk
     cannot change the map. Every scan is the hom_scan of its routing plan:
-    the routes are planned once per n, the delay grid, source envelope and
-    baseline samples once per map, all scans are realized in one routed
-    call, and one fit_gaussian_dips call fits them. Row and column one-way
-    ANOVA p-values probe for systematic structure along either mesh axis.
+    the routes are planned once per n, the delay grid and source envelope
+    once per map, all scans are realized in one routed call, and one
+    fit_gaussian_dips call fits them. Row and column one-way ANOVA
+    p-values probe for systematic structure along either mesh axis.
     """
-    _check_scan_inputs(profile, n, count_noise_sigma)
     cells = mesh.cell_addresses(n)
     row_of = np.array([addr.row for addr in cells])
     column_of = np.array([addr.column for addr in cells])
-    d, far = _scan_grid(None, 0.0)
-    envelope = source.overlap_at(d, 0.0)
-    seeds = [child_seed(seed, index) for index in range(len(cells))]
+    d = default_delay_grid()
     theta, pairs = _routes(n)
     scans = _routed_scans(
-        profile, theta, pairs, seeds, [envelope] * len(seeds), [far] * len(seeds),
-        count_noise_sigma,
+        profile, theta, pairs, [child_seed(seed, index) for index in range(len(cells))],
+        d, source.overlap_at(d, 0.0), count_noise_sigma,
     )
     visibilities = fit_gaussian_dips(d, scans)[0]
     stats = analysis.ensemble_statistics(visibilities)
@@ -806,12 +800,11 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
     yields one HOM scan on a grid centered at the expected delay; the
     fitted centers trace the delay line. Each level's scan is the hom_scan
     of the plan with run seed child_seed(seed, level index); all levels are
-    realized in one routed call, and each is fitted on its own grid.
+    realized in one routed call and fitted, each on its own grid, in one
+    fit_gaussian_dips call.
     """
     if source is None:
         source = PhotonPairSource()
-    if n < 3:
-        raise ValidationError("delay sweep needs n >= 3")
     if profile.n != n:
         raise ValidationError(f"profile is for n={profile.n}, not n={n}")
     levels = np.asarray(heater_drive_levels_rad, dtype=float)
@@ -839,20 +832,16 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
         )
 
     count = len(driven)
-    arm_delays = [count * float(level) * _LAM_UM / TWO_PI for level in levels]
-    grids = [_scan_grid(None, arm_delay) for arm_delay in arm_delays]
+    arm_delays = count * levels[:, None] * _LAM_UM / TWO_PI
+    d = default_delay_grid(arm_delays)
     scans = _routed_scans(
         profile,
         np.repeat(plan.theta[None], levels.size, axis=0),
         [(plan.input_pair, plan.output_pair)] * levels.size,
         [child_seed(seed, index) for index in range(levels.size)],
-        [source.overlap_at(d, a) for (d, _), a in zip(grids, arm_delays)],
-        [far for _, far in grids],
-        0.0,
+        d, source.overlap_at(d, arm_delays), 0.0,
     )
-    centers = np.array(
-        [fit_gaussian_dip(d, scan).center_um for (d, _), scan in zip(grids, scans)]
-    )
+    centers = fit_gaussian_dips(d, scans)[1]
     total = float(centers[-1] - centers[0])
     levels = levels.copy()
     levels.setflags(write=False)

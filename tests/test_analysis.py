@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meshsim import compiler
+from meshsim import compiler, hardware
 from meshsim.analysis import (
     AmplitudeMatrix,
     PlatformEntry,
@@ -14,6 +14,7 @@ from meshsim.analysis import (
     platform_report,
     useful_processor_size,
 )
+from meshsim.mesh import Unitary
 from meshsim.util import ValidationError
 
 
@@ -45,6 +46,8 @@ def test_fidelity_dimension_mismatch():
     m = AmplitudeMatrix(4, np.eye(4))
     with pytest.raises(ValidationError):
         amplitude_fidelity(u, m)
+    with pytest.raises(ValidationError):
+        error_matrix(np.stack([u.elements] * 3), np.stack([np.eye(3)] * 2))
 
 
 def test_error_matrix_identity():
@@ -54,6 +57,23 @@ def test_error_matrix_identity():
     assert np.allclose(err, 0.0)
     # algebraic identity: error + measured == |target| exactly
     assert np.array_equal(err + m.magnitudes, np.abs(u.elements))
+
+
+def test_fidelity_and_error_matrix_of_a_stack_equal_per_item_calls():
+    # a fidelity campaign's compile chunk: n=20 Haar targets measured
+    # through the noisy hardware, scored in one call per layer
+    n, k = 20, 24
+    targets = np.array([compiler.haar_random(n, seed=s).elements for s in range(k)])
+    theta, phi, out = compiler.decompose_stack(targets)
+    profile = hardware.calibrated_profile(n, disorder_seed=0)
+    measured = hardware.measure_amplitude_matrices(profile, theta, phi, out, range(k))
+    fidelities = amplitude_fidelity(targets, measured)
+    errors = error_matrix(targets, measured)
+    assert fidelities.shape == (k,) and errors.shape == (k, n, n)
+    for i in range(k):
+        target, item = Unitary(n, targets[i]), AmplitudeMatrix(n, measured[i])
+        assert fidelities[i].hex() == amplitude_fidelity(target, item).hex()
+        assert errors[i].tobytes() == error_matrix(target, item).tobytes()
 
 
 def test_amplitude_matrix_rejects_bad_columns():

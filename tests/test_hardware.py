@@ -668,7 +668,8 @@ def test_measure_empty_stack_gives_no_matrices():
     empty = hardware.measure_amplitude_matrices(
         prof, np.empty((0, cells)), np.empty((0, cells)), np.empty((0, 4)), []
     )
-    assert empty == []
+    assert empty.shape == (0, 4, 4)
+    assert not empty.flags.writeable
 
 
 def test_static_disorder_survives_run_seed():

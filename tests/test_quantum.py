@@ -120,6 +120,33 @@ def test_two_photon_probability_conservation():
             assert abs(total - 1.0) < 1e-12
 
 
+def test_pair_terms_equal_scalar_complex_arithmetic_at_n20():
+    # the stacked pair terms of the routed transfers of an n=20 map, at the
+    # planned and at 40 random sets of mode pairs, are the bits of scalar
+    # complex * and abs() ** 2 (x * x in place of pow differs on 1 in 1,000)
+    n = 20
+    theta, planned = quantum._routes(n)
+    transfers = np.concatenate(list(hardware.realized_transfer_chunks(
+        hardware.calibrated_profile(n, disorder_seed=3), theta, np.zeros_like(theta),
+        np.zeros((len(theta), n)), range(len(theta)),
+    )))
+    rng = np.random.default_rng(np.random.SeedSequence([20, 2]))
+    for pairs in [planned] + [
+        np.array([rng.permutation(n)[:4].reshape(2, 2) for _ in transfers])
+        for _ in range(40)
+    ]:
+        classical, interference = quantum._pair_terms(transfers, pairs)
+        expected = []
+        for m, ((a, b), (c, d)) in zip(transfers, pairs.tolist()):
+            q1 = m[c, a] * m[d, b]
+            q2 = m[c, b] * m[d, a]
+            expected.append(
+                (abs(q1) ** 2 + abs(q2) ** 2, 2.0 * (q1 * q2.conjugate()).real)
+            )
+        got = zip(classical.tolist(), interference.tolist())
+        assert [_row_hex(row) for row in got] == [_row_hex(row) for row in expected]
+
+
 def test_two_photon_accepts_lossy_transfer():
     profile = loss_only_profile(4)
     settings = plan_to_settings(route_to_tbs(4, (1, 1)))
@@ -359,6 +386,13 @@ def test_fit_validation_errors():
     bad[3] = np.nan
     with pytest.raises(ValidationError):
         fit_gaussian_dip(grid, bad)
+    # a per-scan grid must have one row of m delays per scan
+    stack = np.ones((3, grid.size))
+    for delays in (np.stack([grid] * 2), np.stack([grid] * 3)[:, 1:], grid[None]):
+        with pytest.raises(ValidationError, match="stack"):
+            fit_gaussian_dips(delays, stack)
+    with pytest.raises(ValidationError, match="all equal"):
+        fit_gaussian_dips(np.stack([grid, np.zeros(grid.size), grid]), stack)
 
 
 def test_fit_baseline_undefined_without_off_dip_points():
@@ -440,6 +474,7 @@ def _at_offset(values, offset):
     """A copy of `values` starting `offset` bytes into a fresh buffer."""
     size = 8 * values.size
     copy = np.zeros(size + 64, dtype=np.uint8)[offset : offset + size].view(np.float64)
+    copy = copy.reshape(values.shape)
     copy[:] = values
     return copy
 
@@ -449,21 +484,12 @@ def _map_scans(n, disorder_seed, count_noise_sigma):
     cell order, with their delay grid."""
     src = PhotonPairSource(mutual_overlap_at_zero_delay=0.98)
     profile = hardware.calibrated_profile(n, disorder_seed=disorder_seed)
-    d, far = quantum._scan_grid(None, 0.0)
-    envelope = src.overlap_at(d, 0.0)
-    plans = [route_to_tbs(n, addr) for addr in mesh.cell_addresses(n)]
-    theta = np.array([plan.theta for plan in plans])
-    seeds = [child_seed(disorder_seed, index) for index in range(len(plans))]
-    transfers = np.concatenate(list(hardware.realized_transfer_chunks(
-        profile, theta, np.zeros_like(theta), np.zeros((len(seeds), n)), seeds
-    )))
-    return d, np.array([
-        quantum._normalized_counts(
-            quantum._pair_terms(m, plan.input_pair, plan.output_pair),
-            envelope, far, seed, count_noise_sigma,
-        )
-        for m, plan, seed in zip(transfers, plans, seeds)
-    ])
+    d = default_delay_grid()
+    theta, pairs = quantum._routes(n)
+    seeds = [child_seed(disorder_seed, index) for index in range(len(theta))]
+    return d, quantum._routed_scans(
+        profile, theta, pairs, seeds, d, src.overlap_at(d, 0.0), count_noise_sigma
+    )
 
 
 def _degenerate_scans():
@@ -506,6 +532,33 @@ def test_dip_fit_is_batch_invariant_on_map_scans(count_noise_sigma):
             picks = rng.choice(len(scans), size, replace=False)
             batch = fit_gaussian_dips(d, scans[picks])
             assert _fits_hex(batch) == [alone[i] for i in picks]
+
+
+def test_dip_fit_on_per_scan_grids_equals_each_scans_fit():
+    # the delay sweep's stack: n=20 scans on seven grids, each centered on
+    # its arm delay, one row flattened, fitted in one call at byte offsets
+    n = 20
+    profile = hardware.calibrated_profile(n, disorder_seed=1)
+    plan = diagonal_interferometer_plan(n)
+    lam_um = quantum.DEFAULT_CENTER_WAVELENGTH_NM * 1e-3
+    scans = [
+        hom_scan(
+            plan, PhotonPairSource(), profile, seed=index,
+            arm_delay_um=2 * (n - 2) * level * lam_um / TWO_PI,
+        )
+        for index, level in enumerate([0.0, 0.5, 1.5, 2.5, 4.0, 6.0, 9.4])
+    ]
+    d = np.array([scan.delays_um for scan in scans])
+    values = np.array([scan.coincidences for scan in scans])
+    values[3] = 0.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [_fit_hex(fit_gaussian_dip(row, scan)) for row, scan in zip(d, values)]
+        for offset in range(0, 64, 8):
+            got = fit_gaussian_dips(_at_offset(d, offset), _at_offset(values, offset))
+            assert _fits_hex(got) == alone, offset
+    # the flattened row took the flat-scan branch: V = 0, uncertain
+    assert alone[3][0] == (0.0).hex() and alone[3][5] is True
 
 
 def test_flat_scans_fill_their_rows_of_a_stack():
@@ -764,6 +817,10 @@ def test_anova_p_degenerate_cases():
     assert quantum._anova_p([[0.98, 0.98], [0.98, 0.98, 0.98]]) == 1.0
     # zero within-group spread around unequal group means
     assert quantum._anova_p([[0.9, 0.9], [0.8, 0.8]]) == 0.0
+    # a non-finite value has no p-value
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises((ValueError, OverflowError)):
+            quantum._anova_p([[0.9, bad], [0.8, 0.7]])
 
 
 @pytest.mark.parametrize("disorder_seed", [3, 8])

@@ -171,3 +171,13 @@ def test_rng_constructor_check_finds_calls():
 )
 def test_only_util_builds_generators(module):
     assert rng_constructor_calls((PACKAGE / module).read_text()) == []
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the README's library example is documented API; run it as written
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start (library)\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    fidelity = float(capsys.readouterr().out)
+    assert 0.9 < fidelity <= 1.0
