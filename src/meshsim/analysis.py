@@ -153,7 +153,10 @@ def useful_processor_size(loss_per_unit_cell_db):
     loss = float(loss_per_unit_cell_db)
     if not 0 < loss < np.inf:
         raise ValidationError("loss per unit cell must be finite and > 0")
-    return int(np.floor(E_FOLD_DB / loss))
+    cells = float(E_FOLD_DB) / loss  # overflows to inf, without numpy's warning
+    if not cells < np.inf:
+        raise ValidationError(f"loss per unit cell {loss!r} dB is too small to count cells")
+    return int(np.floor(cells))
 
 
 @dataclass(frozen=True)

@@ -156,8 +156,11 @@ def _delay_sweep_params(params, n):
 
 def _loss_report_params(params, n):
     losses = _require_number_list(params, "loss_per_cell_db", [0.1, 0.055])
-    if min(losses) == 0:
-        raise UsageError("param 'loss_per_cell_db' entries must be > 0")
+    for loss in losses:
+        try:
+            analysis.useful_processor_size(loss)
+        except ValidationError as exc:
+            raise UsageError(f"param 'loss_per_cell_db' entry: {exc}") from exc
     return {"loss_per_cell_db": losses}
 
 
@@ -288,12 +291,8 @@ def _run_fidelity(config):
         theta, phi, out = compiler.decompose_stack(targets)
         # heater_order interleaves each cell's theta and phi heaters
         commanded = np.stack([theta, phi], axis=2).reshape(len(targets), -1)
-        realized = wrap_phase(np.array([
-            hardware.realized_heater_phases(
-                profile, hardware.solve_voltages(profile, calibration, t).powers_w
-            )
-            for t in commanded
-        ]))
+        drive = hardware.solve_voltages(profile, calibration, commanded)
+        realized = wrap_phase(hardware.realized_heater_phases(profile, drive.powers_w))
         measured = hardware.measure_amplitude_matrices(
             profile, realized[:, 0::2], realized[:, 1::2], out,
             [child_seed(config.seed, index) for index in indices],
@@ -329,7 +328,9 @@ def _run_calibration(config):
     )
     order = hardware.heater_order(config.n)
     phi0, alpha, residual = record.arrays(order)
-    phi0_true, alpha_true = profile.phi0_rad, profile.alpha_rad_per_w
+    # the fit wraps phi0 into [0, 2 pi); a loaded profile need not
+    phi0_true = wrap_phase(profile.phi0_rad)
+    alpha_true = profile.alpha_rad_per_w
     # no relative error exists at phi0 = 0 (every heater of the ideal
     # profile); report the wrapped absolute error instead
     at_zero = phi0_true == 0
@@ -341,7 +342,7 @@ def _run_calibration(config):
     alpha_rel = np.abs(alpha - alpha_true) / np.abs(alpha_true)
     columns = {
         "heater_id": order,
-        "phi0_true_rad": phi0_true.tolist(),
+        "phi0_true_rad": profile.phi0_rad.tolist(),
         "phi0_fit_rad": phi0.tolist(),
         "alpha_true_rad_per_w": alpha_true.tolist(),
         "alpha_fit_rad_per_w": alpha.tolist(),
@@ -349,13 +350,13 @@ def _run_calibration(config):
     }
     heater_rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-    solve_errors = []
-    for check in range(config.count):
-        rng = seeded_rng(config.seed, _SOLVE_CHECK_STREAM, check)
-        target = rng.uniform(0.0, TWO_PI, len(order))
-        drive = hardware.solve_voltages(profile, record, target)
-        realized = hardware.realized_heater_phases(profile, drive.powers_w)
-        solve_errors.append(float(np.max(np.abs(wrap_signed(realized - target)))))
+    targets = np.array([
+        seeded_rng(config.seed, _SOLVE_CHECK_STREAM, check).uniform(0.0, TWO_PI, len(order))
+        for check in range(config.count)
+    ])
+    drive = hardware.solve_voltages(profile, record, targets)
+    realized = hardware.realized_heater_phases(profile, drive.powers_w)
+    solve_errors = np.max(np.abs(wrap_signed(realized - targets)), axis=1).tolist()
 
     results = {"heaters": heater_rows, "solve_check_errors_rad": solve_errors}
     summary = {

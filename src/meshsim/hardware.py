@@ -369,8 +369,9 @@ class CalibrationEntry:
 # which no step can lower the SSR, and the Gauss-Newton step, relative to
 # alpha, below which a heater has converged (about two ulp). The polish
 # starts within half a grid step of the optimum, where an undamped step
-# converges, so the damping starts low.
-_FIT_ITERATIONS = 100
+# converges, so the damping starts low. The cap is 2.3x the 219 iterations
+# of the slowest n=20 polish measured (README, "Calibration fit").
+_FIT_ITERATIONS = 500
 _FIT_DAMPING = 1e-6
 _FIT_MAX_DAMPING = 1e16
 _FIT_STEP_TOL = 4.4e-16
@@ -618,18 +619,22 @@ def fit_phase_responses(power, signal, heater_ids):
     k, m = power.shape
     if k and m < 8:
         raise FitDegeneracyError(f"{heater_ids[0]}: need >= 8 samples, got {m}")
+    # the model does not depend on the sample order, but the FFT seed's
+    # np.interp needs ascending powers; a stable sort keeps an ascending sweep
+    order = np.argsort(power, axis=1, kind="stable")
+    power = np.take_along_axis(power, order, 1)
+    signal = np.take_along_axis(signal, order, 1)
     failed = np.zeros((len(_FIT_FAILURES), k), bool)
     with np.errstate(all="ignore"):
         failed[0] = ~(np.isfinite(power).all(1) & np.isfinite(signal).all(1))
-        ordered = np.sort(power, axis=1)
         # fewer than 4 distinct powers fit the 4-parameter model at any alpha
-        failed[1] = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(1) < 4
+        failed[1] = 1 + (power[:, 1:] != power[:, :-1]).sum(1) < 4
         failed[2] = signal.max(1) - signal.min(1) < 1e-12
     # the heaters before the first bad sweep are fitted, and a failure
     # among them is raised first, as a heater-order loop would
     fitted = int(np.argmax(failed.any(0))) if failed.any() else k
     power, signal = power[:fitted], signal[:fitted]
-    low, high = ordered[:fitted, 0], ordered[:fitted, -1]
+    low, high = power[:, 0], power[:, -1]
     span = high - low
     seed = _fringe_seeds(power, signal, low, high)
     p, y = power.T.copy(), signal.T.copy()
@@ -736,12 +741,13 @@ def calibrate_profile(profile, points=64, seed=0, detector_noise_sigma=0.0):
 
 @dataclass(frozen=True)
 class DriveSolution:
-    """Solved drive in heater_order; voltages_v is read-only."""
+    """Solved drive in heater_order; voltages_v is read-only. A stack of
+    targets gives one row, iteration count and residual per target."""
 
     voltages_v: np.ndarray
     powers_w: np.ndarray
-    iterations: int
-    residual_rad: float
+    iterations: int | list
+    residual_rad: float | list
 
 
 def heater_targets(settings):
@@ -768,7 +774,7 @@ def settings_from_heater_phases(n, phases, output_phases=None):
 def _target_vector(profile, target):
     count = len(profile.heater_ids)
     arr = np.asarray(target, dtype=float)
-    if arr.shape != (count,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != count:
         raise ValidationError(f"target must have {count} phases, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("target phases must be finite")
@@ -801,7 +807,7 @@ def _drive_system(profile, calibration):
 
 
 def solve_voltages(profile, calibration, target):
-    """Drive voltages whose realized phases equal the target modulo 2*pi.
+    """Drive voltages whose realized phases equal each target modulo 2*pi.
 
     The phase system is linear in the dissipated powers once each heater's
     2*pi branch is fixed: C p = r with C the crosstalk matrix and r the
@@ -810,35 +816,38 @@ def solve_voltages(profile, calibration, target):
     overshoots the residual) is moved up one branch and the system is
     re-solved; backgrounds are bounded well below 2*pi, so each heater moves
     at most once. C is inverted once per (profile, calibration), so each
-    round is one matrix-vector product. Raises InfeasibleError when a
-    required power exceeds a heater's budget.
+    round is one matrix-vector product per target, the same bits alone or
+    in a (k, heaters) stack. Raises InfeasibleError, naming a stack's first
+    such row, when a required power exceeds a heater's budget.
     """
-    order = profile.heater_ids
     t = _target_vector(profile, target)
     phi0, coupling, inverse = _drive_system(profile, calibration)
     p_max = profile.v_max_v**2 / profile.resistance_ohm
 
     residual = wrap_phase(t - phi0)
-    for iterations in range(1, SOLVE_MAX_SWEEPS + 1):
-        p = inverse @ residual
+    iterations = np.ones(t.shape[:-1], int)
+    for _ in range(SOLVE_MAX_SWEEPS):
+        p = (inverse @ residual[..., None])[..., 0]
         below = p < -1e-12
-        if not np.any(below):
+        if not below.any():
             break
+        iterations += below.any(-1)
         residual = residual + np.where(below, TWO_PI, 0.0)
     else:
         raise MeshsimError(
             f"drive solve did not settle on branches in {SOLVE_MAX_SWEEPS} rounds"
         )
     p = np.maximum(p, 0.0)
-    check = float(np.max(np.abs(wrap_signed(phi0 + coupling @ p - t))))
-    if check > 1e-6:
-        raise MeshsimError(f"drive solve left a {check:.3e} rad phase error")
+    check = np.abs(wrap_signed(phi0 + (coupling @ p[..., None])[..., 0] - t)).max(-1)
+    if np.max(check, initial=0.0) > 1e-6:
+        raise MeshsimError(f"drive solve left a {np.max(check):.3e} rad phase error")
 
-    over = p > p_max * (1 + 1e-12)
-    if np.any(over):
-        bad = [order[i] for i in np.nonzero(over)[0]]
+    rows, heaters = np.nonzero(np.atleast_2d(p > p_max * (1 + 1e-12)))
+    if rows.size:
+        bad = [profile.heater_ids[i] for i in heaters[rows == rows[0]]]
         raise InfeasibleError(
-            f"{len(bad)} heater(s) need more than the voltage budget allows",
+            (f"row {rows[0]}: " if t.ndim == 2 else "")
+            + f"{len(bad)} heater(s) need more than the voltage budget allows",
             heater_ids=bad,
         )
     volts = np.sqrt(p * profile.resistance_ohm)
@@ -846,15 +855,15 @@ def solve_voltages(profile, calibration, target):
     return DriveSolution(
         voltages_v=volts,
         powers_w=p,
-        iterations=iterations,
-        residual_rad=float(check),
+        iterations=iterations.tolist(),
+        residual_rad=check.tolist(),
     )
 
 
 def realized_heater_phases(profile, powers_w):
-    """True phases produced by a power vector, including crosstalk."""
+    """True phases produced by power vector(s), including crosstalk."""
     p = np.asarray(powers_w, dtype=float)
-    return profile.phi0_rad + profile.crosstalk.matrix @ p
+    return profile.phi0_rad + (profile.crosstalk.matrix @ p[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from meshsim import compiler, hardware
 from meshsim.analysis import (
+    E_FOLD_DB,
     AmplitudeMatrix,
     PlatformEntry,
     amplitude_fidelity,
@@ -162,6 +163,14 @@ def test_useful_processor_size_golden():
     for loss in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="finite"):
             useful_processor_size(loss)
+
+
+def test_useful_processor_size_rejects_an_infinite_cell_count():
+    # positive and finite, yet E_FOLD_DB / loss overflows to infinity
+    for loss in (1e-320, 5e-324):
+        with pytest.raises(ValidationError, match="too small"):
+            useful_processor_size(loss)
+    assert useful_processor_size(1e-300) == int(np.floor(E_FOLD_DB / 1e-300))
 
 
 def test_bundled_platform_dataset():

@@ -348,3 +348,15 @@ def test_loss_on_non_finite_profile_exits_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "loss figures must be finite" in err
+
+
+def test_loss_with_a_subnormal_loss_is_usage_error(tmp_path, capsys):
+    # 4.34 dB / 1e-320 dB overflows to an infinite cell count; the entry is
+    # rejected as bad input (exit 2) before the campaign runs
+    cfg = write_config(tmp_path, {
+        "kind": "loss-report", "n": 4, "params": {"loss_per_cell_db": [0.1, 1e-320]}})
+    code, out, err = run_cli(["loss", "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert "loss_per_cell_db" in err and "1e-320" in err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from meshsim.experiments import (
     unitary_to_json_dict,
     validate_config,
 )
-from meshsim.util import UsageError, ValidationError, child_seed
+from meshsim.util import UsageError, ValidationError, child_seed, seeded_rng
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -258,8 +259,12 @@ HOST_INDEPENDENT_KINDS = ("calibration", "hom-map", "loss-report", "platform")
 
 _AVX512 = "X86_V4 AVX512_SPR AVX512_ICL"
 
+# the goldens of the kinds given, and the rows of a stacked n=20 drive solve
+# that differ from their own single solve by any bit
 _GOLDEN_TEXTS = """
 import json, sys
+import numpy as np
+from meshsim import hardware
 from meshsim.experiments import (
     report_payload_bytes, run_campaign_with_artifacts, validate_config,
 )
@@ -268,7 +273,26 @@ for kind, doc in json.loads(sys.argv[1]).items():
     report, csv_files = run_campaign_with_artifacts(validate_config(doc))
     texts[kind + ".json"] = report_payload_bytes(report).decode()
     texts.update((kind + "." + name, text) for name, text in csv_files.items())
-print(json.dumps(texts))
+profile = hardware.calibrated_profile(20)
+record = hardware.calibrate_profile(profile, points=16, detector_noise_sigma=1e-3)
+targets = np.random.default_rng(5).uniform(0.0, 2 * np.pi, (16, 380))
+stacked = hardware.solve_voltages(profile, record, targets)
+realized = hardware.realized_heater_phases(profile, stacked.powers_w)
+
+def hexes(*values):
+    return [x.hex() for v in values for x in np.ravel(v).astype(float).tolist()]
+
+unequal = []
+for row, target in enumerate(targets):
+    single = hardware.solve_voltages(profile, record, target)
+    got = hexes(stacked.powers_w[row], stacked.voltages_v[row], realized[row],
+                stacked.iterations[row], stacked.residual_rad[row])
+    want = hexes(single.powers_w, single.voltages_v,
+                 hardware.realized_heater_phases(profile, single.powers_w),
+                 single.iterations, single.residual_rad)
+    if got != want:
+        unequal.append(row)
+print(json.dumps({"goldens": texts, "unequal_solve_rows": unequal}))
 """
 
 
@@ -291,7 +315,11 @@ def test_goldens_hold_under_cpu_dispatch(setting):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    texts = json.loads(done.stdout)
+    out = json.loads(done.stdout)
+    # numpy runs a stacked matrix-vector product row by row, the same
+    # product as a single solve; a build where it does not fails here
+    assert out["unequal_solve_rows"] == [], ("stacked solve rows differ", setting)
+    texts = out["goldens"]
     pinned = sorted(
         name for name in os.listdir(GOLDEN_DIR)
         if name.split(".")[0] in HOST_INDEPENDENT_KINDS
@@ -355,24 +383,31 @@ def test_campaigns_run_with_scipy_blocked():
 def test_fidelity_items_independent_of_compile_chunks(kind, monkeypatch):
     # 70 items cross the edge of the first compile chunk; the first three
     # must not notice, neither the worker count nor the chunk size may change
-    # a byte, and the targets must be compiled a chunk at a time, never one
-    # per item
-    calls = []
-    stacked = compiler.decompose_stack
+    # a byte, and the targets must be compiled and their drives solved a
+    # chunk at a time, never one per item
+    calls, solves = [], []
+    stacked, solve = compiler.decompose_stack, hardware.solve_voltages
 
     def counted(targets):
         calls.append(len(targets))
         return stacked(targets)
 
+    def counted_solve(profile, record, targets):
+        solves.append(np.shape(targets))
+        return solve(profile, record, targets)
+
     monkeypatch.setattr(compiler, "decompose_stack", counted)
+    monkeypatch.setattr(hardware, "solve_voltages", counted_solve)
     doc = {"kind": kind, "n": 6, "profile": "calibrated", "seed": 11}
     few = run_campaign(validate_config(dict(doc, count=3)))
-    assert calls == [3]
+    assert calls == [3] and solves == [(3, 30)]
     cfg = validate_config(dict(doc, count=70))
     calls.clear()
+    solves.clear()
     many = run_campaign(cfg, workers=1)
     assert len(calls) == math.ceil(70 / experiments.COMPILE_CHUNK)
     assert sum(calls) == 70
+    assert solves == [(chunk, 30) for chunk in calls]
     for key, values in few["results"].items():
         assert many["results"][key][:3] == values, key
     payload = report_payload_bytes(many)
@@ -380,6 +415,59 @@ def test_fidelity_items_independent_of_compile_chunks(kind, monkeypatch):
     for chunk in (1, 7):
         monkeypatch.setattr(experiments, "COMPILE_CHUNK", chunk)
         assert report_payload_bytes(run_campaign(cfg)) == payload, chunk
+
+
+def test_calibration_solves_its_checks_in_one_call(monkeypatch):
+    # every check target is drawn from its own generator, and the checks are
+    # solved as one stack
+    solves = []
+    solve = hardware.solve_voltages
+
+    def counted_solve(profile, record, targets):
+        solves.append(np.array(targets))
+        return solve(profile, record, targets)
+
+    monkeypatch.setattr(hardware, "solve_voltages", counted_solve)
+    report = run_campaign(validate_config(
+        {"kind": "calibration", "n": 4, "count": 5, "seed": 3, "profile": "calibrated"}
+    ))
+    assert len(solves) == 1
+    want = [
+        seeded_rng(3, experiments._SOLVE_CHECK_STREAM, check).uniform(0.0, 2 * np.pi, 12)
+        for check in range(5)
+    ]
+    assert solves[0].tolist() == np.array(want).tolist()
+    assert len(report["results"]["solve_check_errors_rad"]) == 5
+
+
+@pytest.mark.parametrize("shift", [2 * np.pi, -2 * np.pi])
+def test_calibration_phi0_error_is_taken_modulo_two_pi(tmp_path, shift):
+    # a profile whose phi0 lies outside [0, 2 pi) is the same device; the
+    # fitted phi0 is wrapped, so the error is measured against the wrapped
+    # true phi0, while the report keeps the profile's own value
+    prof = hardware.calibrated_profile(4, disorder_seed=1)
+    path = str(tmp_path / "shifted.json")
+    hardware.write_profile(
+        dataclasses.replace(prof, phi0_rad=prof.phi0_rad + shift), path
+    )
+    report = run_campaign(validate_config(
+        {"kind": "calibration", "n": 4, "seed": 1, "profile": path}
+    ))
+    assert report["summary"]["max_phi0_rel_error"] < 1e-12
+    true_phi0 = [row["phi0_true_rad"] for row in report["results"]["heaters"]]
+    assert true_phi0 == hardware.load_profile(path).phi0_rad.tolist()
+
+
+def test_calibration_with_a_slow_polish_runs():
+    # one 8-point sweep at noise 0.05 needs about 220 Gauss-Newton steps
+    report = run_campaign(validate_config({
+        "kind": "calibration", "n": 20, "seed": 4, "count": 1,
+        "profile": "calibrated",
+        "params": {"points": 8, "detector_noise_sigma": 0.05},
+    }))
+    rows = {row["heater_id"]: row for row in report["results"]["heaters"]}
+    assert rows["c01r13.phi"]["alpha_fit_rad_per_w"] == pytest.approx(10.12024, rel=1e-6)
+    assert rows["c01r13.phi"]["residual"] == pytest.approx(0.0440, rel=1e-3)
 
 
 @pytest.mark.parametrize("kind, extra", [

@@ -402,6 +402,37 @@ def test_fit_raises_the_first_failure_in_stack_order():
     assert alpha[0] == alpha[1] == pytest.approx(9.2, rel=1e-12)
 
 
+@pytest.mark.parametrize("disorder, points", [(0, 16), (0, 64), (3, 16), (3, 64)])
+def test_fringe_fit_orders_each_sweep_by_power(disorder, points):
+    # the FFT seed resamples each sweep with np.interp, which needs ascending
+    # powers; a down-sweep or a shuffled sweep is the same data, so it must
+    # give the up-sweep's fit, bit for bit
+    prof = calibrated_profile(20, disorder_seed=disorder)
+    sweeps = [
+        simulate_calibration_sweep(prof, hid, points=points) for hid in prof.heater_ids
+    ]
+    power = np.stack([s.voltages_v for s in sweeps]) ** 2 / prof.resistance_ohm[:, None]
+    signal = np.stack([s.signal for s in sweeps])
+    ascending = _fits_hex(
+        prof.heater_ids, hardware.fit_phase_responses(power, signal, prof.heater_ids)
+    )
+    shuffled = np.random.default_rng(disorder).permuted(
+        np.broadcast_to(np.arange(points), power.shape), axis=1
+    )
+    for order in (np.broadcast_to(np.arange(points)[::-1], power.shape), shuffled):
+        fit = hardware.fit_phase_responses(
+            np.take_along_axis(power, order, 1),
+            np.take_along_axis(signal, order, 1),
+            prof.heater_ids,
+        )
+        assert _fits_hex(prof.heater_ids, fit) == ascending
+    for i in range(0, len(sweeps), 19):
+        down = SweepRecord(
+            prof.heater_ids[i], sweeps[i].voltages_v[::-1], sweeps[i].signal[::-1]
+        )
+        assert _entry_hex(fit_phase_response(down, prof.resistance_ohm[i])) == ascending[i]
+
+
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
 def test_calibration_rejects_non_finite_or_negative_detector_noise(sigma):
     prof = calibrated_profile(3, disorder_seed=1)
@@ -562,6 +593,75 @@ def test_solve_threads_share_one_record():
         assert (a.iterations, a.residual_rad) == (b.iterations, b.residual_rad)
 
 
+def _hexes(values):
+    return [x.hex() for x in values.tolist()]
+
+
+def _assert_rows_are_single_solves(prof, cal, targets):
+    stacked = solve_voltages(prof, cal, targets)
+    realized = realized_heater_phases(prof, stacked.powers_w)
+    assert stacked.powers_w.shape == stacked.voltages_v.shape == targets.shape
+    assert len(stacked.iterations) == len(stacked.residual_rad) == len(targets)
+    for row, target in enumerate(targets):
+        single = solve_voltages(prof, cal, target)
+        assert _hexes(stacked.powers_w[row]) == _hexes(single.powers_w), row
+        assert _hexes(stacked.voltages_v[row]) == _hexes(single.voltages_v), row
+        assert stacked.iterations[row] == single.iterations, row
+        assert stacked.residual_rad[row].hex() == single.residual_rad.hex(), row
+        assert _hexes(realized[row]) == _hexes(
+            realized_heater_phases(prof, single.powers_w)
+        ), row
+    return stacked
+
+
+def test_stacked_solve_rows_equal_single_solves():
+    # each round is one matrix-vector product per row, and a settled row is
+    # solved again from the same residual, so a row of a stack is the same
+    # bits, rounds and residual as its own solve
+    prof = calibrated_profile(20, disorder_seed=0)
+    exact = CalibrationRecord.exact_from_profile(prof)
+    theta, phi, _ = compiler.decompose_stack(
+        np.array([compiler.haar_random(20, seed=seed).elements for seed in range(64)])
+    )
+    commanded = np.stack([theta, phi], axis=2).reshape(64, -1)
+    stacked = _assert_rows_are_single_solves(prof, exact, commanded)
+    # rows settle in different rounds, so settled rows are solved again
+    assert len(set(stacked.iterations)) > 1
+    fitted = calibrate_profile(prof, points=16, seed=2, detector_noise_sigma=1e-3)
+    uniform = np.random.default_rng(21).uniform(
+        0.0, 2 * np.pi, (20, len(prof.heater_ids))
+    )
+    stacked = _assert_rows_are_single_solves(prof, fitted, uniform)
+    assert min(stacked.iterations) > 1 and len(set(stacked.iterations)) > 1
+    empty = solve_voltages(prof, fitted, np.empty((0, len(prof.heater_ids))))
+    assert empty.powers_w.shape == empty.voltages_v.shape == (0, len(prof.heater_ids))
+    assert empty.iterations == empty.residual_rad == []
+    assert realized_heater_phases(prof, empty.powers_w).shape == empty.powers_w.shape
+
+
+def test_stacked_solve_names_the_first_infeasible_row():
+    prof = calibrated_profile(4, disorder_seed=1)
+    cal = CalibrationRecord.exact_from_profile(prof)
+    rng = np.random.default_rng(9)
+    # row 0 asks for the phases at zero power, which any budget allows
+    targets = np.vstack([
+        np.mod(prof.phi0_rad, 2 * np.pi),
+        rng.uniform(0.0, 2 * np.pi, (2, len(prof.heater_ids))),
+    ])
+    full = solve_voltages(prof, cal, targets)
+    assert np.all(full.powers_w[0] == 0.0) and np.all(full.powers_w[1:] > 0.0)
+    v_max = np.sqrt(full.powers_w[1:].min(0) * prof.resistance_ohm) / 2
+    starve = np.arange(len(prof.heater_ids)) % 3 == 0
+    starved = dataclasses.replace(prof, v_max_v=np.where(starve, v_max, prof.v_max_v))
+    with pytest.raises(InfeasibleError) as single:
+        solve_voltages(starved, cal, targets[1])
+    assert not str(single.value).startswith("row")
+    with pytest.raises(InfeasibleError, match="^row 1: ") as stacked:
+        solve_voltages(starved, cal, targets)
+    assert stacked.value.heater_ids == single.value.heater_ids
+    assert len(single.value.heater_ids) == 4
+
+
 def test_profile_arrays_read_only_and_views_cached():
     source = np.linspace(0.5, 3.0, 6)
     prof = dataclasses.replace(ideal_profile(3), phi0_rad=source)
@@ -647,6 +747,12 @@ def test_solve_rejects_non_finite_target():
         solve_voltages(prof, cal, np.array([np.nan, 1.0]))
     with pytest.raises(ValidationError, match="finite"):
         solve_voltages(prof, cal, np.full(len(prof.heater_ids), np.inf))
+    count = len(prof.heater_ids)
+    with pytest.raises(ValidationError, match="finite"):
+        solve_voltages(prof, cal, np.array([[1.0, 2.0], [np.nan, 1.0]]))
+    for shape in ((), (count + 1,), (3, count - 1), (2, 3, count)):
+        with pytest.raises(ValidationError, match=f"must have {count} phases"):
+            solve_voltages(prof, cal, np.zeros(shape))
 
 
 def test_measure_columns_normalized_and_seeded():
