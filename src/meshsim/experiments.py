@@ -20,6 +20,7 @@ from .util import (
     TWO_PI,
     UsageError,
     ValidationError,
+    as_int,
     atomic_write_text,
     child_seed,
     dumps_canonical,
@@ -31,10 +32,6 @@ from .util import (
 SCHEMA_VERSION = 1
 
 _SOLVE_CHECK_STREAM = 909
-
-# fidelity targets are generated and compiled this many at a time; the
-# compiled bits do not depend on it, only the time and memory per chunk do
-COMPILE_CHUNK = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -285,8 +282,8 @@ def _run_fidelity(config):
         return compiler.permutation_unitary(permutations[index])
 
     fidelities, max_errors = [], []
-    for start in range(0, config.count, COMPILE_CHUNK):
-        indices = range(start, min(start + COMPILE_CHUNK, config.count))
+    for start in range(0, config.count, hardware.CHUNK):
+        indices = range(start, min(start + hardware.CHUNK, config.count))
         targets = np.array([make_target(index).elements for index in indices])
         theta, phi, out = compiler.decompose_stack(targets)
         # heater_order interleaves each cell's theta and phi heaters
@@ -694,7 +691,7 @@ def unitary_from_json_dict(doc):
     if not isinstance(doc, dict) or not {"n", "re", "im"} <= set(doc):
         raise ValidationError("unitary document needs keys n, re, im")
     try:
-        n = int(doc["n"])
+        n = as_int(doc["n"])
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (TypeError, ValueError) as exc:

@@ -34,6 +34,7 @@ from .util import (
     MeshsimError,
     UnknownHeaterError,
     ValidationError,
+    as_int,
     atomic_write_text,
     column_sums,
     dumps_canonical,
@@ -68,9 +69,12 @@ _SWEEP_STREAM = 303
 
 SOLVE_MAX_SWEEPS = 500
 
-# noisy transfers are realized this many programs at a time; the matrices do
-# not depend on it, only the memory per chunk does
-TRANSFER_CHUNK = 32
+# programs a campaign holds at once: the fidelity campaigns draw, compile,
+# solve, realize and score CHUNK targets at a time, and the routed scans and
+# dip fits take CHUNK scans at a time. No bit depends on it, only time and
+# memory do (README, "Fidelity campaigns"): 32 cost fidelity-haar 10% and
+# hom-map 13% of their items/s, and 190 raised hom-map's peak RSS by 11%.
+CHUNK = 64
 
 
 def heater_id(column, row, kind):
@@ -784,7 +788,9 @@ def _target_vector(profile, target):
 def _drive_system(profile, calibration):
     """(phi0, coupling, inverse) for one (profile, calibration): the
     calibrated phi0, the coupling diag(fitted alpha) + the profile's
-    crosstalk, and its read-only inverse, built once per pair.
+    crosstalk, and its read-only inverse, built once per pair. Raises
+    ValidationError naming the first heater whose phi0 is not finite or
+    whose alpha is not finite and > 0.
 
     They live in a single slot on the record, keyed by the profile's
     identity, so a record solved against another profile is inverted
@@ -798,6 +804,13 @@ def _drive_system(profile, calibration):
     if calibration.entries.keys() != set(profile.heater_ids):
         raise ValidationError("the calibration record is for another heater set")
     phi0, alpha, _ = calibration.arrays(profile.heater_ids)
+    # NaN fails every comparison, so it is rejected too
+    bad = ~((np.abs(phi0) < np.inf) & (alpha > 0) & (alpha < np.inf))
+    if bad.any():
+        raise ValidationError(
+            f"heater {profile.heater_ids[np.argmax(bad)]}: calibrated phi0 must "
+            "be finite and alpha finite and > 0"
+        )
     coupling = np.diag(alpha) + profile.crosstalk.offdiagonal()
     inverse = np.linalg.inv(coupling)
     inverse.setflags(write=False)
@@ -839,7 +852,8 @@ def solve_voltages(profile, calibration, target):
         )
     p = np.maximum(p, 0.0)
     check = np.abs(wrap_signed(phi0 + (coupling @ p[..., None])[..., 0] - t)).max(-1)
-    if np.max(check, initial=0.0) > 1e-6:
+    # written so that a NaN error fails it
+    if not np.max(check, initial=0.0) <= 1e-6:
         raise MeshsimError(f"drive solve left a {np.max(check):.3e} rad phase error")
 
     rows, heaters = np.nonzero(np.atleast_2d(p > p_max * (1 + 1e-12)))
@@ -893,19 +907,18 @@ def _noisy_transfers(theta, phi, coupler_terms):
     return parts.view(complex).reshape(np.shape(theta) + (2, 2))
 
 
-def realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
-    """Transfer matrices the device actually implements for k programs,
-    yielded TRANSFER_CHUNK programs at a time, from (k, cells) theta and
-    phi stacks in cell_addresses(n) order, (k, n) output phases and one run
+def realized_transfers(profile, theta, phi, output_phases, seeds):
+    """Read-only (k, n, n) stack of the transfer matrices the device
+    actually implements for k programs, from (k, cells) theta and phi
+    stacks in cell_addresses(n) order, (k, n) output phases and one run
     seed per program.
 
     Static splitting-ratio errors are drawn once per profile, phase jitter
-    fresh per run seed, and the loss model is mesh.lossy_products. Each
-    chunk is a read-only (chunk, n, n) stack, in program order, so a caller
-    that reduces every chunk never holds all k matrices; the chunk size
-    changes no bit. Raises ValidationError naming the first program whose
-    matrix is non-finite or has gain. With an ideal profile each matrix
-    equals the programmed mesh to rounding error.
+    fresh per run seed, and the loss model is mesh.lossy_products; a
+    program's matrix is the same bits in any stack. Raises ValidationError
+    naming the first program whose matrix is non-finite or has gain. With
+    an ideal profile each matrix equals the programmed mesh to rounding
+    error.
     """
     seeds = list(seeds)
     k, n = len(seeds), profile.n
@@ -920,30 +933,25 @@ def realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
                 f"{name} must have shape {(k, width)} for n={n}, got {arr.shape}"
             )
         stacks.append(arr)
-    for start in range(0, k, TRANSFER_CHUNK):
-        chunk = slice(start, start + TRANSFER_CHUNK)
-        out = _realize_chunk(profile, *(a[chunk] for a in stacks), seeds[chunk])
-        defect = gain_defect(out)
-        if defect is not None:
-            raise ValidationError(f"program {start + defect[0]}: {defect[1]}")
-        out.setflags(write=False)
-        yield out
-
-
-def _realize_chunk(profile, theta, phi, output_phases, seeds):
-    """Unchecked realized transfers of one chunk of programs."""
-    jitter = np.stack([
-        seeded_rng(seed, _JITTER_STREAM).standard_normal((theta.shape[1], 2))
-        for seed in seeds
-    ])
+    theta, phi, output_phases = stacks
+    # np.reshape, unlike np.stack, also takes the empty list of k = 0
+    jitter = np.reshape(
+        [seeded_rng(s, _JITTER_STREAM).standard_normal((count, 2)) for s in seeds],
+        (k, count, 2),
+    )
     jitter *= [profile.theta_noise_sigma_rad, profile.phi_noise_sigma_rad]
     transfers = _noisy_transfers(
         theta + jitter[..., 0], phi + jitter[..., 1], profile.coupler_terms
     )
-    return lossy_products(
+    out = lossy_products(
         transfers, output_phases, profile.coupling_loss_db_per_facet,
         profile.propagation_loss_db_per_cm, profile.path_length_cm,
     )
+    defect = gain_defect(out)
+    if defect is not None:
+        raise ValidationError(f"program {defect[0]}: {defect[1]}")
+    out.setflags(write=False)
+    return out
 
 
 def _stack_of_one(profile, settings):
@@ -956,35 +964,29 @@ def _stack_of_one(profile, settings):
 
 
 def realized_transfer(profile, settings, seed=0):
-    """The realized transfer of one program (see realized_transfer_chunks),
-    as a TransferMatrix, whose constructor runs the finite and no-gain
-    checks."""
-    stack = _realize_chunk(profile, *_stack_of_one(profile, settings), [seed])
+    """realized_transfers of one program, as a TransferMatrix."""
+    stack = realized_transfers(profile, *_stack_of_one(profile, settings), [seed])
     return TransferMatrix(profile.n, stack[0])
 
 
 def measure_amplitude_matrices(profile, theta, phi, output_phases, seeds):
     """Read-only (k, n, n) amplitude magnitudes of k programs as
     reconstructed from output power fractions (arguments as
-    realized_transfer_chunks, whose chunks are reduced as they arrive).
+    realized_transfers).
 
     Power is measured one input at a time and normalized per column, so the
     result is insensitive to any loss that acts uniformly along a column.
     """
-    out = np.empty((len(theta), profile.n, profile.n))
-    start = 0
-    for z in realized_transfer_chunks(profile, theta, phi, output_phases, seeds):
-        # not np.abs(z) ** 2: the complex abs changes bits with the SIMD dispatch
-        probs = z.real**2 + z.imag**2
-        sums = probs.sum(axis=1)
-        dark = np.flatnonzero((sums <= 0).any(axis=1))
-        if dark.size:
-            raise ValidationError(
-                f"program {start + dark[0]}: a column carried no power; "
-                "cannot normalize"
-            )
-        out[start : start + len(z)] = np.sqrt(probs / sums[:, None, :])
-        start += len(z)
+    z = realized_transfers(profile, theta, phi, output_phases, seeds)
+    # not np.abs(z) ** 2: the complex abs changes bits with the SIMD dispatch
+    probs = z.real**2 + z.imag**2
+    sums = probs.sum(axis=1)
+    dark = np.flatnonzero((sums <= 0).any(axis=1))
+    if dark.size:
+        raise ValidationError(
+            f"program {dark[0]}: a column carried no power; cannot normalize"
+        )
+    out = np.sqrt(probs / sums[:, None, :])
     out.setflags(write=False)
     return out
 
@@ -1002,7 +1004,8 @@ def insertion_loss_per_mode(profile):
     amps = np.abs(np.diag(lossy.elements))
     if np.any(amps <= 0):
         raise ValidationError("bar-state transmission vanished on a mode")
-    return -20.0 * np.log10(amps)
+    # 0.0 - x turns the -0.0 of a lossless mode into +0.0 and is -x otherwise
+    return 0.0 - 20.0 * np.log10(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +1058,7 @@ def profile_from_json_dict(doc):
     unknown or repeated heater id, on a repeated or diagonal crosstalk pair
     (the diagonal holds the heater alphas) and on any bad value."""
     try:
-        n = int(doc["n"])
+        n = as_int(doc["n"])
         order = heater_order(n)
         index = heater_index(n)
         rows = {}

@@ -26,6 +26,7 @@ import numpy as np
 from .util import (
     StructureError,
     ValidationError,
+    as_int,
     wrap_phase,
 )
 
@@ -338,14 +339,14 @@ def settings_to_json_dict(settings):
 
 def settings_from_json_dict(doc):
     try:
-        n = int(doc["n"])
+        n = as_int(doc["n"])
         cells = {
-            CellAddress(int(c["col"]), int(c["row"])): CellSetting(
+            CellAddress(as_int(c["col"]), as_int(c["row"])): CellSetting(
                 float(c["theta"]), float(c["phi"])
             )
             for c in doc["cells"]
         }
         phases = np.asarray(doc["output_phases"], dtype=float)
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise StructureError(f"malformed settings document: {err}") from err
     return MeshSettings(n=n, cells=cells, output_phases=phases)

@@ -358,10 +358,6 @@ _FIT_MAX_DAMPING = 1e16
 _FIT_STEP_TOL = 1e-13
 # decimals of the reported visibility
 _V_DECIMALS = 12
-# scans fitted together. The fit's temporaries grow with the chunk; all
-# 190 scans of an n=20 map at once raised the peak RSS of a process running
-# hom-map campaigns by about 2 MB over 40 campaigns, and 64 did not.
-_FIT_CHUNK = 64
 
 # rows of the state array _project returns, one column per scan
 _GAMMA, _SSR, _GC, _GW, _MCC, _MCW, _MWW = range(7)
@@ -469,7 +465,7 @@ def fit_gaussian_dips(delays_um, values):
     baseline held fixed, which keeps count noise on the dip from tilting
     the visibility. Both passes are linear in the baseline and visibility,
     so those are projected out and only (center, width) iterate, for
-    _FIT_CHUNK scans at once. Every operation acts on each scan alone, so
+    hardware.CHUNK scans at once. Every operation acts on each scan alone, so
     a scan's fit is the same bits in any stack. Raises when a scan has no
     sample off the dip, because its baseline is then undefined. Returns the
     GaussianDipFit fields as arrays in stack order: (visibility, center_um,
@@ -497,8 +493,8 @@ def fit_gaussian_dips(delays_um, values):
     )
     grid = np.broadcast_to(d, v.shape)
     dips = np.flatnonzero(~flat)
-    for start in range(0, dips.size, _FIT_CHUNK):
-        chunk = dips[start : start + _FIT_CHUNK]
+    for start in range(0, dips.size, hardware.CHUNK):
+        chunk = dips[start : start + hardware.CHUNK]
         for column, part in zip(fits, _fit_dips(grid[chunk].T.copy(), v[chunk].T.copy())):
             column[chunk] = part
     return fits
@@ -599,21 +595,23 @@ def _scan_grid(delays_um, arm_delay_um):
 def _routed_scans(profile, theta, pairs, seeds, delays, envelope, count_noise_sigma):
     """Normalized (k, m) coincidences of k routed scans, one per row of the
     (k, cells) thetas, realized with zero phis and output phases as
-    plan_to_settings programs them and one run seed each. Each realized
-    chunk is reduced to its scans' pair terms at the (k, 2, 2) mode pairs
-    as it arrives. Scan i sees the source envelope x(tau) over its delays
-    (`delays` and `envelope` are one row, or one row per scan) and is
-    normalized by the mean of its BASELINE_FRACTION of samples farthest
-    from zero delay."""
+    plan_to_settings programs them and one run seed each. The scans are
+    realized hardware.CHUNK at a time, and each chunk is reduced to its
+    pair terms at the (k, 2, 2) mode pairs. Scan i sees the source envelope
+    x(tau) over its delays (`delays` and `envelope` are one row, or one row
+    per scan) and is normalized by the mean of its BASELINE_FRACTION of
+    samples farthest from zero delay."""
     # NaN fails the comparison, so it is rejected too
     if not 0 <= count_noise_sigma < np.inf:
         raise ValidationError("count noise sigma must be finite and >= 0")
-    pairs, terms, start = np.asarray(pairs), [], 0
-    for transfers in hardware.realized_transfer_chunks(
-        profile, theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)), seeds
-    ):
-        terms.append(_pair_terms(transfers, pairs[start : start + len(transfers)]))
-        start += len(transfers)
+    pairs, seeds, terms = np.asarray(pairs), list(seeds), []
+    stacks = (theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)))
+    for start in range(0, len(seeds), hardware.CHUNK):
+        rows = slice(start, start + hardware.CHUNK)
+        transfers = hardware.realized_transfers(
+            profile, *(a[rows] for a in stacks), seeds[rows]
+        )
+        terms.append(_pair_terms(transfers, pairs[rows]))
     classical, interference = np.concatenate(terms, axis=1)[..., None]
     counts = classical + envelope * interference
     k, m = counts.shape
@@ -724,7 +722,7 @@ class VisibilityMap:
 def hom_visibility_map(n, source, profile, *, seed=0, count_noise_sigma=0.0):
     """Scan every cell as a routed TBS and map the fitted visibilities.
 
-    Per-cell seeds derive from (seed, cell index), so the transfer chunk
+    Per-cell seeds derive from (seed, cell index), so the chunk size
     cannot change the map. Every scan is the hom_scan of its routing plan:
     the routes are planned once per n, the delay grid and source envelope
     once per map, all scans are realized in one routed call, and one

@@ -71,14 +71,23 @@ def column_sums(x):
     return x[0]
 
 
+def as_int(value):
+    """operator.index(value): an int, or a TypeError for a fractional or
+    non-numeric value and for a bool, which is no count or index."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _seed_sequence(key):
     """SeedSequence of a key of non-negative integers such as (seed, stream,
-    index); a fractional, negative or bool part raises ValidationError."""
+    index); a part that as_int rejects or a negative part raises
+    ValidationError."""
     try:
-        entropy = [operator.index(part) for part in key]
+        entropy = [as_int(part) for part in key]
     except TypeError:
         entropy = [-1]
-    if min(entropy) < 0 or any(isinstance(part, bool) for part in key):
+    if min(entropy) < 0:
         raise ValidationError(f"seeds must be non-negative integers, got {key}")
     return np.random.SeedSequence(entropy)
 

@@ -318,6 +318,16 @@ def test_compile_non_numeric_unitary_is_usage_error(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+def test_compile_fractional_n_is_usage_error(tmp_path, capsys):
+    # int() would truncate n = 2.5 to 2 and compile the 2x2 parts
+    upath = tmp_path / "u.json"
+    doc = {"n": 2.5, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+    upath.write_text(json.dumps(doc))
+    code, out, err = run_cli(["compile", "--input", str(upath)], capsys)
+    assert code == 2
+    assert "integer" in err and "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -379,14 +379,11 @@ def test_campaigns_run_with_scipy_blocked():
     assert done.stdout.strip() == repr(sorted(experiments.CAMPAIGNS))
 
 
-@pytest.mark.parametrize("kind", ["fidelity-haar", "fidelity-perm"])
-def test_fidelity_items_independent_of_compile_chunks(kind, monkeypatch):
-    # 70 items cross the edge of the first compile chunk; the first three
-    # must not notice, neither the worker count nor the chunk size may change
-    # a byte, and the targets must be compiled and their drives solved a
-    # chunk at a time, never one per item
-    calls, solves = [], []
+def _count_stack_calls(monkeypatch):
+    # log the stack sizes handed to compile, drive solve and realization
+    calls, solves, realized = [], [], []
     stacked, solve = compiler.decompose_stack, hardware.solve_voltages
+    realize = hardware.realized_transfers
 
     def counted(targets):
         calls.append(len(targets))
@@ -396,25 +393,65 @@ def test_fidelity_items_independent_of_compile_chunks(kind, monkeypatch):
         solves.append(np.shape(targets))
         return solve(profile, record, targets)
 
+    def counted_realize(profile, theta, *rest):
+        realized.append(len(theta))
+        return realize(profile, theta, *rest)
+
     monkeypatch.setattr(compiler, "decompose_stack", counted)
     monkeypatch.setattr(hardware, "solve_voltages", counted_solve)
+    monkeypatch.setattr(hardware, "realized_transfers", counted_realize)
+    return calls, solves, realized
+
+
+@pytest.mark.parametrize("kind", ["fidelity-haar", "fidelity-perm"])
+def test_fidelity_items_independent_of_compile_chunks(kind, monkeypatch):
+    # 70 items cross the edge of the first hardware.CHUNK; the first three
+    # must not notice, neither the worker count nor the chunk size may change
+    # a byte, and the targets must be compiled, their drives solved and
+    # their transfers realized a chunk at a time, never one per item
+    calls, solves, realized = _count_stack_calls(monkeypatch)
     doc = {"kind": kind, "n": 6, "profile": "calibrated", "seed": 11}
     few = run_campaign(validate_config(dict(doc, count=3)))
-    assert calls == [3] and solves == [(3, 30)]
+    assert calls == [3] and solves == [(3, 30)] and realized == [3]
     cfg = validate_config(dict(doc, count=70))
-    calls.clear()
-    solves.clear()
-    many = run_campaign(cfg, workers=1)
-    assert len(calls) == math.ceil(70 / experiments.COMPILE_CHUNK)
-    assert sum(calls) == 70
-    assert solves == [(chunk, 30) for chunk in calls]
-    for key, values in few["results"].items():
-        assert many["results"][key][:3] == values, key
-    payload = report_payload_bytes(many)
-    assert report_payload_bytes(run_campaign(cfg, workers=3)) == payload
-    for chunk in (1, 7):
-        monkeypatch.setattr(experiments, "COMPILE_CHUNK", chunk)
-        assert report_payload_bytes(run_campaign(cfg)) == payload, chunk
+    payload = None
+    for chunk in (hardware.CHUNK, 1, 7, 190):
+        monkeypatch.setattr(hardware, "CHUNK", chunk)
+        for log in (calls, solves, realized):
+            log.clear()
+        many = run_campaign(cfg, workers=1)
+        assert calls == [min(chunk, 70 - start) for start in range(0, 70, chunk)]
+        assert solves == [(size, 30) for size in calls]
+        assert realized == calls
+        for key, values in few["results"].items():
+            assert many["results"][key][:3] == values, key
+        if payload is None:
+            payload = report_payload_bytes(many)
+            assert report_payload_bytes(run_campaign(cfg, workers=3)) == payload
+        assert report_payload_bytes(many) == payload, chunk
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("hom-map", {"count": 2, "params": {"count_noise_sigma": 0.02}}),
+    ("fidelity-haar", {"count": 40}),
+    ("delay-sweep", {"params": {"levels_rad": [0.5 * k for k in range(9)]}}),
+])
+def test_payload_independent_of_transfer_chunk(kind, extra, monkeypatch):
+    # noisy transfers are realized at most hardware.CHUNK programs at a
+    # time; neither that chunk nor the worker count may change a byte
+    _, _, realized = _count_stack_calls(monkeypatch)
+    cfg = validate_config(
+        dict(kind=kind, n=8, profile="calibrated", seed=13, **extra)
+    )
+    payload = report_payload_bytes(run_campaign(cfg))
+    items = sum(realized)
+    for chunk in (1, 7, 190):
+        monkeypatch.setattr(hardware, "CHUNK", chunk)
+        for workers in (1, 3):
+            realized.clear()
+            got = report_payload_bytes(run_campaign(cfg, workers=workers))
+            assert got == payload, (chunk, workers)
+            assert sum(realized) == items and max(realized) <= chunk, chunk
 
 
 def test_calibration_solves_its_checks_in_one_call(monkeypatch):
@@ -438,6 +475,21 @@ def test_calibration_solves_its_checks_in_one_call(monkeypatch):
     ]
     assert solves[0].tolist() == np.array(want).tolist()
     assert len(report["results"]["solve_check_errors_rad"]) == 5
+
+
+def test_calibration_payload_independent_of_screen_cells(monkeypatch):
+    # the fringe screen takes _SCREEN_CELLS // (101 grid points x 16
+    # samples) heaters per pass: 1 and 4096 screen the 12 heaters of n=4
+    # one and two at a time, 1 << 22 all at once; none may change a byte
+    doc = {
+        "kind": "calibration", "n": 4, "seed": 5, "profile": "calibrated",
+        "params": {"points": 16, "detector_noise_sigma": 0.01},
+    }
+    payload = report_payload_bytes(run_campaign(validate_config(doc)))
+    for cells in (1, 4096, 1 << 22):
+        monkeypatch.setattr(hardware, "_SCREEN_CELLS", cells)
+        got = report_payload_bytes(run_campaign(validate_config(doc)))
+        assert got == payload, cells
 
 
 @pytest.mark.parametrize("shift", [2 * np.pi, -2 * np.pi])
@@ -468,24 +520,6 @@ def test_calibration_with_a_slow_polish_runs():
     rows = {row["heater_id"]: row for row in report["results"]["heaters"]}
     assert rows["c01r13.phi"]["alpha_fit_rad_per_w"] == pytest.approx(10.12024, rel=1e-6)
     assert rows["c01r13.phi"]["residual"] == pytest.approx(0.0440, rel=1e-3)
-
-
-@pytest.mark.parametrize("kind, extra", [
-    ("hom-map", {"count": 2, "params": {"count_noise_sigma": 0.02}}),
-    ("fidelity-haar", {"count": 40}),
-])
-def test_payload_independent_of_transfer_chunk(kind, extra, monkeypatch):
-    # noisy transfers are realized hardware.TRANSFER_CHUNK programs at a
-    # time; neither that chunk nor the worker count may change a byte
-    cfg = validate_config(
-        dict(kind=kind, n=8, profile="calibrated", seed=13, **extra)
-    )
-    payload = report_payload_bytes(run_campaign(cfg))
-    for chunk in (1, 7, 190):
-        monkeypatch.setattr(hardware, "TRANSFER_CHUNK", chunk)
-        for workers in (1, 3):
-            got = report_payload_bytes(run_campaign(cfg, workers=workers))
-            assert got == payload, (chunk, workers)
 
 
 def test_report_meta_excluded_from_payload():
@@ -580,6 +614,18 @@ def test_loss_report_matches_closed_form():
     assert report["results"]["useful_processor_sizes"]["0.055"] == 78
 
 
+def test_loss_report_of_a_lossless_device_has_no_negative_zero():
+    report, csv_files = run_campaign_with_artifacts(
+        validate_config({"kind": "loss-report", "n": 4})
+    )
+    values = report["results"]["per_mode_insertion_loss_db"] + [
+        value for key, value in report["summary"].items() if key.endswith("_db")
+    ]
+    assert len(values) == 7
+    assert all(value == 0.0 and math.copysign(1.0, value) == 1.0 for value in values)
+    assert "-0" not in csv_files["loss.csv"]
+
+
 def test_platform_campaign_summary():
     cfg = validate_config({"kind": "platform"})
     report = run_campaign(cfg)
@@ -601,6 +647,9 @@ def test_unitary_json_rejects_malformed():
         unitary_from_json_dict({"n": 2, "re": [[1, 0]], "im": [[0, 0]]})
     with pytest.raises(ValidationError):
         unitary_from_json_dict({"n": 2})
+    # a fractional n is not truncated to fit the parts
+    with pytest.raises(ValidationError, match="integer"):
+        unitary_from_json_dict({"n": 2.5, "re": [[1, 0], [0, 1]], "im": [[0] * 2] * 2})
 
 
 @pytest.mark.parametrize("kind", sorted(experiments.CAMPAIGNS))

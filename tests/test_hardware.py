@@ -564,6 +564,24 @@ def test_solve_rejects_a_record_for_another_heater_set(record_n):
         solve_voltages(prof, record, np.zeros(len(prof.heater_ids)))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("alpha_rad_per_w", np.nan), ("phi0_rad", np.inf),
+    ("alpha_rad_per_w", -3.0), ("alpha_rad_per_w", 0.0),
+])
+def test_solve_rejects_a_bad_record_entry(key, value):
+    # a NaN alpha or an infinite phi0 made NaN powers, and a negative alpha
+    # spun through every branch round; each names the heater instead
+    prof = calibrated_profile(4, disorder_seed=1)
+    entries = dict(CalibrationRecord.exact_from_profile(prof).entries)
+    hid = prof.heater_ids[5]
+    entries[hid] = dataclasses.replace(entries[hid], **{key: value})
+    record = CalibrationRecord(entries=entries)
+    targets = np.random.default_rng(3).uniform(0.0, 6.0, (4, len(prof.heater_ids)))
+    for target in (targets[0], targets):
+        with pytest.raises(ValidationError, match=f"heater {hid}: calibrated"):
+            solve_voltages(prof, record, target)
+
+
 def test_solve_threads_share_one_record():
     # four threads race on one record's memo slot while the items alternate
     # between two profiles; every result must equal the serial one
@@ -892,6 +910,11 @@ def test_devices_need_two_modes(build):
     "key, value, message",
     [
         ("n", 1, "n >= 2"),
+        # n takes ints only: int() would truncate 2.5 to the heaters' n=2
+        ("n", 2.5, "integer"),
+        ("n", 2.0, "integer"),
+        ("n", True, "integer"),
+        ("n", "2", "integer"),
         ("disorder_seed", 2.5, "non-negative integers"),
         ("disorder_seed", -1, "non-negative integers"),
     ],

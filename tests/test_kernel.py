@@ -86,11 +86,6 @@ def _programs20(kind):
     )
 
 
-def _realized(profile, *stacks):
-    """Every chunk of realized_transfer_chunks as one (k, n, n) stack."""
-    return np.concatenate(list(hardware.realized_transfer_chunks(profile, *stacks)))
-
-
 def _stacks(programs):
     return tuple(
         np.array([getattr(p, name) for p in programs])
@@ -107,7 +102,9 @@ def test_realized_transfer_stacks_equal_per_cell_reference(profile20, kind):
         for program, seed in zip(programs, seeds)
     ]
     for size in (1, 7, 32, 190):
-        got = _realized(profile20, *_stacks(programs[:size]), seeds[:size])
+        got = hardware.realized_transfers(
+            profile20, *_stacks(programs[:size]), seeds[:size]
+        )
         assert got.shape == (size, N, N)
         for i in range(size):
             assert np.max(np.abs(got[i] - want[i])) <= ORACLE_TOL, (size, i)
@@ -128,12 +125,14 @@ def test_realized_transfer_stacks_are_batch_invariant(profile20, kind):
     # the same bits whatever stack, chunk or memory offset it is realized in
     stacks = _stacks(_programs20(kind))
     seeds = [1000 + i for i in range(len(stacks[0]))]
-    full = _realized(profile20, *stacks, seeds)
+    full = hardware.realized_transfers(profile20, *stacks, seeds)
     for size in (1, 7, 32):
-        got = _realized(profile20, *(a[:size] for a in stacks), seeds[:size])
+        got = hardware.realized_transfers(
+            profile20, *(a[:size] for a in stacks), seeds[:size]
+        )
         assert np.array_equal(got, full[:size]), size
     for offset in range(0, 64, 8):
-        got = _realized(
+        got = hardware.realized_transfers(
             profile20, *(_at_offset(a[40:47], offset) for a in stacks), seeds[40:47]
         )
         assert np.array_equal(got, full[40:47]), offset
@@ -178,7 +177,7 @@ def test_realized_transfer_stack_names_a_non_finite_program(profile20):
     theta, phi, output_phases = _stacks(_programs20("routing")[:7])
     phi[4, 11] = np.nan
     with pytest.raises(ValidationError, match="program 4: .*finite"):
-        _realized(profile20, theta, phi, output_phases, range(7))
+        hardware.realized_transfers(profile20, theta, phi, output_phases, range(7))
     with pytest.raises(ValidationError, match="program 4: .*finite"):
         hardware.measure_amplitude_matrices(
             profile20, theta, phi, output_phases, range(7)
@@ -188,9 +187,9 @@ def test_realized_transfer_stack_names_a_non_finite_program(profile20):
 def test_realized_transfer_stack_rejects_mismatched_shapes(profile20):
     theta, phi, output_phases = _stacks(_programs20("routing")[:3])
     with pytest.raises(ValidationError, match="phi must have shape"):
-        _realized(profile20, theta, phi[:2], output_phases, range(3))
+        hardware.realized_transfers(profile20, theta, phi[:2], output_phases, range(3))
     with pytest.raises(ValidationError, match="theta must have shape"):
-        _realized(profile20, theta, phi, output_phases, range(4))
+        hardware.realized_transfers(profile20, theta, phi, output_phases, range(4))
 
 
 def test_topology_is_computed_once_per_n():

@@ -223,6 +223,25 @@ def test_settings_json_round_trip_and_order():
     assert dumps_canonical(mesh.settings_to_json_dict(back)) == text
 
 
+@pytest.mark.parametrize("path, value", [
+    ("n", 5.5), ("n", True), ("cells.3.col", 1.5), ("cells.3.row", 2.5),
+    ("cells.3.theta", "abc"), ("output_phases", ["x"] * 5),
+])
+def test_settings_loader_rejects_bad_fields(path, value):
+    # int() would truncate a fractional n, col or row, and a non-numeric
+    # phase is a StructureError like any other malformed field
+    settings = _random_settings(5, 21)
+    doc = json.loads(dumps_canonical(mesh.settings_to_json_dict(settings)))
+    mesh.settings_from_json_dict(doc)
+    *parents, key = path.split(".")
+    node = doc
+    for step in parents:
+        node = node[int(step) if step.isdigit() else step]
+    node[key] = value
+    with pytest.raises(StructureError, match="malformed settings document"):
+        mesh.settings_from_json_dict(doc)
+
+
 def test_cell_setting_normalizes_phases():
     s = mesh.CellSetting(-np.pi, 5 * np.pi)
     assert 0.0 <= s.theta < 2 * np.pi

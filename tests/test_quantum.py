@@ -126,10 +126,10 @@ def test_pair_terms_equal_scalar_complex_arithmetic_at_n20():
     # complex * and abs() ** 2 (x * x in place of pow differs on 1 in 1,000)
     n = 20
     theta, planned = quantum._routes(n)
-    transfers = np.concatenate(list(hardware.realized_transfer_chunks(
+    transfers = hardware.realized_transfers(
         hardware.calibrated_profile(n, disorder_seed=3), theta, np.zeros_like(theta),
         np.zeros((len(theta), n)), range(len(theta)),
-    )))
+    )
     rng = np.random.default_rng(np.random.SeedSequence([20, 2]))
     for pairs in [planned] + [
         np.array([rng.permutation(n)[:4].reshape(2, 2) for _ in transfers])
