@@ -24,7 +24,7 @@ from .mesh import (
     cell_transfers,
     mesh_unitary,
 )
-from .util import ValidationError, seeded_rng, wrap_phase
+from .util import ValidationError, as_int, seeded_rng, wrap_phase
 
 DECOMPOSE_INPUT_TOL = 1e-8
 # entries at or below this magnitude count as already nulled; the deterministic
@@ -205,7 +205,7 @@ def clements_decompose(u):
 def haar_random(n, seed):
     """Haar-distributed n x n unitary: QR of a complex Gaussian matrix with
     the R diagonal phases folded back into Q. Deterministic per seed."""
-    if n < 1:
+    if as_int(n) < 1:
         raise ValidationError("mode count must be >= 1")
     rng = seeded_rng(seed)
     z = (
@@ -219,7 +219,7 @@ def haar_random(n, seed):
 
 def permutation_unitary(perm):
     """0/1 unitary routing input i to output perm[i]."""
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(as_int(p) for p in perm)
     n = len(perm)
     if n < 1:
         raise ValidationError("a permutation needs >= 1 mode")
@@ -234,9 +234,9 @@ def permutation_unitary(perm):
 def permutation_ensemble(n, count, seed):
     """Seeded list of `count` distinct permutations, uniform without
     replacement (rejection sampling keeps the marginal uniform)."""
-    if n < 1:
+    if as_int(n) < 1:
         raise ValidationError("mode count must be >= 1")
-    if count < 1:
+    if as_int(count) < 1:
         raise ValidationError("count must be >= 1")
     total = math.factorial(n)
     if count > total:

@@ -39,24 +39,25 @@ class ExperimentConfig:
     """Normalized campaign configuration (see validate_config)."""
 
     kind: str
-    n: int = 20
-    seed: int = 0
-    count: int = 1
-    profile: str = "ideal"
-    out_dir: Optional[str] = None
-    params: dict = None
-    schema_version: int = SCHEMA_VERSION
+    n: int
+    seed: int
+    count: int
+    profile: str
+    out_dir: Optional[str]
+    params: dict
+    schema_version: int
 
 
 _CONFIG_KEYS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
 
 
-def _require_int(doc, key, default, minimum):
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"config field {key!r} must be an integer")
+def _whole(value, what, minimum):
+    try:
+        value = as_int(value)
+    except ValidationError:
+        raise UsageError(f"{what} must be an integer") from None
     if value < minimum:
-        raise UsageError(f"config field {key!r} must be >= {minimum}, got {value}")
+        raise UsageError(f"{what} must be >= {minimum}, got {value}")
     return value
 
 
@@ -78,11 +79,7 @@ def _number(value, what, lo=None, hi=None):
     return value
 
 
-def _require_number(params, key, default, lo=None, hi=None):
-    return _number(params.get(key, default), f"param {key!r}", lo, hi)
-
-
-def _require_number_list(params, key, default):
+def _number_list(params, key, default):
     """Non-empty list of finite numbers >= 0."""
     values = params.get(key, default)
     if not isinstance(values, (list, tuple)) or not values:
@@ -90,51 +87,43 @@ def _require_number_list(params, key, default):
     return [_number(value, f"param {key!r} entry", lo=0.0) for value in values]
 
 
-def _overlap_param(params):
-    return _require_number(
-        params, "overlap", 1.0 / quantum.DEFAULT_SCHMIDT_NUMBER, lo=0.0, hi=1.0
-    )
-
-
 def _no_params(params, n):
     return {}
 
 
 def _calibration_params(params, n):
-    points = params.get("points", 64)
-    if isinstance(points, bool) or not isinstance(points, int) or points < 8:
-        raise UsageError("param 'points' must be an integer >= 8")
     return {
-        "points": points,
-        "detector_noise_sigma": _require_number(
-            params, "detector_noise_sigma", 0.0, lo=0.0
+        "points": _whole(params.get("points", 64), "param 'points'", 8),
+        "detector_noise_sigma": _number(
+            params.get("detector_noise_sigma", 0.0), "param 'detector_noise_sigma'", lo=0.0
         ),
     }
 
 
 def _hom_map_params(params, n):
     return {
-        "overlap": _overlap_param(params),
-        "count_noise_sigma": _require_number(params, "count_noise_sigma", 0.0, lo=0.0),
+        "overlap": _number(
+            params.get("overlap", 1.0 / quantum.DEFAULT_SCHMIDT_NUMBER),
+            "param 'overlap'", lo=0.0, hi=1.0,
+        ),
+        "count_noise_sigma": _number(
+            params.get("count_noise_sigma", 0.0), "param 'count_noise_sigma'", lo=0.0
+        ),
     }
 
 
 def _hom_scan_params(params, n):
     out = _hom_map_params(params, n)
     target = params.get("target", [0, 0])
-    if (
-        not isinstance(target, (list, tuple))
-        or len(target) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in target)
-    ):
+    if not isinstance(target, (list, tuple)) or len(target) != 2:
         raise UsageError("param 'target' must be [column, row] integers")
-    column, row = int(target[0]), int(target[1])
+    column, row = (_whole(v, "param 'target' entry", 0) for v in target)
     if (column, row) not in mesh.cell_index(n):
         raise UsageError(
             f"param 'target' ({column}, {row}) is not a cell of an n={n} mesh"
         )
     out["target"] = [column, row]
-    out["arm_delay_um"] = _require_number(params, "arm_delay_um", 0.0)
+    out["arm_delay_um"] = _number(params.get("arm_delay_um", 0.0), "param 'arm_delay_um'")
     return out
 
 
@@ -146,13 +135,16 @@ def _delay_sweep_params(params, n):
         )
     levels = [k * 0.5 * math.pi for k in range(7)]  # 0 .. 3 pi
     return {
-        "overlap": _overlap_param(params),
-        "levels_rad": _require_number_list(params, "levels_rad", levels),
+        "overlap": _number(
+            params.get("overlap", 1.0 / quantum.DEFAULT_SCHMIDT_NUMBER),
+            "param 'overlap'", lo=0.0, hi=1.0,
+        ),
+        "levels_rad": _number_list(params, "levels_rad", levels),
     }
 
 
 def _loss_report_params(params, n):
-    losses = _require_number_list(params, "loss_per_cell_db", [0.1, 0.055])
+    losses = _number_list(params, "loss_per_cell_db", [0.1, 0.055])
     for loss in losses:
         try:
             analysis.useful_processor_size(loss)
@@ -181,9 +173,9 @@ def validate_config(doc):
             f"config field 'kind' must be one of {list(CAMPAIGNS)}, got {kind!r}"
         )
     spec = CAMPAIGNS[kind]
-    n = _require_int(doc, "n", 20, 2)
-    seed = _require_int(doc, "seed", 0, 0)
-    count = _require_int(doc, "count", spec.default_count or 1, 1)
+    n = _whole(doc.get("n", 20), "config field 'n'", 2)
+    seed = _whole(doc.get("seed", 0), "config field 'seed'", 0)
+    count = _whole(doc.get("count", spec.default_count or 1), "config field 'count'", 1)
     if spec.default_count is None and count != 1:
         raise UsageError(f"config field 'count' must be 1 for kind {kind!r}")
     # fidelity-perm draws `count` distinct permutations of n modes
@@ -220,9 +212,7 @@ def validate_config(doc):
 
 
 def config_to_dict(config):
-    doc = dataclasses.asdict(config)
-    doc["params"] = doc["params"] or {}
-    return doc
+    return dataclasses.asdict(config)
 
 
 def resolve_profile(config, repetition=0):

@@ -80,13 +80,13 @@ CHUNK = 64
 def heater_id(column, row, kind):
     if kind not in HEATER_KINDS:
         raise ValidationError(f"unknown heater kind {kind!r}")
-    return f"c{column:02d}r{row:02d}.{kind}"
+    return f"c{as_int(column):02d}r{as_int(row):02d}.{kind}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def heater_order(n):
     """Canonical heater ids: cells sorted by (col, row), theta before phi."""
-    if n < 2:
+    if as_int(n) < 2:
         raise ValidationError(f"a device needs n >= 2 modes, got {n}")
     return tuple(
         heater_id(addr.column, addr.row, kind)
@@ -354,7 +354,7 @@ def simulate_calibration_sweep(
     i = heater_index(profile.n).get(hid)
     if i is None:
         raise UnknownHeaterError(f"profile has no heater {hid!r}")
-    if points < 2:
+    if as_int(points) < 2:
         raise ValidationError(f"a sweep needs >= 2 voltage points, got {points}")
     v = np.linspace(0.0, profile.v_max_v[i], points)
     signal = _sweep_signals(profile, [i], v[None], seed, detector_noise_sigma)[0]
@@ -729,7 +729,7 @@ class CalibrationRecord:
 def calibrate_profile(profile, points=64, seed=0, detector_noise_sigma=0.0):
     """Sweep every heater over the grid simulate_calibration_sweep uses, and
     fit all sweeps at once; returns a CalibrationRecord."""
-    v = np.linspace(0.0, profile.v_max_v, points, axis=1)
+    v = np.linspace(0.0, profile.v_max_v, as_int(points), axis=1)
     index = np.arange(len(profile.heater_ids))
     signal = _sweep_signals(profile, index, v, seed, detector_noise_sigma)
     fit = fit_phase_responses(

@@ -117,13 +117,13 @@ def rows_in_column(n, column):
     return range(column % 2, n - 1, 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cell_addresses(n):
     """All N(N-1)/2 cell addresses for an n-mode mesh, sorted by (col, row).
 
     This order indexes every per-cell phase vector and transfer stack.
     """
-    if n < 1:
+    if as_int(n) < 1:
         raise ValidationError("mode count must be >= 1")
     return tuple(
         CellAddress(column, row)

@@ -20,6 +20,7 @@ from .util import (
     TWO_PI,
     MeshsimError,
     ValidationError,
+    as_int,
     child_seed,
     column_sums,
     seeded_rng,
@@ -61,8 +62,7 @@ class PhotonPairSource:
     mutual_overlap_at_zero_delay: float = 1.0 / DEFAULT_SCHMIDT_NUMBER
 
     def __post_init__(self):
-        if not 0.0 <= self.mutual_overlap_at_zero_delay <= 1.0:
-            raise ValidationError("mutual overlap must lie in [0, 1]")
+        _overlap_value(self.mutual_overlap_at_zero_delay)
 
     def overlap_at(self, delay_um, arm_delay_um=0.0):
         """Pairwise overlap x(tau) for a path-delay mismatch in micrometers."""
@@ -82,7 +82,10 @@ def _matrix_of(u):
 def _mode_pair(pair, n, label):
     try:
         a, b = (int(pair[0]), int(pair[1]))
-        whole = (a, b) == tuple(pair)
+        # a whole-valued float such as 1.0 names a mode; a bool does not
+        whole = (a, b) == tuple(pair) and not any(
+            isinstance(m, (bool, np.bool_)) for m in pair
+        )
     except (ArithmeticError, LookupError, TypeError, ValueError):
         whole = False
     if not whole:
@@ -209,7 +212,7 @@ def route_to_tbs(n, target):
     one cross each. Lanes touch disjoint cells, so the photons meet only at
     the target.
     """
-    target = mesh.CellAddress(int(target[0]), int(target[1]))
+    target = mesh.CellAddress(as_int(target[0]), as_int(target[1]))
     if target not in mesh.cell_index(n):
         raise ValidationError(f"no cell at {tuple(target)} in an n={n} mesh")
     column, row = target
@@ -758,7 +761,7 @@ def diagonal_interferometer_plan(n):
     reachable by both, (n-1, n-3). The only shared cell is (0, 0), crossed
     in the bar state, so the plan verifies in non-strict mode.
     """
-    if n < 3:
+    if as_int(n) < 3:
         raise ValidationError("diagonal interferometer needs n >= 3")
     crosses = [mesh.CellAddress(c, c) for c in range(1, n - 2)]
     crosses += [mesh.CellAddress(c, c - 2) for c in range(2, n - 1)]

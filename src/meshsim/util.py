@@ -72,11 +72,14 @@ def column_sums(x):
 
 
 def as_int(value):
-    """operator.index(value): an int, or a TypeError for a fractional or
-    non-numeric value and for a bool, which is no count or index."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+    """operator.index(value): an int, or a ValidationError for a fractional
+    or non-numeric value and for a bool, which is no count or index."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValidationError(f"expected an integer, got {value!r}")
 
 
 def _seed_sequence(key):
@@ -85,7 +88,7 @@ def _seed_sequence(key):
     ValidationError."""
     try:
         entropy = [as_int(part) for part in key]
-    except TypeError:
+    except ValidationError:
         entropy = [-1]
     if min(entropy) < 0:
         raise ValidationError(f"seeds must be non-negative integers, got {key}")

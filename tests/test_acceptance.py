@@ -1,7 +1,8 @@
-"""Acceptance gate: one test per release criterion.
+"""Acceptance gate: one test per release criterion, and a property twin
+that checks a criterion over random small configs where one exists.
 
-Each test prints a single line with the measured values against the stated
-bounds before asserting, so a verbose run reads as a checklist. Criterion 2
+Each criterion test prints a single line with the measured values against the
+stated bounds before asserting, so a verbose run reads as a checklist. Criterion 2
 is a known red: its mean-fidelity clause pins the error-entry rms near
 0.051, and the max over the 400,000 Haar-campaign entries then lands around
 5 rms, so the < 0.2 max-entry clause cannot hold simultaneously. The test
@@ -9,9 +10,11 @@ asserts the criterion as stated rather than hiding the conflict; see the
 printed breakdown for the measured numbers.
 """
 
+import dataclasses
 import time
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 from oracles import fock_two_photon_distribution
 
 from meshsim import analysis, compiler, experiments, hardware, mesh, quantum
@@ -185,6 +188,30 @@ def test_criterion_08_loss_accounting():
           f" {size} (== 43)")
     assert abs(mean_loss - 2.9) <= 0.1
     assert size == 43
+
+
+# criterion 08 for any small device and finite loss figures
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 30.0),
+    st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=2),
+)
+def test_criterion_08_loss_accounting_property(n, seed, facet, prop, path, losses):
+    profile = dataclasses.replace(
+        hardware.calibrated_profile(n, seed),
+        coupling_loss_db_per_facet=facet,
+        propagation_loss_db_per_cm=prop,
+        path_length_cm=path,
+    )
+    per_mode = hardware.insertion_loss_per_mode(profile)
+    assert per_mode.shape == (n,)
+    assert np.max(np.abs(per_mode - (2 * facet + prop * path))) <= 1e-12
+    low, high = sorted(losses)
+    assert analysis.useful_processor_size(low) >= analysis.useful_processor_size(high)
 
 
 def test_criterion_09_calibration_closure():

@@ -258,6 +258,9 @@ def test_permutation_unitary_rejects_non_bijection():
         compiler.permutation_unitary((0, 3, 1))
     with pytest.raises(ValidationError, match="mode"):
         compiler.permutation_unitary(())
+    # not truncated to the identity
+    with pytest.raises(ValidationError, match="integer"):
+        compiler.permutation_unitary([0.0, 1.9, 2.2])
 
 
 def test_permutation_ensemble_exhaustive_s3():
@@ -281,6 +284,8 @@ def test_permutation_ensemble_count_bounds():
         compiler.permutation_ensemble(3, 7, seed=0)
     with pytest.raises(ValidationError):
         compiler.permutation_ensemble(3, 0, seed=0)
+    with pytest.raises(ValidationError, match="integer"):
+        compiler.permutation_ensemble(3, 2.5, seed=0)
     # haar_random rejects n = 0 too
     with pytest.raises(ValidationError, match="mode"):
         compiler.permutation_ensemble(0, 1, seed=0)

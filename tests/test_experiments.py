@@ -195,6 +195,32 @@ def test_seeds_must_be_non_negative_integers(call, seed):
         SEEDED_CALLS[call](seed)
 
 
+# public calls that take a size, a sweep length or a cell coordinate
+INTEGER_CALLS = {
+    "ideal_profile": hardware.ideal_profile,
+    "calibrated_profile": hardware.calibrated_profile,
+    "haar_random": lambda value: compiler.haar_random(value, 1),
+    "cell_addresses": mesh.cell_addresses,
+    "diagonal_interferometer_plan": quantum.diagonal_interferometer_plan,
+    "heater_id": lambda value: hardware.heater_id(value, 1, "theta"),
+    "simulate_calibration_sweep": lambda value: hardware.simulate_calibration_sweep(
+        hardware.ideal_profile(3), "c00r00.theta", points=value
+    ),
+    "calibrate_profile": lambda value: hardware.calibrate_profile(
+        hardware.ideal_profile(3), points=value
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0])
+@pytest.mark.parametrize("call", sorted(INTEGER_CALLS))
+def test_sizes_and_coordinates_must_be_integers(call, value):
+    # a cache keyed on np.int64(3) answers 3.0 too unless keyed by type
+    hardware.heater_order(np.int64(3))
+    with pytest.raises(ValidationError, match="integer"):
+        INTEGER_CALLS[call](value)
+
+
 def test_config_rejects_bad_schema_version():
     with pytest.raises(UsageError, match="schema_version"):
         validate_config({"kind": "platform", "schema_version": 99})

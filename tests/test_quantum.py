@@ -93,7 +93,7 @@ def test_two_photon_input_validation():
         two_photon_coincidence(u, (0.5, 1), (0, 2), 0.5)
     with pytest.raises(ValidationError):
         two_photon_coincidence(u, (0, 1, 2), (0, 2), 0.5)
-    for malformed in ((1,), ("a", 1), None, (np.inf, 1)):
+    for malformed in ((1,), ("a", 1), None, (np.inf, 1), (0, True)):
         with pytest.raises(ValidationError):
             two_photon_coincidence(u, malformed, (0, 2), 0.5)
         with pytest.raises(ValidationError):
@@ -184,6 +184,10 @@ def test_route_rejects_bad_targets():
         route_to_tbs(20, (5, 19))
     with pytest.raises(ValidationError):
         route_to_tbs(20, (20, 0))
+    # neither is truncated to the cell (1, 1)
+    for target in ((1.7, 1.2), (True, 1)):
+        with pytest.raises(ValidationError, match="integer"):
+            route_to_tbs(5, target)
 
 
 def _expected_modes_by_stage(plan, start_mode):

@@ -173,6 +173,49 @@ def test_only_util_builds_generators(module):
     assert rng_constructor_calls((PACKAGE / module).read_text()) == []
 
 
+# util.as_int is the one whole-number rule for counts, sizes and indices, so
+# no other module reaches operator.index or asks isinstance(x, int)
+def integer_rule_uses(source):
+    """(line, what) of every import or call of operator.index and of every
+    isinstance call whose class argument is the bare name int; a tuple such
+    as (int, float), a number check, is not counted."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            if any(alias.name == "index" for alias in node.names):
+                uses.append((node.lineno, "operator.index"))
+        elif isinstance(node, ast.Attribute) and node.attr == "index":
+            if getattr(node.value, "id", "") == "operator":
+                uses.append((node.lineno, "operator.index"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance":
+            if len(node.args) == 2 and getattr(node.args[1], "id", "") == "int":
+                uses.append((node.lineno, "isinstance int"))
+    return sorted(uses)
+
+
+def test_integer_rule_check_finds_uses():
+    source = (
+        "import operator\n"
+        "from operator import index, mul\n"
+        "a = operator.index(3)\n"
+        "b = isinstance(a, int)\n"
+        "c = isinstance(a, (int, float))\n"
+        "d = isinstance(a, bool) or [a].index(a)\n"
+        "e = f(isinstance(\n    a, int))\n"
+    )
+    assert integer_rule_uses(source) == [
+        (2, "operator.index"), (3, "operator.index"), (4, "isinstance int"),
+        (7, "isinstance int"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "util.py")
+)
+def test_only_util_checks_integers(module):
+    assert integer_rule_uses((PACKAGE / module).read_text()) == []
+
+
 def test_readme_library_quick_start_runs(capsys):
     # the README's library example is documented API; run it as written
     readme = (ROOT / "README.md").read_text()
