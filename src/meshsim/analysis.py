@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .mesh import Unitary
-from .util import ValidationError
+from .util import ValidationError, as_real
 
 COLUMN_NORM_TOL = 1e-6
 # number of identical unit cells that can be concatenated before transmission
@@ -150,11 +150,9 @@ def ensemble_statistics(values):
 
 def useful_processor_size(loss_per_unit_cell_db):
     """Unit cells that fit in series before transmission drops below 1/e."""
-    loss = float(loss_per_unit_cell_db)
-    if not 0 < loss < np.inf:
-        raise ValidationError("loss per unit cell must be finite and > 0")
+    loss = as_real(loss_per_unit_cell_db, "loss per unit cell", above=0)
     cells = float(E_FOLD_DB) / loss  # overflows to inf, without numpy's warning
-    if not cells < np.inf:
+    if np.isinf(cells):
         raise ValidationError(f"loss per unit cell {loss!r} dB is too small to count cells")
     return int(np.floor(cells))
 
@@ -172,10 +170,11 @@ class PlatformEntry:
     approximate: bool = True
 
     def __post_init__(self):
-        if self.loss_per_unit_cell_db <= 0:
-            raise ValidationError(
-                f"{self.name}: loss per unit cell must be > 0 for ranking"
-            )
+        name = self.name
+        loss = as_real(self.loss_per_unit_cell_db, f"{name}: loss per unit cell", above=0)
+        insertion = as_real(self.insertion_loss_db, f"{name}: insertion loss", 0)
+        object.__setattr__(self, "loss_per_unit_cell_db", loss)
+        object.__setattr__(self, "insertion_loss_db", insertion)
 
 
 def load_platform_dataset():

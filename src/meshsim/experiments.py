@@ -21,6 +21,7 @@ from .util import (
     UsageError,
     ValidationError,
     as_int,
+    as_real,
     atomic_write_text,
     child_seed,
     dumps_canonical,
@@ -62,21 +63,10 @@ def _whole(value, what, minimum):
 
 
 def _number(value, what, lo=None, hi=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{what} must be a number")
-    # json.load accepts Infinity, NaN and integers beyond the float range,
-    # none of which a report can serialise
     try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise UsageError(f"{what} must be finite")
-    if lo is not None and value < lo:
-        raise UsageError(f"{what} must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise UsageError(f"{what} must be <= {hi}, got {value}")
-    return value
+        return as_real(value, what, lo, hi)
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _number_list(params, key, default):
@@ -84,7 +74,7 @@ def _number_list(params, key, default):
     values = params.get(key, default)
     if not isinstance(values, (list, tuple)) or not values:
         raise UsageError(f"param {key!r} must be a non-empty list")
-    return [_number(value, f"param {key!r} entry", lo=0.0) for value in values]
+    return [_number(value, f"param {key!r} entry", lo=0) for value in values]
 
 
 def _no_params(params, n):
@@ -95,7 +85,7 @@ def _calibration_params(params, n):
     return {
         "points": _whole(params.get("points", 64), "param 'points'", 8),
         "detector_noise_sigma": _number(
-            params.get("detector_noise_sigma", 0.0), "param 'detector_noise_sigma'", lo=0.0
+            params.get("detector_noise_sigma", 0.0), "param 'detector_noise_sigma'", lo=0
         ),
     }
 
@@ -104,10 +94,10 @@ def _hom_map_params(params, n):
     return {
         "overlap": _number(
             params.get("overlap", 1.0 / quantum.DEFAULT_SCHMIDT_NUMBER),
-            "param 'overlap'", lo=0.0, hi=1.0,
+            "param 'overlap'", lo=0, hi=1,
         ),
         "count_noise_sigma": _number(
-            params.get("count_noise_sigma", 0.0), "param 'count_noise_sigma'", lo=0.0
+            params.get("count_noise_sigma", 0.0), "param 'count_noise_sigma'", lo=0
         ),
     }
 
@@ -137,7 +127,7 @@ def _delay_sweep_params(params, n):
     return {
         "overlap": _number(
             params.get("overlap", 1.0 / quantum.DEFAULT_SCHMIDT_NUMBER),
-            "param 'overlap'", lo=0.0, hi=1.0,
+            "param 'overlap'", lo=0, hi=1,
         ),
         "levels_rad": _number_list(params, "levels_rad", levels),
     }
@@ -527,8 +517,8 @@ def _run_platform(config):
                     row["name"],
                     row["platform"],
                     row["modes"],
-                    float(row["loss_per_unit_cell_db"]),
-                    float(row["insertion_loss_db"]),
+                    row["loss_per_unit_cell_db"],
+                    row["insertion_loss_db"],
                     row["useful_processor_size"],
                     row["citation"],
                     "yes" if row["approximate"] else "no",
@@ -682,8 +672,10 @@ def unitary_from_json_dict(doc):
         raise ValidationError("unitary document needs keys n, re, im")
     try:
         n = as_int(doc["n"])
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
+        re, im = (
+            np.array([[as_real(v, f"{key} entry") for v in row] for row in doc[key]])
+            for key in ("re", "im")
+        )
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"unitary document is not numeric: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):

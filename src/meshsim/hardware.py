@@ -35,6 +35,7 @@ from .util import (
     UnknownHeaterError,
     ValidationError,
     as_int,
+    as_real,
     atomic_write_text,
     column_sums,
     dumps_canonical,
@@ -144,6 +145,17 @@ class CrosstalkMatrix:
         return self.matrix - np.diag(np.diag(self.matrix))
 
 
+# the profile's scalar figures, each finite and >= 0, and their error's name
+_PROFILE_SCALARS = {
+    "coupling_loss_db_per_facet": "loss figures",
+    "propagation_loss_db_per_cm": "loss figures",
+    "path_length_cm": "loss figures",
+    "splitter_error_sigma_rad": "noise sigmas",
+    "theta_noise_sigma_rad": "noise sigmas",
+    "phi_noise_sigma_rad": "noise sigmas",
+}
+
+
 @dataclass(frozen=True)
 class HardwareProfile:
     """Full device description used by the simulator and the compiler chain.
@@ -177,8 +189,8 @@ class HardwareProfile:
                 f"crosstalk is {self.crosstalk.size}x{self.crosstalk.size}, "
                 f"expected {len(order)}"
             )
-        for name, lower in (
-            ("phi0_rad", -np.inf), ("resistance_ohm", 0.0), ("v_max_v", 0.0)
+        for name, positive in (
+            ("phi0_rad", False), ("resistance_ohm", True), ("v_max_v", True)
         ):
             values = np.array(getattr(self, name), dtype=float)
             if values.shape != (len(order),):
@@ -186,28 +198,16 @@ class HardwareProfile:
                     f"{name} must hold {len(order)} heaters for n={self.n}, "
                     f"got shape {values.shape}"
                 )
-            # NaN fails the comparison, so it is caught here too
-            bad = ~((values > lower) & (values < np.inf))
+            bad = ~np.isfinite(values) | (positive & ~(values > 0))
             if bad.any():
                 raise ValidationError(
                     f"heater {order[np.argmax(bad)]}: {name} must be finite"
-                    + ("" if lower == -np.inf else " and > 0")
+                    + (" and > 0" if positive else "")
                 )
             values.setflags(write=False)
             object.__setattr__(self, name, values)
-        # NaN fails every comparison, so these bounds reject it too
-        if not (
-            0 <= self.coupling_loss_db_per_facet < np.inf
-            and 0 <= self.propagation_loss_db_per_cm < np.inf
-            and 0 <= self.path_length_cm < np.inf
-        ):
-            raise ValidationError("loss figures must be finite and >= 0")
-        if not (
-            0 <= self.splitter_error_sigma_rad < np.inf
-            and 0 <= self.theta_noise_sigma_rad < np.inf
-            and 0 <= self.phi_noise_sigma_rad < np.inf
-        ):
-            raise ValidationError("noise sigmas must be finite and >= 0")
+        for name, what in _PROFILE_SCALARS.items():
+            object.__setattr__(self, name, as_real(getattr(self, name), what, 0))
         rng = seeded_rng(self.disorder_seed, _STATIC_STREAM)
         eps = rng.normal(0.0, self.splitter_error_sigma_rad, (len(order) // 2, 2))
         # cos/sin of the inner (1) and outer (2) coupling angles pi/4 + eps,
@@ -317,14 +317,16 @@ class SweepRecord:
     signal: np.ndarray
 
 
-def _sweep_signals(profile, index, v, seed, detector_noise_sigma):
-    """Monitor-port fringes of the heaters `index` (k,) swept over the
-    voltages v (k, m): scale * (0.5 + 0.5 * cos(phi(v))) with the scale set
-    by the profile's static insertion loss, plus each heater's own stream of
+def _sweeps(profile, index, points, seed, detector_noise_sigma):
+    """Voltages v (k, points) and monitor-port fringes of the heaters `index`
+    (k,), each swept over `points` evenly spaced voltages from 0 to its
+    v_max: scale * (0.5 + 0.5 * cos(phi(v))) with the scale set by the
+    profile's static insertion loss, plus each heater's own stream of
     Gaussian detector noise."""
-    # NaN fails the comparison, so it is rejected too
-    if not 0 <= detector_noise_sigma < np.inf:
-        raise ValidationError("detector noise sigma must be finite and >= 0")
+    if as_int(points) < 2:
+        raise ValidationError(f"a sweep needs >= 2 voltage points, got {points}")
+    v = np.linspace(0.0, profile.v_max_v[index], points, axis=1)
+    detector_noise_sigma = as_real(detector_noise_sigma, "detector noise sigma", 0)
     il_db = 2 * profile.coupling_loss_db_per_facet + (
         profile.propagation_loss_db_per_cm * profile.path_length_cm
     )
@@ -338,7 +340,7 @@ def _sweep_signals(profile, index, v, seed, detector_noise_sigma):
             seeded_rng(seed, _SWEEP_STREAM, i).normal(0.0, detector_noise_sigma, v.shape[1])
             for i in index
         ])
-    return signal
+    return v, signal
 
 
 def simulate_calibration_sweep(
@@ -354,11 +356,8 @@ def simulate_calibration_sweep(
     i = heater_index(profile.n).get(hid)
     if i is None:
         raise UnknownHeaterError(f"profile has no heater {hid!r}")
-    if as_int(points) < 2:
-        raise ValidationError(f"a sweep needs >= 2 voltage points, got {points}")
-    v = np.linspace(0.0, profile.v_max_v[i], points)
-    signal = _sweep_signals(profile, [i], v[None], seed, detector_noise_sigma)[0]
-    return SweepRecord(heater_id=hid, voltages_v=v, signal=signal)
+    v, signal = _sweeps(profile, [i], points, seed, detector_noise_sigma)
+    return SweepRecord(heater_id=hid, voltages_v=v[0], signal=signal[0])
 
 
 @dataclass(frozen=True)
@@ -671,18 +670,14 @@ def fit_phase_responses(power, signal, heater_ids):
 def fit_phase_response(sweep, resistance_ohm):
     """fit_phase_responses of one sweep: the same fit, bit for bit, as a
     CalibrationEntry."""
-    if not 0.0 < float(resistance_ohm) < math.inf:
-        raise ValidationError(
-            f"{sweep.heater_id}: resistance must be finite and > 0, "
-            f"got {resistance_ohm}"
-        )
+    resistance_ohm = as_real(resistance_ohm, f"{sweep.heater_id}: resistance", above=0)
     v = np.asarray(sweep.voltages_v, dtype=float)
     signal = np.asarray(sweep.signal, dtype=float)
     if v.shape != signal.shape:
         raise FitDegeneracyError(
             f"{sweep.heater_id}: {v.size} voltages for {signal.size} signal samples"
         )
-    power = v.reshape(1, -1) ** 2 / float(resistance_ohm)
+    power = v.reshape(1, -1) ** 2 / resistance_ohm
     fit = fit_phase_responses(power, signal.reshape(1, -1), [sweep.heater_id])
     return CalibrationEntry(sweep.heater_id, *(float(x[0]) for x in fit))
 
@@ -729,9 +724,8 @@ class CalibrationRecord:
 def calibrate_profile(profile, points=64, seed=0, detector_noise_sigma=0.0):
     """Sweep every heater over the grid simulate_calibration_sweep uses, and
     fit all sweeps at once; returns a CalibrationRecord."""
-    v = np.linspace(0.0, profile.v_max_v, as_int(points), axis=1)
     index = np.arange(len(profile.heater_ids))
-    signal = _sweep_signals(profile, index, v, seed, detector_noise_sigma)
+    v, signal = _sweeps(profile, index, points, seed, detector_noise_sigma)
     fit = fit_phase_responses(
         v**2 / profile.resistance_ohm[:, None], signal, profile.heater_ids
     )
@@ -804,8 +798,7 @@ def _drive_system(profile, calibration):
     if calibration.entries.keys() != set(profile.heater_ids):
         raise ValidationError("the calibration record is for another heater set")
     phi0, alpha, _ = calibration.arrays(profile.heater_ids)
-    # NaN fails every comparison, so it is rejected too
-    bad = ~((np.abs(phi0) < np.inf) & (alpha > 0) & (alpha < np.inf))
+    bad = ~(np.isfinite(phi0) & np.isfinite(alpha) & (alpha > 0))
     if bad.any():
         raise ValidationError(
             f"heater {profile.heater_ids[np.argmax(bad)]}: calibrated phi0 must "
@@ -1065,7 +1058,7 @@ def profile_from_json_dict(doc):
         for h in doc["heaters"]:
             if h["id"] in rows:
                 raise ValueError(f"duplicate heater id {h['id']!r}")
-            rows[h["id"]] = [float(h[key]) for key in HeaterModel._fields]
+            rows[h["id"]] = [as_real(h[key], key) for key in HeaterModel._fields]
         if set(rows) != set(order):
             missing = sorted(set(order) - set(rows))
             extra = sorted(set(rows) - set(order))
@@ -1083,7 +1076,7 @@ def profile_from_json_dict(doc):
             if pair in pairs:
                 raise ValueError(f"duplicate crosstalk pair ({c['i']}, {c['j']})")
             pairs.add(pair)
-            matrix[pair] = float(c["rad_per_w"])
+            matrix[pair] = as_real(c["rad_per_w"], "rad_per_w")
         return HardwareProfile(
             name=str(doc["name"]),
             n=n,
@@ -1091,13 +1084,8 @@ def profile_from_json_dict(doc):
             resistance_ohm=resistance,
             v_max_v=v_max,
             crosstalk=CrosstalkMatrix(matrix),
-            coupling_loss_db_per_facet=float(doc["coupling_loss_db_per_facet"]),
-            propagation_loss_db_per_cm=float(doc["propagation_loss_db_per_cm"]),
-            path_length_cm=float(doc["path_length_cm"]),
-            splitter_error_sigma_rad=float(doc["splitter_error_sigma_rad"]),
-            theta_noise_sigma_rad=float(doc["theta_noise_sigma_rad"]),
-            phi_noise_sigma_rad=float(doc["phi_noise_sigma_rad"]),
             disorder_seed=doc["disorder_seed"],
+            **{name: doc[name] for name in _PROFILE_SCALARS},
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed profile document: {exc}")

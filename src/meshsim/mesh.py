@@ -27,6 +27,7 @@ from .util import (
     StructureError,
     ValidationError,
     as_int,
+    as_real,
     wrap_phase,
 )
 
@@ -150,13 +151,17 @@ def _column_bounds(n):
     return tuple(bounds)
 
 
-def _phase_vector(values, count, label):
+def _phase_vector(values, count, label, wrap=True):
+    """`count` finite phases as a float vector, wrapped into [0, 2*pi) when
+    `wrap`; checked before the wrap, since np.mod warns on an infinity."""
     arr = np.array(values, dtype=float)
     if arr.shape != (count,):
         raise StructureError(
             f"{label} must have length {count}, got shape {arr.shape}"
         )
-    return arr
+    if not np.isfinite(arr).all():
+        raise StructureError(f"{label} must be finite")
+    return wrap_phase(arr) if wrap else arr
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -184,35 +189,30 @@ class MeshSettings:
                 f"{len(got)} (missing {missing}, unexpected {extra})"
             )
         addrs = cell_addresses(n)
+        # each CellSetting holds its phases wrapped already
         self._set(
             n,
             [cells[addr].theta for addr in addrs],
             [cells[addr].phi for addr in addrs],
             output_phases,
+            wrap_cells=False,
         )
 
     @classmethod
     def from_phases(cls, n, theta, phi, output_phases=None):
         """Settings from theta and phi vectors in cell_addresses(n) order."""
         self = cls.__new__(cls)
-        self._set(
-            n,
-            wrap_phase(np.asarray(theta, dtype=float)),
-            wrap_phase(np.asarray(phi, dtype=float)),
-            output_phases,
-        )
+        self._set(n, theta, phi, output_phases, wrap_cells=True)
         return self
 
-    def _set(self, n, theta, phi, output_phases):
+    def _set(self, n, theta, phi, output_phases, wrap_cells):
         count = len(cell_addresses(n))
         if output_phases is None:
             output_phases = np.zeros(n)
         vectors = {
-            "theta": _phase_vector(theta, count, "theta"),
-            "phi": _phase_vector(phi, count, "phi"),
-            "output_phases": _phase_vector(
-                wrap_phase(np.asarray(output_phases, dtype=float)), n, "output_phases"
-            ),
+            "theta": _phase_vector(theta, count, "theta", wrap_cells),
+            "phi": _phase_vector(phi, count, "phi", wrap_cells),
+            "output_phases": _phase_vector(output_phases, n, "output_phases"),
         }
         object.__setattr__(self, "n", n)
         for name, arr in vectors.items():
@@ -277,9 +277,9 @@ def lossy_products(transfers, output_phases, facet_db, prop_db, path_cm):
     bottom' = t10 top + t11 bottom. Returns the unchecked (k, n, n) products.
     """
     k, n = output_phases.shape
-    # NaN fails every comparison, so these bounds reject it too
-    if not (0 <= facet_db < np.inf and 0 <= prop_db < np.inf and 0 <= path_cm < np.inf):
-        raise ValidationError("loss figures must be finite and >= 0")
+    facet_db, prop_db, path_cm = (
+        as_real(x, "loss figures", 0) for x in (facet_db, prop_db, path_cm)
+    )
 
     facet_amp = 10.0 ** (-facet_db / 20.0)
     # an (n,) array power: numpy's SIMD power rounds unlike a scalar one
@@ -342,11 +342,11 @@ def settings_from_json_dict(doc):
         n = as_int(doc["n"])
         cells = {
             CellAddress(as_int(c["col"]), as_int(c["row"])): CellSetting(
-                float(c["theta"]), float(c["phi"])
+                as_real(c["theta"], "theta"), as_real(c["phi"], "phi")
             )
             for c in doc["cells"]
         }
-        phases = np.asarray(doc["output_phases"], dtype=float)
+        phases = [as_real(p, "output_phases") for p in doc["output_phases"]]
     except (KeyError, TypeError, ValueError) as err:
         raise StructureError(f"malformed settings document: {err}") from err
     return MeshSettings(n=n, cells=cells, output_phases=phases)

@@ -21,6 +21,7 @@ from .util import (
     MeshsimError,
     ValidationError,
     as_int,
+    as_real,
     child_seed,
     column_sums,
     seeded_rng,
@@ -62,10 +63,12 @@ class PhotonPairSource:
     mutual_overlap_at_zero_delay: float = 1.0 / DEFAULT_SCHMIDT_NUMBER
 
     def __post_init__(self):
-        _overlap_value(self.mutual_overlap_at_zero_delay)
+        x = as_real(self.mutual_overlap_at_zero_delay, "overlap", 0, 1)
+        object.__setattr__(self, "mutual_overlap_at_zero_delay", x)
 
     def overlap_at(self, delay_um, arm_delay_um=0.0):
         """Pairwise overlap x(tau) for a path-delay mismatch in micrometers."""
+        arm_delay_um = as_real(arm_delay_um, "arm delay")
         z = (np.asarray(delay_um, dtype=float) - arm_delay_um) / COHERENCE_SIGMA_UM
         return self.mutual_overlap_at_zero_delay * np.exp(-0.5 * z**2)
 
@@ -96,13 +99,6 @@ def _mode_pair(pair, n, label):
         if not 0 <= m < n:
             raise ValidationError(f"{label} mode {m} out of range for n={n}")
     return a, b
-
-
-def _overlap_value(x):
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"overlap must lie in [0, 1], got {x}")
-    return x
 
 
 def _pair_terms(m, pairs):
@@ -136,7 +132,7 @@ def two_photon_coincidence(u, input_pair, output_pair, overlap):
     m = _matrix_of(u)
     a, b = _mode_pair(input_pair, m.shape[0], "input")
     c, d = _mode_pair(output_pair, m.shape[0], "output")
-    x = _overlap_value(overlap)
+    x = as_real(overlap, "overlap", 0, 1)
     classical, interference = _pair_terms(m[None], [((a, b), (c, d))])
     return float(classical[0] + x * interference[0])
 
@@ -149,7 +145,7 @@ def two_photon_output_distribution(u, input_pair, overlap):
     m = _matrix_of(u)
     n = m.shape[0]
     a, b = _mode_pair(input_pair, n, "input")
-    x = _overlap_value(overlap)
+    x = as_real(overlap, "overlap", 0, 1)
     outputs = [(c, d) for c in range(n) for d in range(c + 1, n)]
     classical, interference = _pair_terms(
         np.broadcast_to(m, (len(outputs), n, n)), [((a, b), pair) for pair in outputs]
@@ -604,9 +600,7 @@ def _routed_scans(profile, theta, pairs, seeds, delays, envelope, count_noise_si
     x(tau) over its delays (`delays` and `envelope` are one row, or one row
     per scan) and is normalized by the mean of its BASELINE_FRACTION of
     samples farthest from zero delay."""
-    # NaN fails the comparison, so it is rejected too
-    if not 0 <= count_noise_sigma < np.inf:
-        raise ValidationError("count noise sigma must be finite and >= 0")
+    count_noise_sigma = as_real(count_noise_sigma, "count noise sigma", 0)
     pairs, seeds, terms = np.asarray(pairs), list(seeds), []
     stacks = (theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)))
     for start in range(0, len(seeds), hardware.CHUNK):
@@ -646,6 +640,7 @@ def hom_scan(
     envelope is centered on `arm_delay_um`. Raw coincidences are normalized
     by the mean of the 20% of samples farthest from zero delay.
     """
+    arm_delay_um = as_real(arm_delay_um, "arm delay")
     d = _scan_grid(delays_um, arm_delay_um)
     (normalized,) = _routed_scans(
         profile, plan.theta[None], [(plan.input_pair, plan.output_pair)], [seed],
@@ -840,7 +835,7 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
         np.repeat(plan.theta[None], levels.size, axis=0),
         [(plan.input_pair, plan.output_pair)] * levels.size,
         [child_seed(seed, index) for index in range(levels.size)],
-        d, source.overlap_at(d, arm_delays), 0.0,
+        d, source.overlap_at(d - arm_delays), 0.0,
     )
     centers = fit_gaussian_dips(d, scans)[1]
     total = float(centers[-1] - centers[0])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 import os
 import tempfile
@@ -80,6 +82,27 @@ def as_int(value):
     except TypeError:
         pass
     raise ValidationError(f"expected an integer, got {value!r}")
+
+
+_BOUND_HOLDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def as_real(value, what, lo=None, hi=None, *, above=None):
+    """float(value) for a finite real number >= lo, > above and <= hi, each
+    bound optional; otherwise a ValidationError whose message starts with
+    `what`. A bool, a string, None, an array, NaN, an infinity and an int
+    too large for a float are rejected."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    bounds = [(op, b) for op, b in ((">=", lo), (">", above), ("<=", hi)) if b is not None]
+    if not (math.isfinite(x) and all(_BOUND_HOLDS[op](x, b) for op, b in bounds)):
+        text = "".join(f" and {op} {b}" for op, b in bounds)
+        raise ValidationError(f"{what} must be finite{text}, got {value!r}")
+    return x
 
 
 def _seed_sequence(key):

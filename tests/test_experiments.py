@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from meshsim import cli, compiler, experiments, hardware, mesh, quantum
+from meshsim import analysis, cli, compiler, experiments, hardware, mesh, quantum
 from meshsim.experiments import (
     report_payload_bytes,
     run_campaign,
@@ -18,7 +18,7 @@ from meshsim.experiments import (
     unitary_to_json_dict,
     validate_config,
 )
-from meshsim.util import UsageError, ValidationError, child_seed, seeded_rng
+from meshsim.util import UsageError, ValidationError, as_real, child_seed, seeded_rng
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -219,6 +219,107 @@ def test_sizes_and_coordinates_must_be_integers(call, value):
     hardware.heater_order(np.int64(3))
     with pytest.raises(ValidationError, match="integer"):
         INTEGER_CALLS[call](value)
+
+
+def _profile_doc(path, value):
+    """Profile document of an ideal n=2 device with the field at a dotted
+    path set to value."""
+    doc = hardware.profile_to_json_dict(hardware.ideal_profile(2))
+    *parents, key = path.split(".")
+    node = doc
+    for step in parents:
+        node = node[int(step) if step.isdigit() else step]
+    node[key] = value
+    return doc
+
+
+def _tbs_scan(**options):
+    return quantum.hom_scan(
+        quantum.route_to_tbs(3, (0, 0)), quantum.PhotonPairSource(),
+        hardware.ideal_profile(3), **options,
+    )
+
+
+# entry points that take a scalar real, with the error each one raises
+REAL_CALLS = {
+    "config": (UsageError, lambda value: validate_config(
+        {"kind": "hom-map", "params": {"overlap": value}}
+    )),
+    "PhotonPairSource": (ValidationError, quantum.PhotonPairSource),
+    "two_photon_coincidence": (ValidationError, lambda value: (
+        quantum.two_photon_coincidence(np.eye(2), (0, 1), (0, 1), value)
+    )),
+    "two_photon_output_distribution": (ValidationError, lambda value: (
+        quantum.two_photon_output_distribution(np.eye(2), (0, 1), value)
+    )),
+    "HardwareProfile": (ValidationError, lambda value: dataclasses.replace(
+        hardware.ideal_profile(2), theta_noise_sigma_rad=value
+    )),
+    "lossy_products": (ValidationError, lambda value: mesh.lossy_products(
+        np.zeros((1, 1, 2, 2)), np.zeros((1, 2)), value, 0.0, 0.0
+    )),
+    "detector_noise_sigma": (ValidationError, lambda value: (
+        hardware.simulate_calibration_sweep(
+            hardware.ideal_profile(2), "c00r00.theta", detector_noise_sigma=value
+        )
+    )),
+    "count_noise_sigma": (ValidationError, lambda value: _tbs_scan(count_noise_sigma=value)),
+    "fit_phase_response": (ValidationError, lambda value: hardware.fit_phase_response(
+        hardware.simulate_calibration_sweep(hardware.ideal_profile(2), "c00r00.theta"),
+        value,
+    )),
+    "useful_processor_size": (ValidationError, analysis.useful_processor_size),
+    "PlatformEntry": (ValidationError, lambda value: analysis.PlatformEntry(
+        "x", "y", 4, value, 1.0, "z"
+    )),
+    "hom_scan_arm_delay": (ValidationError, lambda value: _tbs_scan(arm_delay_um=value)),
+    "overlap_at": (ValidationError, lambda value: (
+        quantum.PhotonPairSource().overlap_at(np.zeros(3), value)
+    )),
+    "profile_loader_scalar": (ValidationError, lambda value: (
+        hardware.profile_from_json_dict(_profile_doc("coupling_loss_db_per_facet", value))
+    )),
+    "profile_loader_heater": (ValidationError, lambda value: (
+        hardware.profile_from_json_dict(_profile_doc("heaters.0.resistance_ohm", value))
+    )),
+    "settings_loader": (ValidationError, lambda value: mesh.settings_from_json_dict(
+        dict(mesh.settings_to_json_dict(mesh.bar_settings(2)), output_phases=[value, 0.0])
+    )),
+    "unitary_loader": (ValidationError, lambda value: unitary_from_json_dict(
+        {"n": 2, "re": [[value, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+    )),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, "0.5", None, math.nan, math.inf, 10**400],
+    ids=["True", "str", "None", "nan", "inf", "10**400"],
+)
+@pytest.mark.parametrize("entry", sorted(REAL_CALLS))
+def test_reals_must_be_finite_numbers(entry, value):
+    # util.as_real decides every one of these: a bool, a string, None, NaN,
+    # an infinity or an int no float can hold is neither accepted nor left
+    # to escape as a TypeError from deeper down
+    error, call = REAL_CALLS[entry]
+    with pytest.raises(error, match=r"must be (a real number|finite)"):
+        call(value)
+
+
+def test_as_real_bounds_and_result():
+    assert as_real(np.float32(0.1), "x") == float(np.float32(0.1))
+    assert type(as_real(np.int64(3), "x")) is float
+    assert as_real(0, "x", 0) == 0.0 and as_real(1, "x", 0, 1) == 1.0
+    for value, bounds, message in (
+        (0, {"above": 0}, "x must be finite and > 0, got 0"),
+        (-0.5, {"lo": 0}, "x must be finite and >= 0, got -0.5"),
+        (1.5, {"lo": 0, "hi": 1}, "x must be finite and >= 0 and <= 1, got 1.5"),
+        (np.bool_(True), {}, "x must be a real number, got np.True_"),
+        ([0.5], {}, "x must be a real number, got [0.5]"),
+        (np.array(0.5), {}, "x must be a real number, got array(0.5)"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            as_real(value, "x", **bounds)
+        assert str(exc.value) == message
 
 
 def test_config_rejects_bad_schema_version():

@@ -141,10 +141,13 @@ def test_sweep_rejects_unknown_heater():
         simulate_calibration_sweep(prof, "c09r09.theta")
 
 
-@pytest.mark.parametrize("points", [0, 1])
+@pytest.mark.parametrize("points", [-1, 0, 1])
 def test_sweep_needs_two_points(points):
+    prof = ideal_profile(3)
     with pytest.raises(ValidationError, match=">= 2"):
-        simulate_calibration_sweep(ideal_profile(3), "c00r00.theta", points=points)
+        simulate_calibration_sweep(prof, "c00r00.theta", points=points)
+    with pytest.raises(ValidationError, match=">= 2"):
+        calibrate_profile(prof, points=points)
 
 
 def test_sweep_fringe_values():

@@ -242,6 +242,31 @@ def test_settings_loader_rejects_bad_fields(path, value):
         mesh.settings_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["theta", "phi", "output_phases"])
+def test_settings_reject_non_finite_phases(name, bad):
+    # a NaN phase was stored and failed only later, in mesh_unitary
+    n = 3
+    phases = {key: np.zeros(3) for key in ("theta", "phi", "output_phases")}
+    phases[name][1] = bad
+    with pytest.raises(StructureError, match=f"{name} must be finite"):
+        mesh.MeshSettings.from_phases(n, **phases)
+    with np.errstate(invalid="ignore"):  # CellSetting wraps an infinity to NaN
+        cells = {
+            addr: mesh.CellSetting(theta, phi)
+            for addr, theta, phi in zip(mesh.cell_addresses(n), phases["theta"], phases["phi"])
+        }
+    with pytest.raises(StructureError, match=f"{name} must be finite"):
+        mesh.MeshSettings(n, cells, phases["output_phases"])
+    doc = mesh.settings_to_json_dict(mesh.bar_settings(n))
+    if name == "output_phases":
+        doc["output_phases"][1] = bad
+    else:
+        doc["cells"][1][name] = bad
+    with pytest.raises(StructureError, match=f"malformed settings document: {name} must be finite"):
+        mesh.settings_from_json_dict(doc)
+
+
 def test_cell_setting_normalizes_phases():
     s = mesh.CellSetting(-np.pi, 5 * np.pi)
     assert 0.0 <= s.theta < 2 * np.pi

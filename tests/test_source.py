@@ -216,6 +216,50 @@ def test_only_util_checks_integers(module):
     assert integer_rule_uses((PACKAGE / module).read_text()) == []
 
 
+# util.as_real is the one real-number rule, so no other module compares a
+# value with an infinity to decide whether it is finite
+def infinity_comparisons(source):
+    """Line of every comparison with an operand np.inf, math.inf, numpy.inf
+    or a bare inf, a sign in front included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                while isinstance(operand, ast.UnaryOp):
+                    operand = operand.operand
+                if isinstance(operand, ast.Attribute):
+                    name = operand.attr
+                else:
+                    name = getattr(operand, "id", "")
+                if name == "inf":
+                    lines.append(node.lineno)
+                    break
+    return sorted(lines)
+
+
+def test_infinity_comparison_check_finds_comparisons():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from math import inf\n"
+        "a = 0 <= x < np.inf\n"
+        "b = lower == -np.inf\n"
+        "c = x < math.inf and y > 0\n"
+        "d = np.where(x, 1.0, np.inf)\n"
+        "e = np.isfinite(x)\n"
+        "f = x != inf\n"
+        "g = (\n    x\n    < np.inf)\n"
+    )
+    assert infinity_comparisons(source) == [4, 5, 6, 9, 11]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "util.py")
+)
+def test_only_util_compares_with_infinity(module):
+    assert infinity_comparisons((PACKAGE / module).read_text()) == []
+
+
 def test_readme_library_quick_start_runs(capsys):
     # the README's library example is documented API; run it as written
     readme = (ROOT / "README.md").read_text()
