@@ -372,16 +372,16 @@ class CalibrationEntry:
 # which no step can lower the SSR, and the Gauss-Newton step, relative to
 # alpha, below which a heater has converged (about two ulp). The polish
 # starts within half a grid step of the optimum, where an undamped step
-# converges, so the damping starts low. The cap is 2.3x the 219 iterations
+# converges, so the damping starts low. The cap is 1.7x the 289 iterations
 # of the slowest n=20 polish measured (README, "Calibration fit").
 _FIT_ITERATIONS = 500
 _FIT_DAMPING = 1e-6
 _FIT_MAX_DAMPING = 1e16
 _FIT_STEP_TOL = 4.4e-16
-# the alpha grid, relative to the FFT seed
-_ALPHA_GRID = np.linspace(0.75, 1.25, 101)
+# the alpha grid, relative to the FFT seed; its size is measured (README)
+_ALPHA_GRID = np.linspace(0.75, 1.25, 15)
 # grid points x samples x heaters screened in one pass: at 64 samples a pass
-# holds 10 heaters and each of the six rows of its terms 0.5 MB
+# holds 68 heaters and each of the six rows of its terms 0.5 MB
 _SCREEN_CELLS = 1 << 16
 
 # rows of the state array _fringe_state returns, one column per heater
@@ -389,19 +389,18 @@ _A, _B, _C, _SSR, _STEP = range(5)
 
 
 def _fringe_seeds(power, signal, low, high):
-    """alpha of the strongest fringe of each (k, m) sweep, from an FFT of the
-    sweep resampled onto a uniform power grid from `low` to `high` (power
+    """alpha of the strongest fringe of each (k, m) sweep, from one rfft of
+    the sweeps resampled onto uniform power grids from `low` to `high` (power
     is quadratic in the swept voltage)."""
     m = 8 * power.shape[1]
     spacing = (high - low) / (m - 1)
-    # np.linspace(low, high, m) row by row, in one pass
-    uniform = np.arange(m) * spacing[:, None] + low[:, None]
-    uniform[:, -1] = high
-    bins = np.empty(len(power))
-    for i, p in enumerate(uniform):
-        resampled = np.interp(p, power[i], signal[i])
-        resampled -= resampled.sum() / m
-        bins[i] = np.abs(np.fft.rfft(resampled)[1:]).argmax() + 1
+    # np.linspace(low, high, m) row by row, in one pass, resampled in place
+    resampled = np.arange(m) * spacing[:, None] + low[:, None]
+    resampled[:, -1] = high
+    for i, p in enumerate(resampled):
+        p[:] = np.interp(p, power[i], signal[i])
+    resampled -= column_sums(resampled.T)[:, None] / m
+    bins = np.abs(np.fft.rfft(resampled, axis=1)[:, 1:]).argmax(1) + 1
     return TWO_PI * bins / (m * spacing)
 
 
@@ -605,7 +604,7 @@ def fit_phase_responses(power, signal, heater_ids):
     sweeps: signal against power p = v^2 / R.
 
     Model: signal = A + B * cos(alpha * p + phi0). An FFT of each sweep
-    seeds alpha, a 101-point grid over 0.75-1.25 times the seed refines it,
+    seeds alpha, a 15-point grid over 0.75-1.25 times the seed refines it,
     and a Gauss-Newton polish on alpha alone, with (A, B, C) projected out,
     converges to the least-squares optimum. Every operation acts on each
     heater alone, so a heater's fit is the same bits in any stack. Raises

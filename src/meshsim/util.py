@@ -7,6 +7,7 @@ import math
 import numbers
 import operator
 import os
+import reprlib
 import tempfile
 
 import numpy as np
@@ -89,11 +90,11 @@ _BOUND_HOLDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 def as_real(value, what, lo=None, hi=None, *, above=None):
     """float(value) for a finite real number >= lo, > above and <= hi, each
-    bound optional; otherwise a ValidationError whose message starts with
-    `what`. A bool, a string, None, an array, NaN, an infinity and an int
-    too large for a float are rejected."""
+    bound optional; otherwise a ValidationError that starts with `what` and
+    ends with reprlib's short repr of the value. A bool, a string, None, an
+    array, NaN, an infinity and an int too large for a float are rejected."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
+        raise ValidationError(f"{what} must be a real number, got {reprlib.repr(value)}")
     try:
         x = float(value)
     except OverflowError:  # an int beyond the float range
@@ -101,7 +102,7 @@ def as_real(value, what, lo=None, hi=None, *, above=None):
     bounds = [(op, b) for op, b in ((">=", lo), (">", above), ("<=", hi)) if b is not None]
     if not (math.isfinite(x) and all(_BOUND_HOLDS[op](x, b) for op, b in bounds)):
         text = "".join(f" and {op} {b}" for op, b in bounds)
-        raise ValidationError(f"{what} must be finite{text}, got {value!r}")
+        raise ValidationError(f"{what} must be finite{text}, got {reprlib.repr(value)}")
     return x
 
 

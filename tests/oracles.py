@@ -270,10 +270,11 @@ ORACLE_ALPHA_SETTLED = 1e-12
 
 def grid_fringe_fit(sweep, resistance_ohm):
     """Fringe fit with the alpha grid scored one lstsq call per point: the
-    FFT seed, the 101-point loop over alpha_init * [0.75, 1.25] keeping the
-    first strictly smaller rms, and the curve_fit polish, as
-    hardware.fit_phase_response defines them, the polish restarted until
-    alpha settles. Returns a CalibrationEntry."""
+    FFT seed, a 101-point loop over alpha_init * [0.75, 1.25] keeping the
+    first strictly smaller rms, and a curve_fit polish restarted until
+    alpha settles. The 101 points are the fine reference that
+    hardware.fit_phase_response's coarser screen must reach, not a copy of
+    its grid. Returns a CalibrationEntry."""
     from scipy.optimize import curve_fit
 
     from meshsim.hardware import CalibrationEntry

@@ -384,6 +384,54 @@ def test_fringe_fit_is_batch_invariant(sigma):
                 assert _entry_hex(got) == alone[i], (i, offset)
 
 
+def test_fringe_screen_size_reaches_the_fine_grid(monkeypatch):
+    # the grid size comes from a measured table (README, "Calibration fit"):
+    # on this stack a 14-point grid, one point fewer, ends one heater
+    # (c15r07.phi) at another optimum, alpha 14.54 against 10.03; the chosen
+    # grid must end every heater where a 101-point grid does
+    prof = calibrated_profile(20, disorder_seed=3)
+
+    def alphas(size=None):
+        if size is not None:
+            monkeypatch.setattr(hardware, "_ALPHA_GRID", np.linspace(0.75, 1.25, size))
+        record = calibrate_profile(prof, points=8, seed=3, detector_noise_sigma=0.05)
+        return record.arrays(prof.heater_ids)[1]
+
+    chosen, fine, fewer = alphas(), alphas(101), alphas(14)
+    np.testing.assert_allclose(chosen, fine, rtol=1e-12, atol=0)
+    moved = np.abs(fewer - fine) > 1e-9 * fine
+    assert [prof.heater_ids[i] for i in np.flatnonzero(moved)] == ["c15r07.phi"]
+
+
+def test_fringe_seeds_take_one_fft_per_stack(monkeypatch):
+    # the FFT seeds of a stack come from one rfft over its (k, 8m) resampled
+    # sweeps; each row of it is the bits of that row's own rfft, and the
+    # seeds are those of a loop of one rfft per sweep, each sweep centred by
+    # its own sum
+    prof = calibrated_profile(4, disorder_seed=1)
+    v, signal = hardware._sweeps(prof, np.arange(12), 16, 2, 0.01)
+    power = v**2 / prof.resistance_ohm[:, None]
+    low, high = power[:, 0], power[:, -1]
+    stacks = []
+    rfft = np.fft.rfft
+
+    def counted_rfft(a, *args, **kwargs):
+        stacks.append(np.array(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    hardware.fit_phase_responses(power, signal, prof.heater_ids)
+    assert [a.shape for a in stacks] == [(12, 128)]
+    for row, alone in zip(rfft(stacks[0], axis=1), stacks[0]):
+        assert row.tobytes() == rfft(alone).tobytes()
+    loop = []
+    for p, y, lo, hi in zip(power, signal, low.tolist(), high.tolist()):
+        resampled = np.interp(np.linspace(lo, hi, 128), p, y)
+        spectrum = np.abs(rfft(resampled - resampled.sum() / 128)[1:])
+        loop.append(2 * np.pi * (spectrum.argmax() + 1) / (128 * ((hi - lo) / 127)))
+    assert hardware._fringe_seeds(power, signal, low, high).tolist() == loop
+
+
 def test_fit_raises_the_first_failure_in_stack_order():
     # a batch raises what a heater-order loop of single fits raises first
     v = np.linspace(0.0, 10.0, 40)
