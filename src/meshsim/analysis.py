@@ -11,8 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import Unitary
-from .util import ValidationError, as_real
+from .util import ValidationError, as_real, as_reals
 
 COLUMN_NORM_TOL = 1e-6
 # number of identical unit cells that can be concatenated before transmission
@@ -44,21 +43,14 @@ BUILTIN_PROCESSORS = (
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeMatrix:
-    """Elementwise magnitudes of a measured transformation, columns unit-norm."""
+    """Elementwise magnitudes of a measured transformation, columns unit-norm,
+    each entry finite and >= 0 (util.as_reals: "amplitude magnitudes ...")."""
 
     n: int
     magnitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.magnitudes, dtype=float)
-        if arr.shape != (self.n, self.n):
-            raise ValidationError(
-                f"expected a {self.n}x{self.n} matrix, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValidationError("amplitude magnitudes must be finite")
-        if np.any(arr < 0):
-            raise ValidationError("amplitude magnitudes must be non-negative")
+        arr = as_reals(self.magnitudes, "amplitude magnitudes", (self.n, self.n), lo=0)
         norms = np.linalg.norm(arr, axis=0)
         if not np.max(np.abs(norms - 1.0)) <= COLUMN_NORM_TOL:
             raise ValidationError(
@@ -70,16 +62,12 @@ class AmplitudeMatrix:
 
 
 def _magnitude_pair(target, measured):
-    """|target| and the measured magnitudes, checked for shape and finiteness."""
-    tmag = np.abs(target.elements if isinstance(target, Unitary) else np.asarray(target))
-    mmag = measured.magnitudes if isinstance(measured, AmplitudeMatrix) else np.asarray(measured)
-    if tmag.shape != mmag.shape:
-        raise ValidationError(
-            f"dimension mismatch: target {tmag.shape} vs measured {mmag.shape}"
-        )
-    if not (np.isfinite(tmag).all() and np.isfinite(mmag).all()):
-        raise ValidationError("target and measured magnitudes must be finite")
-    return tmag, mmag
+    """|target| and the measured magnitudes, of a Unitary and an
+    AmplitudeMatrix or of raw matrices or stacks, checked by util.as_reals
+    for finite entries and matching shapes."""
+    tmag = np.abs(as_reals(getattr(target, "elements", target), "target", dtype=complex))
+    mmag = getattr(measured, "magnitudes", measured)
+    return tmag, as_reals(mmag, "measured magnitudes", tmag.shape)
 
 
 def amplitude_fidelity(target, measured):
@@ -126,12 +114,11 @@ def ensemble_statistics(values):
     The bins are BIN_WIDTH (0.25%) wide over [BIN_LO, BIN_HI] = [90%, 100%];
     out-of-range values are tallied as underflow/overflow. Values are
     sorted before reduction so the result does not depend on input order.
+    A value util.as_reals rejects raises ("ensemble values ...").
     """
-    values = np.sort(np.asarray(list(values), dtype=float))
+    values = np.sort(as_reals(list(values), "ensemble values", (None,)))
     if values.size == 0:
         raise ValidationError("ensemble_statistics needs at least one value")
-    if not np.isfinite(values).all():
-        raise ValidationError("ensemble values must be finite")
     nbins = int(round((BIN_HI - BIN_LO) / BIN_WIDTH))
     edges = np.linspace(BIN_LO, BIN_HI, nbins + 1)
     inside = values[(values >= BIN_LO) & (values <= BIN_HI)]

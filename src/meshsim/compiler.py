@@ -24,7 +24,7 @@ from .mesh import (
     cell_transfers,
     mesh_unitary,
 )
-from .util import ValidationError, as_int, seeded_rng, wrap_phase
+from .util import ValidationError, as_int, as_reals, seeded_rng, wrap_phase
 
 DECOMPOSE_INPUT_TOL = 1e-8
 # entries at or below this magnitude count as already nulled; the deterministic
@@ -111,13 +111,14 @@ def decompose_stack(targets):
     output_phases) arrays of shapes (k, cells), (k, cells) and (k, n), each
     row the phase vectors MeshSettings.from_phases stores for its target.
 
-    Each target must be unitary within 1e-8 (clements_decompose checks). The
+    Each target must be unitary within 1e-8 (clements_decompose checks);
+    util.as_reals checks the stack is finite ("target stack ..."). The
     nulling schedule is the same for every target, so each step updates the
     whole stack at once; per target the bits equal one-at-a-time compiling.
     """
-    v = np.array(targets, dtype=complex)
-    if v.ndim != 3 or v.shape[1] != v.shape[2] or v.shape[1] < 2:
-        raise ValidationError(f"expected a (k, n, n) stack with n >= 2, got {v.shape}")
+    v = as_reals(targets, "target stack", (None, None, None), dtype=complex)
+    if v.shape[1] != v.shape[2] or v.shape[1] < 2:
+        raise ValidationError(f"target stack must be (k, n, n) with n >= 2, got {v.shape}")
     n = v.shape[-1]
     steps, left, cell_step = _schedule(n)
     thetas, phis = [], []
@@ -165,26 +166,22 @@ def clements_decompose(u):
     """Decompose a unitary into MeshSettings that reproduce it exactly.
 
     Args:
-        u: Unitary or raw complex matrix, unitary within 1e-8.
+        u: Unitary or raw complex matrix, unitary within 1e-8; either goes
+            through util.as_reals, so errors start with "matrix".
 
     Returns:
         DecompositionReport with settings (theta in [0, pi], phi in [0, 2*pi)),
         the max-abs reconstruction residual, and the ordered nulling record.
     """
-    if isinstance(u, Unitary):
-        target = np.array(u.elements, dtype=complex)
-    else:
-        target = np.array(u, dtype=complex)
-        if target.ndim != 2 or target.shape[0] != target.shape[1]:
-            raise ValidationError(f"expected a square matrix, got {target.shape}")
-        if not np.isfinite(target).all():
-            raise ValidationError("matrix entries must be finite")
-        defect = float(np.max(np.abs(target @ target.conj().T - np.eye(len(target)))))
-        if not defect <= DECOMPOSE_INPUT_TOL:
-            raise ValidationError(
-                f"input is not unitary: max-abs defect {defect:.3e} "
-                f"exceeds {DECOMPOSE_INPUT_TOL:.0e}"
-            )
+    target = as_reals(getattr(u, "elements", u), "matrix", (None, None), dtype=complex)
+    if target.shape[0] != target.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {target.shape}")
+    defect = float(np.max(np.abs(target @ target.conj().T - np.eye(len(target)))))
+    if not defect <= DECOMPOSE_INPUT_TOL:
+        raise ValidationError(
+            f"input is not unitary: max-abs defect {defect:.3e} "
+            f"exceeds {DECOMPOSE_INPUT_TOL:.0e}"
+        )
     n = target.shape[0]
     if n == 1:
         return DecompositionReport(

@@ -36,6 +36,7 @@ from .util import (
     ValidationError,
     as_int,
     as_real,
+    as_reals,
     atomic_write_text,
     column_sums,
     dumps_canonical,
@@ -120,11 +121,9 @@ class CrosstalkMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = as_reals(self.matrix, "crosstalk matrix", (None, None))
+        if m.shape[0] != m.shape[1]:
             raise ValidationError("crosstalk matrix must be square")
-        if not np.isfinite(m).all():
-            raise ValidationError("crosstalk entries must be finite")
         diag = np.diag(m)
         if np.any(diag <= 0):
             raise ValidationError("direct coefficients must be > 0")
@@ -756,25 +755,20 @@ def heater_targets(settings):
 
 
 def settings_from_heater_phases(n, phases, output_phases=None):
-    """Inverse of heater_targets: canonical phase vector to MeshSettings."""
-    phases = np.asarray(phases, dtype=float)
-    count = 2 * len(cell_addresses(n))
-    if phases.shape != (count,):
-        raise ValidationError(
-            f"expected {count} heater phases, got {phases.shape}"
-        )
+    """Inverse of heater_targets: canonical phase vector to MeshSettings;
+    util.as_reals checks the vector ("heater phases ...")."""
+    phases = as_reals(phases, "heater phases", (2 * len(cell_addresses(n)),))
     return MeshSettings.from_phases(
         n, phases[0::2], phases[1::2], output_phases=output_phases
     )
 
 
-def _target_vector(profile, target):
+def _heater_rows(profile, values, what, lo=None):
+    """util.as_reals of a (heaters,) vector or a (k, heaters) stack."""
+    arr = as_reals(values, what, lo=lo)
     count = len(profile.heater_ids)
-    arr = np.asarray(target, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] != count:
-        raise ValidationError(f"target must have {count} phases, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("target phases must be finite")
+        raise ValidationError(f"{what} must have {count} per row, got shape {arr.shape}")
     return arr
 
 
@@ -822,10 +816,11 @@ def solve_voltages(profile, calibration, target):
     re-solved; backgrounds are bounded well below 2*pi, so each heater moves
     at most once. C is inverted once per (profile, calibration), so each
     round is one matrix-vector product per target, the same bits alone or
-    in a (k, heaters) stack. Raises InfeasibleError, naming a stack's first
-    such row, when a required power exceeds a heater's budget.
+    in a (k, heaters) stack. Raises ValidationError ("target phases ...")
+    for a target util.as_reals rejects, and InfeasibleError, naming a
+    stack's first such row, when a required power exceeds a heater's budget.
     """
-    t = _target_vector(profile, target)
+    t = _heater_rows(profile, target, "target phases")
     phi0, coupling, inverse = _drive_system(profile, calibration)
     p_max = profile.v_max_v**2 / profile.resistance_ohm
 
@@ -867,8 +862,9 @@ def solve_voltages(profile, calibration, target):
 
 
 def realized_heater_phases(profile, powers_w):
-    """True phases produced by power vector(s), including crosstalk."""
-    p = np.asarray(powers_w, dtype=float)
+    """True phases produced by a (heaters,) power vector or a (k, heaters)
+    stack, including crosstalk; powers must be finite and >= 0."""
+    p = _heater_rows(profile, powers_w, "powers", lo=0)
     return profile.phi0_rad + (profile.crosstalk.matrix @ p[..., None])[..., 0]
 
 

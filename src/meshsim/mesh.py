@@ -28,6 +28,7 @@ from .util import (
     ValidationError,
     as_int,
     as_real,
+    as_reals,
     wrap_phase,
 )
 
@@ -44,14 +45,15 @@ class CellAddress(NamedTuple):
 
 @dataclass(frozen=True)
 class CellSetting:
-    """Phases of one unit cell, normalized to [0, 2*pi)."""
+    """Phases of one unit cell, finite (util.as_real), normalized to [0, 2*pi)."""
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(wrap_phase(self.theta)))
-        object.__setattr__(self, "phi", float(wrap_phase(self.phi)))
+        for name in ("theta", "phi"):
+            phase = as_real(getattr(self, name), name)
+            object.__setattr__(self, name, float(wrap_phase(phase)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,13 +64,7 @@ class Unitary:
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.elements, dtype=complex)
-        if arr.shape != (self.n, self.n):
-            raise ValidationError(
-                f"expected a {self.n}x{self.n} matrix, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValidationError("matrix entries must be finite")
+        arr = as_reals(self.elements, "matrix", (self.n, self.n), dtype=complex)
         defect = np.max(np.abs(arr @ arr.conj().T - np.eye(self.n)))
         if not defect <= UNITARITY_TOL:
             raise ValidationError(
@@ -86,11 +82,7 @@ class TransferMatrix:
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.elements, dtype=complex)
-        if arr.shape != (self.n, self.n):
-            raise ValidationError(
-                f"expected a {self.n}x{self.n} matrix, got shape {arr.shape}"
-            )
+        arr = as_reals(self.elements, "matrix", (self.n, self.n), dtype=complex)
         defect = gain_defect(arr[None])
         if defect is not None:
             raise ValidationError(defect[1])
@@ -153,14 +145,12 @@ def _column_bounds(n):
 
 def _phase_vector(values, count, label, wrap=True):
     """`count` finite phases as a float vector, wrapped into [0, 2*pi) when
-    `wrap`; checked before the wrap, since np.mod warns on an infinity."""
-    arr = np.array(values, dtype=float)
-    if arr.shape != (count,):
-        raise StructureError(
-            f"{label} must have length {count}, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise StructureError(f"{label} must be finite")
+    `wrap`; checked before the wrap, since np.mod warns on an infinity. A
+    bad vector raises StructureError."""
+    try:
+        arr = as_reals(values, label, (count,))
+    except ValidationError as err:
+        raise StructureError(str(err)) from None
     return wrap_phase(arr) if wrap else arr
 
 
@@ -341,9 +331,7 @@ def settings_from_json_dict(doc):
     try:
         n = as_int(doc["n"])
         cells = {
-            CellAddress(as_int(c["col"]), as_int(c["row"])): CellSetting(
-                as_real(c["theta"], "theta"), as_real(c["phi"], "phi")
-            )
+            CellAddress(as_int(c["col"]), as_int(c["row"])): CellSetting(c["theta"], c["phi"])
             for c in doc["cells"]
         }
         phases = [as_real(p, "output_phases") for p in doc["output_phases"]]

@@ -22,6 +22,7 @@ from .util import (
     ValidationError,
     as_int,
     as_real,
+    as_reals,
     child_seed,
     column_sums,
     seeded_rng,
@@ -67,18 +68,17 @@ class PhotonPairSource:
         object.__setattr__(self, "mutual_overlap_at_zero_delay", x)
 
     def overlap_at(self, delay_um, arm_delay_um=0.0):
-        """Pairwise overlap x(tau) for a path-delay mismatch in micrometers."""
+        """Pairwise overlap x(tau) for path-delay mismatches ("delays") in um."""
         arm_delay_um = as_real(arm_delay_um, "arm delay")
-        z = (np.asarray(delay_um, dtype=float) - arm_delay_um) / COHERENCE_SIGMA_UM
+        z = (as_reals(delay_um, "delays") - arm_delay_um) / COHERENCE_SIGMA_UM
         return self.mutual_overlap_at_zero_delay * np.exp(-0.5 * z**2)
 
 
 def _matrix_of(u):
-    if isinstance(u, (mesh.Unitary, mesh.TransferMatrix)):
-        return u.elements
-    arr = np.asarray(u, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+    """The elements of a Unitary, a TransferMatrix or a raw square matrix."""
+    arr = as_reals(getattr(u, "elements", u), "matrix", (None, None), dtype=complex)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {arr.shape}")
     return arr
 
 
@@ -173,12 +173,7 @@ class RoutingPlan:
 
     def __post_init__(self):
         index = mesh.cell_index(self.n)
-        theta = np.array(self.theta, dtype=float)
-        if theta.shape != (len(index),):
-            raise ValidationError(
-                f"plan needs one theta per cell of an n={self.n} mesh, "
-                f"got shape {theta.shape}"
-            )
+        theta = as_reals(self.theta, "plan thetas", (len(index),))
         if not np.isin(theta, (BAR, CROSS, HALF)).all():
             raise ValidationError("plan thetas must each be BAR, CROSS or HALF")
         if np.flatnonzero(theta == HALF).tolist() != [index.get(tuple(self.target))]:
@@ -465,21 +460,20 @@ def fit_gaussian_dips(delays_um, values):
     the visibility. Both passes are linear in the baseline and visibility,
     so those are projected out and only (center, width) iterate, for
     hardware.CHUNK scans at once. Every operation acts on each scan alone, so
-    a scan's fit is the same bits in any stack. Raises when a scan has no
-    sample off the dip, because its baseline is then undefined. Returns the
+    a scan's fit is the same bits in any stack. util.as_reals checks the
+    "delays" and "values"; a scan with no sample off the dip raises, as its
+    baseline is then undefined. Returns the
     GaussianDipFit fields as arrays in stack order: (visibility, center_um,
     width_um, baseline, visibility_sigma, uncertain). A flat scan's row is
     zero visibility at the mean delay, a quarter of the span wide, on the
     scan's mean, with an infinite sigma and flagged uncertain.
     """
-    d = np.ascontiguousarray(delays_um, dtype=float)
-    v = np.ascontiguousarray(values, dtype=float)
-    if v.ndim != 2 or d.shape not in (v.shape, v.shape[1:]):
-        raise ValidationError("values must be a (k, m) stack on m or (k, m) delays")
+    d = as_reals(delays_um, "delays")
+    v = as_reals(values, "values", (None, None))
+    if d.shape not in (v.shape, v.shape[1:]):
+        raise ValidationError(f"delays must have shape {v.shape[1:]} or {v.shape}, got {d.shape}")
     if v.shape[1] < MIN_FIT_SAMPLES:
         raise ValidationError(f"dip fit needs >= {MIN_FIT_SAMPLES} samples")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(v))):
-        raise ValidationError("dip fit input must be finite")
     span = np.ptp(d, axis=-1)
     if np.any(span <= 0):
         raise ValidationError("delay samples must not be all equal")
@@ -558,10 +552,8 @@ def fit_gaussian_dip(delays_um, values):
     Raises when no sample lies off the dip, because the baseline is then
     undefined.
     """
-    d = np.asarray(delays_um, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if d.ndim != 1 or d.shape != v.shape:
-        raise ValidationError("delays and values must be matching 1-d arrays")
+    d = as_reals(delays_um, "delays", (None,))
+    v = as_reals(values, "values", d.shape)
     fits = fit_gaussian_dips(d, v[None])
     return GaussianDipFit(*(column[0].item() for column in fits))
 
@@ -582,11 +574,9 @@ def _scan_grid(delays_um, arm_delay_um):
     arm delay when None."""
     if delays_um is None:
         delays_um = default_delay_grid(arm_delay_um)
-    d = np.array(delays_um, dtype=float)
-    if d.ndim != 1 or d.size < MIN_FIT_SAMPLES:
+    d = as_reals(delays_um, "delay samples", (None,))
+    if d.size < MIN_FIT_SAMPLES:
         raise ValidationError(f"scan needs >= {MIN_FIT_SAMPLES} delay samples")
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("delay samples must be finite")
     d.setflags(write=False)
     return d
 
@@ -797,19 +787,16 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
     fitted centers trace the delay line. Each level's scan is the hom_scan
     of the plan with run seed child_seed(seed, level index); all levels are
     realized in one routed call and fitted, each on its own grid, in one
-    fit_gaussian_dips call.
+    fit_gaussian_dips call. The levels must be a non-empty vector that
+    util.as_reals accepts with lo=0 ("drive levels ...").
     """
     if source is None:
         source = PhotonPairSource()
     if profile.n != n:
         raise ValidationError(f"profile is for n={profile.n}, not n={n}")
-    levels = np.asarray(heater_drive_levels_rad, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
-        raise ValidationError("drive levels must be a non-empty 1-d array")
-    if not np.all(np.isfinite(levels)):
-        raise ValidationError("drive levels must be finite")
-    if np.any(levels < 0):
-        raise ValidationError("drive levels must be >= 0")
+    levels = as_reals(heater_drive_levels_rad, "drive levels", (None,), lo=0)
+    if levels.size == 0:
+        raise ValidationError("drive levels must not be empty")
 
     plan = diagonal_interferometer_plan(n)
     verify_routing(plan, strict=False)
@@ -839,7 +826,6 @@ def diagonal_delay_sweep(n, profile, heater_drive_levels_rad, source=None, *, se
     )
     centers = fit_gaussian_dips(d, scans)[1]
     total = float(centers[-1] - centers[0])
-    levels = levels.copy()
     levels.setflags(write=False)
     centers.setflags(write=False)
     return DelaySweep(

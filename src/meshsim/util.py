@@ -82,7 +82,7 @@ def as_int(value):
             return operator.index(value)
     except TypeError:
         pass
-    raise ValidationError(f"expected an integer, got {value!r}")
+    raise ValidationError(f"expected an integer, got {reprlib.repr(value)}")
 
 
 _BOUND_HOLDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
@@ -104,6 +104,31 @@ def as_real(value, what, lo=None, hi=None, *, above=None):
         text = "".join(f" and {op} {b}" for op, b in bounds)
         raise ValidationError(f"{what} must be finite{text}, got {reprlib.repr(value)}")
     return x
+
+
+def as_reals(value, what, shape=None, lo=None, *, dtype=float):
+    """A new `dtype` array (float or complex) of value, whose shape matches
+    `shape`, None in it matching any length, and whose entries are finite
+    and >= lo; otherwise a ValidationError that starts with `what`. A bool,
+    string or object array is rejected, and so is a complex one for a
+    float result. A list is judged by the dtype numpy gives it: [True, 1]
+    is [1, 1], while [True] and ['1'] are rejected."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting of sequences
+        raise ValidationError(f"{what} must be a rectangular array, got {reprlib.repr(value)}")
+    if arr.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        kind = "real" if dtype is float else "complex"
+        raise ValidationError(f"{what} must be {kind} numbers, got {reprlib.repr(value)}")
+    if shape is not None and (
+        arr.ndim != len(shape) or any(s not in (None, a) for s, a in zip(shape, arr.shape))
+    ):
+        raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
+    arr = np.array(arr, dtype=dtype)
+    ok = np.isfinite(arr) if lo is None else np.isfinite(arr) & (arr >= lo)
+    if not ok.all():
+        raise ValidationError(f"{what} must be finite" + ("" if lo is None else f" and >= {lo}"))
+    return arr
 
 
 def _seed_sequence(key):

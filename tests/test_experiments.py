@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,15 @@ from meshsim.experiments import (
     unitary_to_json_dict,
     validate_config,
 )
-from meshsim.util import UsageError, ValidationError, as_real, child_seed, seeded_rng
+from meshsim.util import (
+    UsageError,
+    ValidationError,
+    as_int,
+    as_real,
+    as_reals,
+    child_seed,
+    seeded_rng,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -292,8 +301,8 @@ REAL_CALLS = {
 
 
 @pytest.mark.parametrize(
-    "value", [True, "0.5", None, math.nan, math.inf, 10**400],
-    ids=["True", "str", "None", "nan", "inf", "10**400"],
+    "value", [True, "0.5", None, math.nan, math.inf, 10**400, "9" * 1000],
+    ids=["True", "str", "None", "nan", "inf", "10**400", "long str"],
 )
 @pytest.mark.parametrize("entry", sorted(REAL_CALLS))
 def test_reals_must_be_finite_numbers(entry, value):
@@ -304,6 +313,14 @@ def test_reals_must_be_finite_numbers(entry, value):
     with pytest.raises(error, match=r"must be (a real number|finite)") as exc:
         call(value)
     # the message abridges the value: 10**400 would add its 401 digits
+    assert len(str(exc.value)) < 120
+
+
+@pytest.mark.parametrize("value", ["9" * 1000, [1] * 1000, 0.5, True])
+def test_integer_messages_abridge_the_value(value):
+    # util.as_int shows the value through reprlib, as util.as_real does
+    with pytest.raises(ValidationError, match="^expected an integer, got ") as exc:
+        as_int(value)
     assert len(str(exc.value)) < 120
 
 
@@ -322,6 +339,179 @@ def test_as_real_bounds_and_result():
         with pytest.raises(ValidationError) as exc:
             as_real(value, "x", **bounds)
         assert str(exc.value) == message
+
+
+def test_as_reals_result_and_limits():
+    values = [1, 2.5]
+    arr = as_reals(values, "x", (None,))
+    assert arr.dtype == float and arr.tolist() == [1.0, 2.5]
+    source = np.zeros((2, 3))
+    copy = as_reals(source, "x", (2, None), lo=0)
+    assert copy is not source and not np.shares_memory(copy, source)
+    assert as_reals([1j, 2], "x", dtype=complex).dtype == complex
+    # a list is judged by the dtype numpy gives it: a bool among numbers is a number
+    assert as_reals([True, 1], "x").tolist() == [1.0, 1.0]
+    for value, options, message in (
+        ([True], {}, "x must be real numbers, got [True]"),
+        (["1"], {}, "x must be real numbers, got ['1']"),
+        ([1j], {}, "x must be real numbers, got [1j]"),
+        ([None], {"dtype": complex}, "x must be complex numbers, got [None]"),
+        ([[1.0], [1.0, 2.0]], {}, "x must be a rectangular array, got [[1.0], [1.0, 2.0]]"),
+        (np.zeros((2, 3)), {"shape": (None, 2)}, "x must have shape (None, 2), got (2, 3)"),
+        (np.zeros(3), {"shape": (3, 1)}, "x must have shape (3, 1), got (3,)"),
+        ([0.0, math.nan], {}, "x must be finite"),
+        ([-math.inf], {"dtype": complex}, "x must be finite"),
+        ([0.0, -0.5], {"lo": 0}, "x must be finite and >= 0"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            as_reals(value, "x", **options)
+        assert str(exc.value) == message
+
+
+def _dip(delays):
+    return 1.0 - 0.9 * np.exp(-0.5 * (np.asarray(delays) / 60.0) ** 2)
+
+
+_GRID = quantum.default_delay_grid()
+_RAGGED = [[0.0], [0.0, 1.0]]
+
+# entry points that take an array, each as (the name its errors start with,
+# the call, an input it accepts, an input of a shape it rejects)
+ARRAY_CALLS = {
+    "Unitary": ("matrix", lambda a: mesh.Unitary(2, a), np.eye(2), np.eye(3)),
+    "TransferMatrix": ("matrix", lambda a: mesh.TransferMatrix(2, a), np.eye(2), np.eye(3)),
+    "from_phases_theta": (
+        "theta", lambda a: mesh.MeshSettings.from_phases(2, a, [0.0]), [1.5], [1.5, 0.0],
+    ),
+    "from_phases_output": (
+        "output_phases", lambda a: mesh.MeshSettings.from_phases(2, [0.0], [0.0], a),
+        [0.0, 1.0], [0.0],
+    ),
+    "AmplitudeMatrix": (
+        "amplitude magnitudes", lambda a: analysis.AmplitudeMatrix(2, a), np.eye(2), np.eye(3),
+    ),
+    "amplitude_fidelity_target": (
+        "target", lambda a: analysis.amplitude_fidelity(a, np.eye(2)), np.eye(2), _RAGGED,
+    ),
+    "amplitude_fidelity_measured": (
+        "measured magnitudes", lambda a: analysis.amplitude_fidelity(np.eye(2), a),
+        np.eye(2), np.eye(3),
+    ),
+    "ensemble_statistics": (
+        "ensemble values", analysis.ensemble_statistics, [0.95, 0.97], [[0.95], [0.97]],
+    ),
+    "CrosstalkMatrix": ("crosstalk matrix", hardware.CrosstalkMatrix, np.eye(2), np.ones(2)),
+    "clements_decompose": ("matrix", compiler.clements_decompose, np.eye(2), np.ones(4)),
+    "decompose_stack": ("target stack", compiler.decompose_stack, np.eye(2)[None], np.eye(2)),
+    "settings_from_heater_phases": (
+        "heater phases", lambda a: hardware.settings_from_heater_phases(2, a),
+        [1.0, 2.0], [1.0, 2.0, 3.0],
+    ),
+    "solve_voltages": (
+        "target phases", lambda a: hardware.solve_voltages(
+            hardware.ideal_profile(2),
+            hardware.CalibrationRecord.exact_from_profile(hardware.ideal_profile(2)), a,
+        ),
+        [1.0, 2.0], [1.0, 2.0, 3.0],
+    ),
+    "realized_heater_phases": (
+        "powers", lambda a: hardware.realized_heater_phases(hardware.ideal_profile(2), a),
+        [0.0, 0.1], [0.0, 0.1, 0.2],
+    ),
+    "two_photon_coincidence": (
+        "matrix", lambda a: quantum.two_photon_coincidence(a, (0, 1), (0, 1), 0.5),
+        np.eye(2), np.ones(2),
+    ),
+    "two_photon_output_distribution": (
+        "matrix", lambda a: quantum.two_photon_output_distribution(a, (0, 1), 0.5),
+        np.eye(2), np.ones(2),
+    ),
+    "RoutingPlan": (
+        "plan thetas", lambda a: quantum.RoutingPlan(2, mesh.CellAddress(0, 0), (0, 1), (0, 1), a),
+        [quantum.HALF], [quantum.HALF, quantum.BAR],
+    ),
+    "overlap_at": ("delays", quantum.PhotonPairSource().overlap_at, [0.0, 1.0], _RAGGED),
+    "fit_gaussian_dips_delays": (
+        "delays", lambda a: quantum.fit_gaussian_dips(a, _dip(_GRID)[None]), _GRID, _GRID[1:],
+    ),
+    "fit_gaussian_dips_values": (
+        "values", lambda a: quantum.fit_gaussian_dips(_GRID, a), _dip(_GRID)[None], _dip(_GRID),
+    ),
+    "fit_gaussian_dip_delays": (
+        "delays", lambda a: quantum.fit_gaussian_dip(a, _dip(_GRID)), _GRID, _GRID[None],
+    ),
+    "fit_gaussian_dip_values": (
+        "values", lambda a: quantum.fit_gaussian_dip(_GRID, a), _dip(_GRID), _dip(_GRID[1:]),
+    ),
+    "hom_scan": ("delay samples", lambda a: _tbs_scan(delays_um=a), _GRID, _GRID[None]),
+    "diagonal_delay_sweep": (
+        "drive levels", lambda a: quantum.diagonal_delay_sweep(4, hardware.ideal_profile(4), a),
+        [0.0, 0.5], [[0.0, 0.5]],
+    ),
+}
+
+
+def _bad_array(good, bad_shape, kind):
+    if kind == "shape":
+        return bad_shape
+    if kind == "str":
+        return np.asarray(good).astype(str).tolist()
+    if kind == "bool":
+        return np.ones(np.shape(good), dtype=bool).tolist()
+    bad = np.array(good, dtype=float)
+    bad.flat[-1] = {"nan": math.nan, "inf": math.inf, "negative": -1.0}[kind]
+    return bad
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_CALLS))
+def test_array_calls_accept_their_good_input(entry):
+    _, call, good, _ = ARRAY_CALLS[entry]
+    call(good)
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "str", "bool", "shape"])
+@pytest.mark.parametrize("entry", sorted(ARRAY_CALLS))
+def test_arrays_must_be_finite_numbers_of_their_shape(entry, kind):
+    # util.as_reals decides every one of these; before it, NaN, an infinity,
+    # a string or a bool went through several of them silently
+    what, call, good, bad_shape = ARRAY_CALLS[entry]
+    with pytest.raises(ValidationError, match=f"^{what} must ") as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(_bad_array(good, bad_shape, kind))
+    assert len(str(exc.value)) < 120
+
+
+@pytest.mark.parametrize(
+    "entry", ["AmplitudeMatrix", "realized_heater_phases", "diagonal_delay_sweep"]
+)
+def test_arrays_with_a_lower_bound_reject_values_below_it(entry):
+    what, call, good, _ = ARRAY_CALLS[entry]
+    with pytest.raises(ValidationError, match=f"^{what} must be finite and >= 0"):
+        call(_bad_array(good, None, "negative"))
+
+
+def test_array_inputs_that_once_passed_silently_raise():
+    # each of these returned a number, or NaN, before util.as_reals checked it
+    profile = hardware.ideal_profile(4)
+    for what, call in (
+        ("matrix", lambda: quantum.two_photon_coincidence(
+            np.full((2, 2), math.nan), (0, 1), (0, 1), 0.5)),
+        ("matrix", lambda: quantum.two_photon_output_distribution(
+            np.full((2, 2), math.inf), (0, 1), 0.5)),
+        ("powers", lambda: hardware.realized_heater_phases(profile, np.full(12, math.nan))),
+        ("powers", lambda: hardware.realized_heater_phases(profile, np.full(12, -1.0))),
+        ("delays", lambda: quantum.PhotonPairSource().overlap_at([math.nan, math.inf])),
+        ("target stack", lambda: compiler.decompose_stack(np.full((1, 3, 3), math.nan))),
+        ("heater phases", lambda: hardware.settings_from_heater_phases(3, ["1"] * 6)),
+        ("theta", lambda: mesh.MeshSettings.from_phases(2, ["1.5"], [True])),
+        ("values", lambda: quantum.fit_gaussian_dip(range(20), ["1"] * 20)),
+        ("ensemble values", lambda: analysis.ensemble_statistics([True, "0.95"])),
+        ("amplitude magnitudes", lambda: analysis.AmplitudeMatrix(2, [["1", "0"], ["0", "1"]])),
+        ("drive levels", lambda: quantum.diagonal_delay_sweep(4, profile, [True, False])),
+    ):
+        with pytest.raises(ValidationError, match=f"^{what} must "):
+            call()
 
 
 def test_config_rejects_bad_schema_version():

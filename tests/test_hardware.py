@@ -812,15 +812,15 @@ def test_solve_closes_or_names_the_starved_heaters(
 def test_solve_rejects_non_finite_target():
     prof = calibrated_profile(2, disorder_seed=0)
     cal = CalibrationRecord.exact_from_profile(prof)
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(ValidationError, match="^target phases must be finite"):
         solve_voltages(prof, cal, np.array([np.nan, 1.0]))
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(ValidationError, match="^target phases must be finite"):
         solve_voltages(prof, cal, np.full(len(prof.heater_ids), np.inf))
     count = len(prof.heater_ids)
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(ValidationError, match="^target phases must be finite"):
         solve_voltages(prof, cal, np.array([[1.0, 2.0], [np.nan, 1.0]]))
     for shape in ((), (count + 1,), (3, count - 1), (2, 3, count)):
-        with pytest.raises(ValidationError, match=f"must have {count} phases"):
+        with pytest.raises(ValidationError, match=f"^target phases must have {count} per row"):
             solve_voltages(prof, cal, np.zeros(shape))
 
 

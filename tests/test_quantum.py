@@ -380,20 +380,20 @@ def test_dip_fit_on_flat_noise_with_degenerate_covariance_is_uncertain(seed):
 
 def test_fit_validation_errors():
     grid = default_delay_grid()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="needs >= 10 samples"):
         fit_gaussian_dip(grid[:5], np.ones(5))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="all equal"):
         fit_gaussian_dip(np.zeros(12), np.ones(12))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=rf"^values must have shape \({grid.size},\)"):
         fit_gaussian_dip(grid, np.ones(grid.size - 1))
     bad = np.ones(grid.size)
     bad[3] = np.nan
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^values must be finite"):
         fit_gaussian_dip(grid, bad)
     # a per-scan grid must have one row of m delays per scan
     stack = np.ones((3, grid.size))
     for delays in (np.stack([grid] * 2), np.stack([grid] * 3)[:, 1:], grid[None]):
-        with pytest.raises(ValidationError, match="stack"):
+        with pytest.raises(ValidationError, match="^delays must have shape"):
             fit_gaussian_dips(delays, stack)
     with pytest.raises(ValidationError, match="all equal"):
         fit_gaussian_dips(np.stack([grid, np.zeros(grid.size), grid]), stack)

@@ -260,6 +260,48 @@ def test_only_util_compares_with_infinity(module):
     assert infinity_comparisons((PACKAGE / module).read_text()) == []
 
 
+# util.as_real and util.as_reals are the finiteness rules, so no other module
+# raises from an `if` that asks isfinite; a mask of failures that names the
+# failing item (gain_defect, the fit polishers) is no such `if`
+def finiteness_checks(source):
+    """Line of every `if` whose test calls a function named isfinite and
+    whose body raises."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and any(
+            isinstance(call, ast.Call)
+            and "isfinite" in (getattr(call.func, "attr", None), getattr(call.func, "id", None))
+            for call in ast.walk(node.test)
+        ):
+            if any(isinstance(inner, ast.Raise) for part in node.body for inner in ast.walk(part)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_finiteness_check_finds_raising_ifs():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy import isfinite\n"
+        "if not np.isfinite(x).all():\n    raise ValueError(x)\n"
+        "if not (math.isfinite(y) and y > 0):\n    raise ValueError(y)\n"
+        "if isfinite(z):\n    pass\nelif np.all(\n    np.isfinite(w)):\n"
+        "    log(w)\n    raise ValueError(w)\n"
+        "bad = ~np.isfinite(x)\n"
+        "if bad.any():\n    raise ValueError(x)\n"
+        "if np.isfinite(x).all():\n    return x\n"
+        "y = np.where(np.isfinite(x), x, 0.0) if x.size else x\n"
+    )
+    assert finiteness_checks(source) == [4, 6, 10]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "util.py")
+)
+def test_only_util_checks_finiteness(module):
+    assert finiteness_checks((PACKAGE / module).read_text()) == []
+
+
 def test_readme_library_quick_start_runs(capsys):
     # the README's library example is documented API; run it as written
     readme = (ROOT / "README.md").read_text()
