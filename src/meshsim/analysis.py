@@ -66,6 +66,8 @@ def _magnitude_pair(target, measured):
     AmplitudeMatrix or of raw matrices or stacks, checked by util.as_reals
     for finite entries and matching shapes."""
     tmag = np.abs(as_reals(getattr(target, "elements", target), "target", dtype=complex))
+    if tmag.ndim < 2 or not tmag.shape[-1]:
+        raise ValidationError(f"target must be n x n with n >= 1, got shape {tmag.shape}")
     mmag = getattr(measured, "magnitudes", measured)
     return tmag, as_reals(mmag, "measured magnitudes", tmag.shape)
 

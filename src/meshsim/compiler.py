@@ -174,8 +174,8 @@ def clements_decompose(u):
         the max-abs reconstruction residual, and the ordered nulling record.
     """
     target = as_reals(getattr(u, "elements", u), "matrix", (None, None), dtype=complex)
-    if target.shape[0] != target.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {target.shape}")
+    if target.shape[0] != target.shape[1] or not target.size:
+        raise ValidationError(f"matrix must be square and non-empty, got shape {target.shape}")
     defect = float(np.max(np.abs(target @ target.conj().T - np.eye(len(target)))))
     if not defect <= DECOMPOSE_INPUT_TOL:
         raise ValidationError(

@@ -22,6 +22,7 @@ from .util import (
     ValidationError,
     as_int,
     as_real,
+    as_reals,
     atomic_write_text,
     child_seed,
     dumps_canonical,
@@ -659,7 +660,7 @@ def report_payload_bytes(report):
 
 def unitary_to_json_dict(u):
     """Plain JSON document for a unitary: split real and imaginary parts."""
-    elements = u.elements if isinstance(u, mesh.Unitary) else np.asarray(u, complex)
+    elements = as_reals(getattr(u, "elements", u), "matrix", (None, None), dtype=complex)
     return {
         "n": int(elements.shape[0]),
         "re": [[float(v) for v in row] for row in elements.real],

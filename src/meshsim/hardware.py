@@ -191,7 +191,8 @@ class HardwareProfile:
         for name, positive in (
             ("phi0_rad", False), ("resistance_ohm", True), ("v_max_v", True)
         ):
-            values = np.array(getattr(self, name), dtype=float)
+            # entries are checked below, where the error names the heater
+            values = as_reals(getattr(self, name), name, finite=False)
             if values.shape != (len(order),):
                 raise ValidationError(
                     f"{name} must hold {len(order)} heaters for n={self.n}, "
@@ -613,8 +614,9 @@ def fit_phase_responses(power, signal, heater_ids):
     polish does not converge. Returns the (phi0, alpha, rms residual)
     arrays in stack order.
     """
-    power = np.asarray(power, dtype=float)
-    signal = np.asarray(signal, dtype=float)
+    # non-finite samples fail their heater's fit below, so it is named
+    power = as_reals(power, "power", finite=False)
+    signal = as_reals(signal, "signal", finite=False)
     if power.ndim != 2 or signal.shape != power.shape or len(heater_ids) != len(power):
         raise ValidationError("power and signal must be (k, m) stacks for k heaters")
     k, m = power.shape
@@ -669,8 +671,8 @@ def fit_phase_response(sweep, resistance_ohm):
     """fit_phase_responses of one sweep: the same fit, bit for bit, as a
     CalibrationEntry."""
     resistance_ohm = as_real(resistance_ohm, f"{sweep.heater_id}: resistance", above=0)
-    v = np.asarray(sweep.voltages_v, dtype=float)
-    signal = np.asarray(sweep.signal, dtype=float)
+    v = as_reals(sweep.voltages_v, f"{sweep.heater_id}: voltages", finite=False)
+    signal = as_reals(sweep.signal, f"{sweep.heater_id}: signal", finite=False)
     if v.shape != signal.shape:
         raise FitDegeneracyError(
             f"{sweep.heater_id}: {v.size} voltages for {signal.size} signal samples"
@@ -895,33 +897,32 @@ def _noisy_transfers(theta, phi, coupler_terms):
     return parts.view(complex).reshape(np.shape(theta) + (2, 2))
 
 
-def realized_transfers(profile, theta, phi, output_phases, seeds):
-    """Read-only (k, n, n) stack of the transfer matrices the device
+def realized_transfers(profile, theta, phi, output_phases, seeds, inputs=None):
+    """Read-only (k, n, c) block of the transfer matrices the device
     actually implements for k programs, from (k, cells) theta and phi
     stacks in cell_addresses(n) order, (k, n) output phases and one run
-    seed per program.
+    seed per program: the columns of a (k, c) array of input modes, all n
+    in order (the full (k, n, n) stack) by default.
 
     Static splitting-ratio errors are drawn once per profile, phase jitter
     fresh per run seed, and the loss model is mesh.lossy_products; a
-    program's matrix is the same bits in any stack. Raises ValidationError
-    naming the first program whose matrix is non-finite or has gain. With
-    an ideal profile each matrix equals the programmed mesh to rounding
-    error.
+    program's column is the same bits in any stack and any input set.
+    Raises ValidationError naming the first program whose distinct columns
+    are non-finite or have gain (mesh.gain_defect). With an ideal profile
+    each matrix equals the programmed mesh to rounding error.
     """
     seeds = list(seeds)
     k, n = len(seeds), profile.n
     count = len(cell_addresses(n))
-    stacks = []
-    for name, value, width in (
-        ("theta", theta, count), ("phi", phi, count), ("output_phases", output_phases, n)
-    ):
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != (k, width):
-            raise ValidationError(
-                f"{name} must have shape {(k, width)} for n={n}, got {arr.shape}"
-            )
-        stacks.append(arr)
-    theta, phi, output_phases = stacks
+    # entries are left to gain_defect, whose error names the program
+    theta, phi, output_phases = (
+        as_reals(value, name, (k, width), finite=False)
+        for name, value, width in (
+            ("theta", theta, count), ("phi", phi, count), ("output_phases", output_phases, n)
+        )
+    )
+    if inputs is not None:
+        inputs = as_reals(inputs, "input modes", (k, None), 0, n - 1, dtype=int)
     # np.reshape, unlike np.stack, also takes the empty list of k = 0
     jitter = np.reshape(
         [seeded_rng(s, _JITTER_STREAM).standard_normal((count, 2)) for s in seeds],
@@ -933,9 +934,14 @@ def realized_transfers(profile, theta, phi, output_phases, seeds):
     )
     out = lossy_products(
         transfers, output_phases, profile.coupling_loss_db_per_facet,
-        profile.propagation_loss_db_per_cm, profile.path_length_cm,
+        profile.propagation_loss_db_per_cm, profile.path_length_cm, inputs,
     )
-    defect = gain_defect(out)
+    distinct = out
+    if inputs is not None:
+        # a repeated mode repeats a column, which is no gain: check one copy
+        repeat = np.triu(inputs[:, :, None] == inputs[:, None, :], 1).any(axis=1)
+        distinct = np.where(repeat[:, None, :], 0.0, out)
+    defect = gain_defect(distinct)
     if defect is not None:
         raise ValidationError(f"program {defect[0]}: {defect[1]}")
     out.setflags(write=False)

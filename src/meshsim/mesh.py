@@ -64,6 +64,8 @@ class Unitary:
     elements: np.ndarray
 
     def __post_init__(self):
+        if as_int(self.n) < 1:
+            raise ValidationError("mode count must be >= 1")
         arr = as_reals(self.elements, "matrix", (self.n, self.n), dtype=complex)
         defect = np.max(np.abs(arr @ arr.conj().T - np.eye(self.n)))
         if not defect <= UNITARITY_TOL:
@@ -91,8 +93,9 @@ class TransferMatrix:
 
 
 def gain_defect(stack):
-    """(index, reason) of the first matrix of a (k, n, n) stack that has a
-    non-finite entry or a largest singular value above 1, else None."""
+    """(index, reason) of the first block of a (k, n, c) stack that has a
+    non-finite entry or a largest singular value above 1, else None. Distinct
+    columns of a matrix have no singular value above the matrix's."""
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         return int(np.argmin(finite)), "matrix entries must be finite"
@@ -230,12 +233,13 @@ def bar_settings(n):
 
 def cell_transfers(theta, phi):
     """2x2 transfer matrix T(theta, phi) of the pinned convention for every
-    (theta, phi) pair at once: shape theta.shape + (2, 2)."""
-    theta = np.asarray(theta, dtype=float)
+    (theta, phi) pair at once: shape theta.shape + (2, 2). The phases are
+    unchecked reals, as MeshSettings and the compiler hold them."""
+    theta = np.asarray(theta)
     half = 0.5 * theta
     s = np.sin(half)
     c = np.cos(half)
-    ephi = np.exp(1j * np.asarray(phi, dtype=float))
+    ephi = np.exp(1j * np.asarray(phi))
     out = np.empty(theta.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = ephi * s
     out[..., 0, 1] = c
@@ -255,27 +259,34 @@ def mesh_unitary(settings):
     return Unitary(settings.n, out[0])
 
 
-def lossy_products(transfers, output_phases, facet_db, prop_db, path_cm):
+def lossy_products(transfers, output_phases, facet_db, prop_db, path_cm, inputs=None):
     """Transfer matrices of k programs at once: the cell columns, first to
     last, then the output phase screen, with facet coupling loss at both ends
     and an equal share of the path's propagation loss after each column.
 
     `transfers` is a (k, cells, 2, 2) stack in cell_addresses(n) order and
     `output_phases` (k, n); the loss figures are dB per facet, dB per cm and
-    cm. The cells of a column act on disjoint mode pairs, so a column is one
+    cm. Column j of program i starts as the facet amplitude at input mode
+    inputs[i, j], from an unchecked (k, c) array, all n modes by default.
+    The cells of a column act on disjoint mode pairs, so a column is one
     elementwise update of its row pairs: top' = t00 top + t01 bottom and
-    bottom' = t10 top + t11 bottom. Returns the unchecked (k, n, n) products.
+    bottom' = t10 top + t11 bottom. No update mixes columns, so each column
+    has the bits of the full product's. Returns the unchecked (k, n, c) block.
     """
     k, n = output_phases.shape
     facet_db, prop_db, path_cm = (
         as_real(x, "loss figures", 0) for x in (facet_db, prop_db, path_cm)
     )
+    if inputs is None:
+        inputs = np.broadcast_to(np.arange(n), (k, n))
 
     facet_amp = 10.0 ** (-facet_db / 20.0)
     # an (n,) array power: numpy's SIMD power rounds unlike a scalar one
     col_amp = 10.0 ** (-(prop_db * np.full(n, path_cm) / n) / 20.0)
 
-    out = np.tile(np.eye(n, dtype=complex) * facet_amp, (k, 1, 1))
+    c = inputs.shape[1]
+    out = np.zeros((k, n, c), dtype=complex)
+    out[np.arange(k)[:, None], inputs, np.arange(c)] = facet_amp
     for column, (start, stop) in enumerate(_column_bounds(n)):
         if stop > start:
             t = transfers[:, start:stop, :, :, None]

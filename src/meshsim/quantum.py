@@ -102,8 +102,9 @@ def _mode_pair(pair, n, label):
 
 
 def _pair_terms(m, pairs):
-    """(|q1|^2 + |q2|^2, 2 Re(q1 q2*)) of each matrix of a (k, n, n) stack
-    for its inputs (a, b) and outputs (c, d), one ((a, b), (c, d)) per matrix.
+    """(|q1|^2 + |q2|^2, 2 Re(q1 q2*)) of each matrix of a (k, n, c) stack
+    for its input columns (a, b) and output rows (c, d), one ((a, b), (c, d))
+    per matrix.
 
     The coincidence at pairwise overlap x is the first plus x times the
     second. Real arithmetic and libm's pow of np.hypot give the bits of
@@ -585,20 +586,23 @@ def _routed_scans(profile, theta, pairs, seeds, delays, envelope, count_noise_si
     """Normalized (k, m) coincidences of k routed scans, one per row of the
     (k, cells) thetas, realized with zero phis and output phases as
     plan_to_settings programs them and one run seed each. The scans are
-    realized hardware.CHUNK at a time, and each chunk is reduced to its
-    pair terms at the (k, 2, 2) mode pairs. Scan i sees the source envelope
-    x(tau) over its delays (`delays` and `envelope` are one row, or one row
-    per scan) and is normalized by the mean of its BASELINE_FRACTION of
-    samples farthest from zero delay."""
+    realized hardware.CHUNK at a time, each as the two columns of its input
+    pair, and each chunk is reduced to its pair terms at the (k, 2, 2) mode
+    pairs. Scan i sees the source envelope x(tau) over its delays (`delays`
+    and `envelope` are one row, or one row per scan) and is normalized by
+    the mean of its BASELINE_FRACTION of samples farthest from zero delay."""
     count_noise_sigma = as_real(count_noise_sigma, "count noise sigma", 0)
     pairs, seeds, terms = np.asarray(pairs), list(seeds), []
+    # the realized columns are the inputs (a, b), so the terms read columns (0, 1)
+    columns = pairs.copy()
+    columns[:, 0] = (0, 1)
     stacks = (theta, np.zeros_like(theta), np.zeros((len(theta), profile.n)))
     for start in range(0, len(seeds), hardware.CHUNK):
         rows = slice(start, start + hardware.CHUNK)
         transfers = hardware.realized_transfers(
-            profile, *(a[rows] for a in stacks), seeds[rows]
+            profile, *(a[rows] for a in stacks), seeds[rows], pairs[rows, 0]
         )
-        terms.append(_pair_terms(transfers, pairs[rows]))
+        terms.append(_pair_terms(transfers, columns[rows]))
     classical, interference = np.concatenate(terms, axis=1)[..., None]
     counts = classical + envelope * interference
     k, m = counts.shape
@@ -661,9 +665,9 @@ def _anova_p(groups):
     scipy or BLAS build. Degenerate inputs give 1.0 (fewer than two
     non-empty groups, no within-group degrees of freedom, or all values
     equal) or 0.0 (no within-group spread around unequal group means). The
-    values must be finite; a NaN or infinity raises.
+    values must be finite (util.as_reals: "ANOVA groups ...").
     """
-    groups = [np.asarray(g, dtype=float) for g in groups if len(g) > 0]
+    groups = [as_reals(g, "ANOVA groups", (None,)) for g in groups if len(g) > 0]
     total = sum(g.size for g in groups)
     d_between = len(groups) - 1
     d_within = total - len(groups)

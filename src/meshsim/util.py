@@ -106,28 +106,33 @@ def as_real(value, what, lo=None, hi=None, *, above=None):
     return x
 
 
-def as_reals(value, what, shape=None, lo=None, *, dtype=float):
-    """A new `dtype` array (float or complex) of value, whose shape matches
-    `shape`, None in it matching any length, and whose entries are finite
-    and >= lo; otherwise a ValidationError that starts with `what`. A bool,
-    string or object array is rejected, and so is a complex one for a
-    float result. A list is judged by the dtype numpy gives it: [True, 1]
-    is [1, 1], while [True] and ['1'] are rejected."""
+def as_reals(value, what, shape=None, lo=None, hi=None, *, dtype=float, finite=True):
+    """A new `dtype` array (float, complex or int) of value, whose shape
+    matches `shape`, None in it matching any length, and whose entries are
+    finite, >= lo and <= hi, each bound optional; otherwise a
+    ValidationError that starts with `what`. A bool, string or object array
+    is rejected, and so is a complex one for a float result and a float one
+    for an int result. A list is judged by the dtype numpy gives it: [True,
+    1] is [1, 1], while [True] and ['1'] are rejected. finite=False skips
+    the entry checks, for a caller whose error names the failing item."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting of sequences
         raise ValidationError(f"{what} must be a rectangular array, got {reprlib.repr(value)}")
-    if arr.dtype.kind not in ("iuf" if dtype is float else "iufc"):
-        kind = "real" if dtype is float else "complex"
-        raise ValidationError(f"{what} must be {kind} numbers, got {reprlib.repr(value)}")
+    kinds, noun = {float: ("iuf", "real numbers"), complex: ("iufc", "complex numbers"),
+                   int: ("iu", "integers")}[dtype]
+    if arr.dtype.kind not in kinds:
+        raise ValidationError(f"{what} must be {noun}, got {reprlib.repr(value)}")
     if shape is not None and (
         arr.ndim != len(shape) or any(s not in (None, a) for s, a in zip(shape, arr.shape))
     ):
         raise ValidationError(f"{what} must have shape {shape}, got {arr.shape}")
     arr = np.array(arr, dtype=dtype)
-    ok = np.isfinite(arr) if lo is None else np.isfinite(arr) & (arr >= lo)
-    if not ok.all():
-        raise ValidationError(f"{what} must be finite" + ("" if lo is None else f" and >= {lo}"))
+    bounds = [(op, b) for op, b in ((">=", lo), ("<=", hi)) if b is not None]
+    holds = (_BOUND_HOLDS[op](arr, b).all() for op, b in bounds)
+    if finite and not (np.isfinite(arr).all() and all(holds)):
+        text = "".join(f" and {op} {b}" for op, b in bounds)
+        raise ValidationError(f"{what} must be finite{text}")
     return arr
 
 

@@ -368,6 +368,25 @@ def test_as_reals_result_and_limits():
         assert str(exc.value) == message
 
 
+def test_as_reals_integers_upper_bounds_and_unchecked_entries():
+    arr = as_reals([[0, 3]], "x", (1, None), 0, 3, dtype=int)
+    assert arr.dtype == int and arr.tolist() == [[0, 3]]
+    assert as_reals([2.5], "x", hi=2.5).tolist() == [2.5]
+    # finite=False leaves the entries to a caller that names the failing item
+    assert np.isnan(as_reals([math.nan, -1.0], "x", lo=0, finite=False)[0])
+    for value, options, message in (
+        ([1.0], {"dtype": int}, "x must be integers, got [1.0]"),
+        ([True], {"dtype": int}, "x must be integers, got [True]"),
+        ([4], {"lo": 0, "hi": 3, "dtype": int}, "x must be finite and >= 0 and <= 3"),
+        ([3.5], {"hi": 3}, "x must be finite and <= 3"),
+        (["1"], {"finite": False}, "x must be real numbers, got ['1']"),
+        ([[1.0]], {"shape": (2,), "finite": False}, "x must have shape (2,), got (1, 1)"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            as_reals(value, "x", **options)
+        assert str(exc.value) == message
+
+
 def _dip(delays):
     return 1.0 - 0.9 * np.exp(-0.5 * (np.asarray(delays) / 60.0) ** 2)
 
@@ -512,6 +531,54 @@ def test_array_inputs_that_once_passed_silently_raise():
     ):
         with pytest.raises(ValidationError, match=f"^{what} must "):
             call()
+
+
+def test_item_naming_array_checks_reject_strings_and_bools():
+    # these keep their own per-item finiteness messages, but util.as_reals
+    # decides their dtype; each call but the input-mode one returned a value
+    # before it did
+    profile = hardware.ideal_profile(2)
+    sweep = np.linspace(0.0, 10.0, 32)
+    fringe = 0.5 + 0.5 * np.cos(20.0 * sweep**2 / 100.0)
+    for what, call in (
+        ("phi0_rad", lambda: dataclasses.replace(profile, phi0_rad=["0.5", "1"])),
+        ("v_max_v", lambda: dataclasses.replace(profile, v_max_v=[True, True])),
+        ("theta", lambda: hardware.realized_transfers(
+            profile, [["1.0"]], [[0.0]], [[0.0, 0.0]], [0])),
+        ("phi", lambda: hardware.realized_transfers(
+            profile, [[1.0]], [[False]], [[0.0, 0.0]], [0])),
+        ("output_phases", lambda: hardware.realized_transfers(
+            profile, [[1.0]], [[0.0]], [["0", "0"]], [0])),
+        ("input modes", lambda: hardware.realized_transfers(
+            profile, [[1.0]], [[0.0]], [[0.0, 0.0]], [0], [["0"]])),
+        ("power", lambda: hardware.fit_phase_responses(
+            [[str(x) for x in sweep**2 / 100.0]], [fringe], ["h"])),
+        ("signal", lambda: hardware.fit_phase_responses(
+            [sweep**2 / 100.0], [fringe > 0.5], ["h"])),
+        ("h: voltages", lambda: hardware.fit_phase_response(
+            hardware.SweepRecord("h", [str(x) for x in sweep], fringe), 100.0)),
+        ("h: signal", lambda: hardware.fit_phase_response(
+            hardware.SweepRecord("h", sweep, fringe.astype(str)), 100.0)),
+        ("ANOVA groups", lambda: quantum._anova_p([[0.9, "0.8"], [0.7, 0.6]])),
+        ("matrix", lambda: experiments.unitary_to_json_dict([[True, False], [False, True]])),
+    ):
+        with pytest.raises(ValidationError, match=f"^{what} must be "):
+            call()
+
+
+def test_empty_matrices_raise_validation_errors():
+    # numpy's own errors and warnings for an empty matrix said nothing of it
+    empty = np.zeros((0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^target must be n x n with n >= 1"):
+            analysis.amplitude_fidelity(empty, empty)
+        with pytest.raises(ValidationError, match="^mode count must be >= 1"):
+            mesh.Unitary(0, empty)
+        with pytest.raises(ValidationError, match="^matrix must be square and non-empty"):
+            compiler.clements_decompose(empty)
+    # an empty stack of non-empty matrices is still a stack
+    assert analysis.amplitude_fidelity(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))).shape == (0,)
 
 
 def test_config_rejects_bad_schema_version():

@@ -138,6 +138,116 @@ def test_realized_transfer_stacks_are_batch_invariant(profile20, kind):
         assert np.array_equal(got, full[40:47]), offset
 
 
+def _input_sets(k, n, rng):
+    """Named (k, c) input-mode arrays: every shape of set a caller may pass."""
+    return {
+        "pairs": np.array([rng.choice(n, 2, replace=False) for _ in range(k)]),
+        "single": rng.integers(0, n, (k, 1)),
+        "reversed": np.broadcast_to(np.arange(n)[::-1], (k, n)),
+        "repeated": np.repeat(rng.integers(0, n, (k, 2)), 2, axis=1),
+        "random": rng.integers(0, n, (k, 5)),
+    }
+
+
+def _hexes(block):
+    return np.ascontiguousarray(block).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", ["haar", "routing"])
+def test_input_columns_are_the_full_matrix_columns(profile20, kind):
+    # no column update mixes columns, so a column realized alone keeps
+    # every bit of the same column of the full product
+    stacks = _stacks(_programs20(kind))
+    seeds = [1000 + i for i in range(len(stacks[0]))]
+    full = hardware.realized_transfers(profile20, *stacks, seeds)
+    rng = np.random.default_rng(np.random.SeedSequence([20, 7]))
+    for size in (1, 7, 64, 190):
+        rows = slice(0, size)
+        for name, inputs in _input_sets(size, N, rng).items():
+            got = hardware.realized_transfers(
+                profile20, *(a[rows] for a in stacks), seeds[rows], inputs
+            )
+            want = np.take_along_axis(full[rows], inputs[:, None, :], axis=2)
+            assert got.shape == (size, N, inputs.shape[1]), (size, name)
+            assert _hexes(got) == _hexes(want), (size, name)
+            assert not got.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(programs(max_n=8), st.integers(0, 2**32 - 1), st.data())
+def test_input_columns_are_the_full_matrix_columns_property(program, seed, data):
+    n = program.n
+    inputs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    profile = _calibrated(n)
+    stacks = (program.theta[None], program.phi[None], program.output_phases[None])
+    full = hardware.realized_transfers(profile, *stacks, [seed])
+    got = hardware.realized_transfers(profile, *stacks, [seed], [inputs])
+    assert _hexes(got) == _hexes(full[:, :, inputs])
+
+
+def test_routed_scans_take_the_pair_terms_of_the_full_matrices(profile20, monkeypatch):
+    theta, pairs = quantum._routes(N)
+    seeds = [2000 + i for i in range(len(theta))]
+    seen = []
+    terms = quantum._pair_terms
+
+    def spy(m, chunk_pairs):
+        seen.append(terms(m, chunk_pairs))
+        return seen[-1]
+
+    monkeypatch.setattr(quantum, "_pair_terms", spy)
+    delays = quantum.default_delay_grid()
+    envelope = quantum.PhotonPairSource().overlap_at(delays)
+    quantum._routed_scans(profile20, theta, pairs, seeds, delays, envelope, 0.0)
+    assert len(seen) == -(-len(theta) // hardware.CHUNK)
+    full = hardware.realized_transfers(
+        profile20, theta, np.zeros_like(theta), np.zeros((len(theta), N)), seeds
+    )
+    for got, want in zip(np.concatenate(seen, axis=1), terms(full, pairs)):
+        assert _hexes(got) == _hexes(want)
+
+
+def test_input_modes_must_be_integers_in_range(profile20):
+    stacks = _stacks(_programs20("routing")[:3])
+    for bad, message in (
+        ([[0, 1], [2, 3]], r"must have shape \(3, None\)"),
+        ([[0, 1]] * 3 + [[2, 3]], "must have shape"),
+        ([0, 1, 2], "must have shape"),
+        ([[0, 20]] * 3, "must be finite and >= 0 and <= 19"),
+        ([[-1, 0]] * 3, "must be finite and >= 0 and <= 19"),
+        ([[0.0, 1.0]] * 3, "must be integers"),
+        ([[True, False]] * 3, "must be integers"),
+        ([["0", "1"]] * 3, "must be integers"),
+    ):
+        with pytest.raises(ValidationError, match="^input modes " + message):
+            hardware.realized_transfers(profile20, *stacks, range(3), bad)
+
+
+def test_gain_defect_names_the_first_block_with_gain():
+    rng = np.random.default_rng(np.random.SeedSequence([20, 8]))
+    q = np.linalg.qr(rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6)))[0]
+    blocks = 0.9 * q[:, :, :2]
+    assert mesh.gain_defect(blocks) is None
+    blocks[3, :, 1] *= 1.02 / 0.9
+    blocks[5, :, 0] *= 1.5 / 0.9
+    index, reason = mesh.gain_defect(blocks)
+    assert index == 3 and reason == "transfer matrix has gain: largest singular value 1.020000000000"
+    # a non-finite entry is named before any gain
+    blocks[4, 2, 0] = np.nan
+    assert mesh.gain_defect(blocks) == (4, "matrix entries must be finite")
+
+
+def test_repeated_input_modes_are_no_gain():
+    # the columns of a lossless mesh have unit norm; a repeated one is one
+    # column twice, not a block whose singular value is sqrt(2)
+    program = mesh.bar_settings(4)
+    stacks = (program.theta[None], program.phi[None], program.output_phases[None])
+    profile = hardware.ideal_profile(4)
+    got = hardware.realized_transfers(profile, *stacks, [0], [[2, 2, 1, 2]])
+    assert np.linalg.norm(got[0], 2) > 1.4
+    assert np.allclose(np.linalg.norm(got[0], axis=0), 1.0)
+
+
 _CELL_STACK_HASH = """
 import hashlib, numpy as np
 from meshsim import hardware

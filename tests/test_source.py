@@ -302,6 +302,52 @@ def test_only_util_checks_finiteness(module):
     assert finiteness_checks((PACKAGE / module).read_text()) == []
 
 
+# util.as_reals is the one array rule, so no other module converts a value
+# to a float or complex array of its own: np.asarray(x, dtype=float) takes a
+# string or bool array without a word
+ARRAY_CONVERTERS = {"array", "asarray", "asanyarray", "ascontiguousarray"}
+NUMBER_DTYPES = {"float", "complex", "float64", "complex128"}
+
+
+def number_array_conversions(source):
+    """Line of every call of np.array, np.asarray and their kin whose dtype,
+    by keyword or as the second argument, is float or complex."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+            if name in ARRAY_CONVERTERS and any(
+                getattr(d, "attr", getattr(d, "id", "")) in NUMBER_DTYPES for d in dtypes
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_number_array_check_finds_conversions():
+    source = (
+        "import numpy as np\n"
+        "from numpy import asarray\n"
+        "a = np.asarray(x, dtype=float)\n"
+        "b = np.array(x, complex)\n"
+        "c = asarray(\n    x, dtype=np.float64)\n"
+        "d = np.asarray(x)\n"
+        "e = np.zeros(3, dtype=float)\n"
+        "f = np.array([1, 2], dtype=int)\n"
+        "g = x.astype(float)\n"
+        "h = np.ascontiguousarray(x, dtype=np.complex128)\n"
+    )
+    assert number_array_conversions(source) == [3, 4, 5, 11]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "util.py")
+)
+def test_only_util_converts_number_arrays(module):
+    assert number_array_conversions((PACKAGE / module).read_text()) == []
+
+
 def test_readme_library_quick_start_runs(capsys):
     # the README's library example is documented API; run it as written
     readme = (ROOT / "README.md").read_text()
