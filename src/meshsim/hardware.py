@@ -28,6 +28,7 @@ from .mesh import (
     lossy_products,
 )
 from .util import (
+    FIT_ITERATIONS,
     TWO_PI,
     FitDegeneracyError,
     InfeasibleError,
@@ -41,6 +42,7 @@ from .util import (
     column_sums,
     dumps_canonical,
     seeded_rng,
+    variable_projection,
     wrap_phase,
     wrap_signed,
 )
@@ -368,24 +370,15 @@ class CalibrationEntry:
     residual: float
 
 
-# Gauss-Newton on alpha: iterations, the starting damping, the damping past
-# which no step can lower the SSR, and the Gauss-Newton step, relative to
-# alpha, below which a heater has converged (about two ulp). The polish
-# starts within half a grid step of the optimum, where an undamped step
-# converges, so the damping starts low. The cap is 1.7x the 289 iterations
-# of the slowest n=20 polish measured (README, "Calibration fit").
-_FIT_ITERATIONS = 500
-_FIT_DAMPING = 1e-6
-_FIT_MAX_DAMPING = 1e16
+# the undamped step, relative to alpha, below which a heater has converged
+# (about two ulp): a slow polish (README, "Calibration fit") stops over
+# 1e-12 short of its optimum at the dip fit's 1e-13
 _FIT_STEP_TOL = 4.4e-16
 # the alpha grid, relative to the FFT seed; its size is measured (README)
 _ALPHA_GRID = np.linspace(0.75, 1.25, 15)
 # grid points x samples x heaters screened in one pass: at 64 samples a pass
 # holds 68 heaters and each of the six rows of its terms 0.5 MB
 _SCREEN_CELLS = 1 << 16
-
-# rows of the state array _fringe_state returns, one column per heater
-_A, _B, _C, _SSR, _STEP = range(5)
 
 
 def _fringe_seeds(power, signal, low, high):
@@ -461,130 +454,12 @@ def _fringe_screen(p, y, alpha0, step, points):
     return best + shift
 
 
-def _fringe_state(p, y, sy, alpha):
-    """Linear fit of y (m, k) on (1, cos, sin)(alpha p) per column, and the
-    variable-projection Gauss-Newton step on alpha from there; sy = sum y.
-
-    The linear fit is solved from its normal equations and refined once on
-    its residual r. With h = dmodel/dalpha = p (C cos - B sin) and P the
-    projector off the linear basis, Kaufman's Jacobian is -P h, so the step
-    is h^T r / h^T P h. Returns the (5, k) state (A, B, C, SSR, step).
-    """
-    m = len(p)
-    terms = np.empty((m, 7) + alpha.shape)
-    c, s = terms[:, 0], terms[:, 1]
+def _fringe_model(p, alpha):
+    """The fringe basis (cos, sin)(alpha p), its derivatives in alpha and
+    alpha as the scale of a step, for util.variable_projection."""
     phase = p * alpha
-    np.cos(phase, out=c)
-    np.sin(phase, out=s)
-    for row, (u, v) in enumerate(((c, c), (c, s), (s, s), (y, c), (y, s)), 2):
-        np.multiply(u, v, out=terms[:, row])
-    sums = column_sums(terms)
-    sc, ss, scc, scs, sss, syc, sys = sums
-    # the normal equations of (1, cos, sin), the constant eliminated first:
-    # the centred 2x2 Gram matrix (mcc, mcs; mcs, mss)
-    mean = sums[:2, None] / m
-    mcc, mcs, mss = scc - mean[0, 0] * sc, scs - mean[0, 0] * ss, sss - mean[1, 0] * ss
-    det = mcc * mss - mcs * mcs
-
-    def solve(s1, s2, s3):
-        # (x_1, x_cos, x_sin) for the right-hand sides (sum z, sum z cos,
-        # sum z sin)
-        e2, e3 = s2 - mean[0] * s1, s3 - mean[1] * s1
-        x2, x3 = (mss * e2 - mcs * e3) / det, (mcc * e3 - mcs * e2) / det
-        return (s1 - x2 * sc - x3 * ss) / m, x2, x3
-
-    a, b, cc = solve(sy, syc, sys)
-    terms2 = np.empty((m, 9) + alpha.shape)
-    r, h = terms2[:, 0], terms2[:, 1]
-    np.subtract(y, a[0], out=r)
-    r -= b[0] * c
-    r -= cc[0] * s
-    np.multiply(cc[0], c, out=h)
-    h -= b[0] * s
-    h *= p
-    for row, (u, v) in enumerate(
-        ((r, c), (h, c), (r, s), (h, s), (r, r), (h, r), (h, h)), 2
-    ):
-        np.multiply(u, v, out=terms2[:, row])
-    sums = column_sums(terms2)
-    # the residual's own fit (refining the coefficients) and h's, solved
-    # together: h^T P h is h^T h less the part h's fit explains
-    rhs = sums[:6].reshape((3, 2) + alpha.shape)
-    fit = solve(*rhs)
-    explained = fit[0] * rhs[0] + fit[1] * rhs[1] + fit[2] * rhs[2]
-    g = sums[7] - (fit[0][0] * rhs[0, 1] + fit[1][0] * rhs[1, 1] + fit[2][0] * rhs[2, 1])
-    state = np.empty((5,) + alpha.shape)
-    state[_A], state[_B], state[_C] = a[0] + fit[0][0], b[0] + fit[1][0], cc[0] + fit[2][0]
-    state[_SSR] = sums[6] - explained[0]
-    state[_STEP] = g / (sums[8] - explained[1])
-    return state
-
-
-def _fringe_polish(p, y, alpha):
-    """Damped Gauss-Newton on alpha of every column, the linear part
-    projected out (Golub & Pereyra 1973, Kaufman's Jacobian).
-
-    A step is rejected if it makes any term non-finite or raises the SSR by
-    more than the SSR's rounding error; within that rounding error the SSR
-    cannot rank two points, so there the step must also shrink the
-    undamped step, and alpha must stay positive. A rejected step multiplies
-    the damping by 10; an accepted one divides it by 10, unless the
-    gradient's secant shows Gauss-Newton converging slowly, when the secant
-    sets it. Each heater stops on its own once its undamped step is below
-    _FIT_STEP_TOL alpha or no damping gives a better point. Every operation
-    acts on each column alone. Returns the final (alpha, state) and a mask
-    of the heaters that stopped within _FIT_ITERATIONS.
-    """
-    final_alpha = np.empty_like(alpha)
-    final_state = np.empty((5,) + alpha.shape)
-    stopped = np.zeros(alpha.shape, bool)
-    live = np.arange(alpha.size)
-    with np.errstate(all="ignore"):
-        sy = column_sums(y)
-        # each residual carries a rounding error of about eps |y|
-        rounding = 4.0 * np.finfo(float).eps * np.sqrt(column_sums(y * y))
-        state = _fringe_state(p, y, sy, alpha)
-        damping = np.full(alpha.shape, _FIT_DAMPING)
-        for iteration in range(_FIT_ITERATIONS + 1):
-            going = (np.abs(state[_STEP]) > _FIT_STEP_TOL * alpha) & (
-                damping <= _FIT_MAX_DAMPING
-            )
-            if not going.all():
-                done = live[~going]
-                final_alpha[done], final_state[:, done] = alpha[~going], state[:, ~going]
-                stopped[done] = True
-                live, alpha, state, damping = (
-                    live[going], alpha[going], state[:, going], damping[going]
-                )
-                p, y, sy, rounding = p[:, going], y[:, going], sy[going], rounding[going]
-            if live.size == 0 or iteration == _FIT_ITERATIONS:
-                break
-            a_try = alpha + state[_STEP] / (1.0 + damping)
-            trial = _fringe_state(p, y, sy, a_try)
-            band = rounding * np.sqrt(state[_SSR])
-            # alpha = 0 is a degenerate fringe, which no step may cross
-            better = np.isfinite(trial).all(0) & (a_try > 0.0) & (
-                (trial[_SSR] < state[_SSR] - band)
-                | (trial[_SSR] <= state[_SSR] + band)
-                & (np.abs(trial[_STEP]) < np.abs(state[_STEP]))
-            )
-            # the change of the gradient over an accepted step measures the
-            # curvature Gauss-Newton leaves out (large residuals); where the
-            # next undamped step turns back by over half of the last one, or
-            # continues at over half its size, the secant ratio of true to
-            # Gauss-Newton curvature sets the damping, below zero to lengthen
-            # the step
-            turn = trial[_STEP] / state[_STEP]
-            secant = (np.abs(turn) > 0.5) & (turn < 0.9)
-            alpha = np.where(better, a_try, alpha)
-            state = np.where(better, trial, state)
-            damping = np.where(
-                better,
-                np.where(secant, (1.0 + damping) * (1.0 - turn) - 1.0, damping / 10.0),
-                np.maximum(damping * 10.0, _FIT_DAMPING),
-            )
-    final_alpha[live], final_state[:, live] = alpha, state
-    return final_alpha, final_state, stopped
+    c, s = np.cos(phase), np.sin(phase)
+    return [c, s], [[-p * s], [p * c]], alpha
 
 
 # why a heater's fit fails, in the order a single fit checks: three input
@@ -594,7 +469,7 @@ _FIT_FAILURES = (
     "degenerate voltage grid",
     "constant signal",
     "vanishing fringe",
-    f"fit did not converge in {_FIT_ITERATIONS} iterations",
+    f"fit did not converge in {FIT_ITERATIONS} iterations",
     "swept span {:.3f} rad covers less than one fringe period",
 )
 
@@ -650,11 +525,13 @@ def fit_phase_responses(power, signal, heater_ids):
             p[:, cols], y[:, cols], seed[cols] * _ALPHA_GRID[0],
             seed[cols] * grid_step, _ALPHA_GRID.size,
         )
-    alpha, state, converged = _fringe_polish(
-        p, y, seed * (_ALPHA_GRID[0] + best * grid_step)
+    # alpha = 0 is a degenerate fringe, which no step may cross
+    (alpha,), (_, b, c), ssr, converged = variable_projection(
+        _fringe_model, p, y, seed[None] * (_ALPHA_GRID[0] + best * grid_step), 0.0, np.inf,
+        offset=True, tol=_FIT_STEP_TOL,
     )
     turns = alpha * span
-    failed[3, :fitted] = np.hypot(state[_B], state[_C]) < 1e-9
+    failed[3, :fitted] = np.hypot(b, c) < 1e-9
     failed[4, :fitted] = ~converged
     failed[5, :fitted] = turns < TWO_PI
     if failed.any():
@@ -663,8 +540,8 @@ def fit_phase_responses(power, signal, heater_ids):
         # only the span message takes a value, and only a fitted heater has one
         raise FitDegeneracyError(f"{heater_ids[i]}: " + why.format(*turns[i : i + 1]))
     # a scalar atan2 per heater: np.arctan2 rounds differently by SIMD path
-    phi0 = [math.atan2(-c, b) for b, c in zip(state[_B].tolist(), state[_C].tolist())]
-    return wrap_phase(np.array(phi0)), alpha, np.sqrt(state[_SSR] / m)
+    phi0 = [math.atan2(-ci, bi) for bi, ci in zip(b.tolist(), c.tolist())]
+    return wrap_phase(np.array(phi0)), alpha, np.sqrt(ssr / m)
 
 
 def fit_phase_response(sweep, resistance_ohm):

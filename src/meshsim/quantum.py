@@ -25,7 +25,9 @@ from .util import (
     as_reals,
     child_seed,
     column_sums,
+    product_sums,
     seeded_rng,
+    variable_projection,
 )
 
 # pinned theta of a routing cell in the bar, cross and 50:50 (half) state
@@ -344,110 +346,22 @@ class GaussianDipFit:
         }
 
 
-# Levenberg-Marquardt on (center, width): iterations per pass, the starting
-# damping, the damping past which no step can lower the SSR, and the
-# Gauss-Newton step, relative to the width, below which a scan has converged.
-_FIT_ITERATIONS = 100
-_FIT_DAMPING = 1e-3
-_FIT_MAX_DAMPING = 1e16
+# the undamped step, in widths, below which a scan has converged; the
+# fringe fit's two ulp would end every measured scan on the same optimum
+# with one more step per pass in the median (README, "Dip fit")
 _FIT_STEP_TOL = 1e-13
 # decimals of the reported visibility
 _V_DECIMALS = 12
 
-# rows of the state array _project returns, one column per scan
-_GAMMA, _SSR, _GC, _GW, _MCC, _MCW, _MWW = range(7)
-_SGG, _SGC, _SGW, _SCC, _SCW, _SWW, _SIZE = range(7, 14)
 
-
-def _project(t, z, center, width, offset):
-    """Variable projection of scans z (m, k) onto the dip g = exp(-u^2/2),
-    u = (t - center) / width, at a fixed (center, width) per column.
-
-    The linear part is z ~ alpha + gamma g, alpha free when `offset` (pass
-    one: alpha is the baseline and gamma = -baseline V) and alpha = 0
-    otherwise (pass two, z = values - baseline). Returns the (14, k) state:
-    gamma, the SSR, G = H^T r for the residual r and
-    H = (dg/dcenter, dg/dwidth), Kaufman's normal matrix M = H^T P H with P
-    the projector off the linear basis, the raw sums g^T g, g^T H and
-    H^T H, and the size in widths of the Gauss-Newton step M^-1 G / gamma.
-    """
-    m = len(t)
+def _dip_model(t, center, width):
+    """The dip g = exp(-u^2/2), u = (t - center) / width, its derivatives
+    in (center, width) and the width as the scale of a step, for
+    util.variable_projection."""
     u = (t - center) / width
     g = np.exp(-0.5 * u * u)
     hc = g * u / width
-    hw = hc * u
-    terms = np.empty((m, 11) + center.shape)
-    for row, (a, b) in enumerate((
-        (g, g), (g, hc), (g, hw), (hc, hc), (hc, hw), (hw, hw), (g, z)
-    )):
-        np.multiply(a, b, out=terms[:, row])
-    terms[:, 7], terms[:, 8], terms[:, 9], terms[:, 10] = g, hc, hw, z
-    sums = column_sums(terms)
-    sgg, sgc, sgw, scc, scw, sww, sgz, sg, sc, sw, sz = sums
-    if offset:
-        # projecting off the constant first centres every column
-        sgg, sgc, sgw, scc, scw, sww, sgz = sums[:7] - np.stack(
-            [sg * sg, sg * sc, sg * sw, sc * sc, sc * sw, sw * sw, sg * sz]
-        ) / m
-    gamma = sgz / sgg
-    alpha = (sz - gamma * sg) / m if offset else 0.0
-    r = z - alpha - gamma * g
-    ssr, gc, gw = column_sums(np.stack([r * r, hc * r, hw * r], 1))
-    mcc, mcw, mww = scc - sgc * sgc / sgg, scw - sgc * sgw / sgg, sww - sgw * sgw / sgg
-    size = np.maximum(
-        np.abs(mww * gc - mcw * gw), np.abs(mcc * gw - mcw * gc)
-    ) / np.abs((mcc * mww - mcw * mcw) * gamma * width)
-    return np.stack([gamma, ssr, gc, gw, mcc, mcw, mww, *sums[:6], size])
-
-
-def _lm_fit(t, z, center, width, offset):
-    """Damped Gauss-Newton on (center, width) of every column of z on the
-    delays t (m, k), the linear part projected out (Golub & Pereyra 1973,
-    Kaufman's Jacobian).
-
-    A step is rejected if it makes any term non-finite, moves the center
-    off the scanned delays or raises the SSR by more than the SSR's
-    rounding error; within that rounding error the SSR cannot rank two
-    points, so there the step must also shrink the undamped step. Each
-    scan stops on its own once its undamped step is below _FIT_STEP_TOL
-    widths or no damping gives a better point, and all stop after
-    _FIT_ITERATIONS. Every operation acts on each column alone.
-    Returns the final (center, width, state).
-    """
-    center, width = center.copy(), width.copy()
-    state = _project(t, z, center, width, offset)
-    # each residual carries a rounding error of about eps |z|
-    rounding = 4.0 * np.finfo(float).eps * np.sqrt(column_sums(z * z))
-    damping = np.full(center.shape, _FIT_DAMPING)
-    live = np.arange(center.size)
-    # a center far off the scan fits noise with the flank of a huge dip
-    first, last = t.min(0), t.max(0)
-    for _ in range(_FIT_ITERATIONS):
-        s, lam = state[:, live], damping[live]
-        going = (s[_SIZE] > _FIT_STEP_TOL) & (lam <= _FIT_MAX_DAMPING)
-        if not going.all():
-            live, s, lam = live[going], s[:, going], lam[going]
-        if live.size == 0:
-            break
-        # the diagonal of M scaled by 1 + damping
-        gamma, gc, gw, mcc, mcw, mww = s[[_GAMMA, _GC, _GW, _MCC, _MCW, _MWW]]
-        mcc, mww = mcc * (1.0 + lam), mww * (1.0 + lam)
-        det = (mcc * mww - mcw * mcw) * gamma
-        c, w = center[live], width[live]
-        c_try = c + (mww * gc - mcw * gw) / det
-        w_try = w + (mcc * gw - mcw * gc) / det
-        trial = _project(t[:, live], z[:, live], c_try, w_try, offset)
-        band = rounding[live] * np.sqrt(s[_SSR])
-        inside = (first[live] <= c_try) & (c_try <= last[live])
-        better = np.isfinite(trial[:_SIZE]).all(0) & inside & (
-            (trial[_SSR] < s[_SSR] - band)
-            | (trial[_SSR] <= s[_SSR] + band) & (trial[_SIZE] < s[_SIZE])
-        )
-        center[live] = np.where(better, c_try, c)
-        width[live] = np.where(better, w_try, w)
-        state[:, live] = np.where(better, trial, s)
-        damping[live] = np.where(better, lam / 10.0, lam * 10.0)
-    return center, width, state
+    return [g], [[hc, hc * u]], width
 
 
 def fit_gaussian_dips(delays_um, values):
@@ -510,7 +424,13 @@ def _fit_dips(t, y):
         width = np.maximum(width, span / m)
         center = np.take_along_axis(t, low[None], 0)[0]
 
-        center, width, _ = _lm_fit(t, y, center, width, offset=True)
+        # a center off the scanned delays would fit noise with the flank
+        # of a huge dip
+        lo = np.stack([t.min(0), np.full(t.shape[1], -np.inf)])
+        hi = np.stack([t.max(0), np.full(t.shape[1], np.inf)])
+        (center, width), _, _, first = variable_projection(
+            _dip_model, t, y, (center, width), lo, hi, offset=True, tol=_FIT_STEP_TOL
+        )
         width = np.abs(width)
         off = np.abs(t - center) > 2.0 * width
         count = off.sum(0)
@@ -521,29 +441,38 @@ def _fit_dips(t, y):
             )
         if np.any(baseline <= 0):
             raise ValidationError("off-dip baseline must be positive")
-        center, width, s = _lm_fit(t, y - baseline, center, width, offset=False)
+        (center, width), (gamma,), ssr, second = variable_projection(
+            _dip_model, t, y - baseline, (center, width), lo, hi, offset=False,
+            tol=_FIT_STEP_TOL,
+        )
 
         # the fit resolves V to a few ulp, so scans that differ only by
         # rounding (every cell of an ideal mesh) fit a few ulp apart; the
         # map's exact ANOVA would report that spread as structure
-        visibility = np.round(np.clip(-s[_GAMMA] / baseline, 0.0, 1.0), _V_DECIMALS)
+        visibility = np.round(np.clip(-gamma / baseline, 0.0, 1.0), _V_DECIMALS)
         # the least-squares covariance s^2 (J^T J)^-1 of V, with the
         # Jacobian J = (-baseline g, gamma H) over (V, center, width) and
         # s^2 = SSR / (m - 3)
-        gamma, b = s[_GAMMA], baseline
-        hh = gamma * gamma * s[[_SCC, _SCW, _SWW]]
-        vc, vw = -b * gamma * s[_SGC], -b * gamma * s[_SGW]
+        (g,), ((hc, hw),), _ = _dip_model(t, center, width)
+        sgg, sgc, sgw, scc, scw, sww = product_sums(
+            [(g, g), (g, hc), (g, hw), (hc, hc), (hc, hw), (hw, hw)], t
+        )
+        b = baseline
+        hh = gamma * gamma * np.stack([scc, scw, sww])
+        vc, vw = -b * gamma * sgc, -b * gamma * sgw
         coupled = (vc * vc * hh[2] - 2.0 * vc * vw * hh[1] + vw * vw * hh[0]) / (
             hh[0] * hh[2] - hh[1] * hh[1]
         )
-        sigma = np.sqrt(s[_SSR] / (m - 3) / (b * b * s[_SGG] - coupled))
+        sigma = np.sqrt(ssr / (m - 3) / (b * b * sgg - coupled))
         # a degenerate covariance falls back to the relative rms residual;
         # with any residual left it also marks the fit uncertain (a dip
         # narrower than the gap it sits in fits noise as a perfect V = 1)
         degenerate = ~(np.isfinite(sigma) & (sigma > 0))
-        sigma = np.where(degenerate, np.sqrt(s[_SSR] / m) / b, sigma)
-        degenerate &= s[_SSR] > 0
-    uncertain = degenerate | (visibility < 3.0 * sigma)
+        sigma = np.where(degenerate, np.sqrt(ssr / m) / b, sigma)
+        degenerate &= ssr > 0
+    # a pass stopped at the iteration cap has not reached an optimum
+    stalled = ~(first & second)
+    uncertain = degenerate | stalled | (visibility < 3.0 * sigma)
     return visibility, center, np.abs(width), baseline, sigma, uncertain
 
 

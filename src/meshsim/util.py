@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -72,6 +73,144 @@ def column_sums(x):
             head[0] += x[n - 1]
         x, n = head, half
     return x[0]
+
+
+def product_sums(pairs, like):
+    """column_sums of a * b for each (a, b) pair of arrays that broadcast to
+    the (m, k) shape of `like`, stacked."""
+    terms = np.empty((len(like), len(pairs)) + like.shape[1:])
+    for row, (a, b) in enumerate(pairs):
+        np.multiply(a, b, out=terms[:, row])
+    return column_sums(terms)
+
+
+# Gauss-Newton steps per fit and the starting damping, which both fits share
+# (README, "Dip fit" and "Calibration fit")
+FIT_ITERATIONS = 500
+FIT_DAMPING = 1e-3
+
+
+def _solve(a, b):
+    """x of a x = b by Gaussian elimination in order, without pivoting, for
+    a symmetric a given by its lower triangle a[i][j], j <= i; every entry is
+    an array over columns, so each column is solved alone."""
+    n = len(b)
+    a, b = [list(row[: i + 1]) for i, row in enumerate(a)], list(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = a[j][i] / a[i][i]
+            for col in range(i + 1, j + 1):
+                a[j][col] = a[j][col] - f * a[col][i]
+            b[j] = b[j] - f * b[i]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            b[i] = b[i] - a[j][i] * b[j]
+        b[i] = b[i] / a[i][i]
+    return b
+
+
+@functools.lru_cache(maxsize=None)
+def _lower(n):
+    """The (n, n) positions, in lower-triangle row order, of the pairs (v, w)."""
+    return np.array([[max(v, w) * (max(v, w) + 1) // 2 + min(v, w) for w in range(n)]
+                     for v in range(n)])
+
+
+def _projection(model, x, y, theta, offset):
+    """The state of every column of y (m, k) at theta (q, k), one row per
+    entry: the SSR, the undamped Gauss-Newton step's size in scales, the
+    gradient H^T r (q), the step (q), the normal matrix H^T P H (q x q) and
+    the linear coefficients."""
+    basis, derivatives, scale = model(x, *theta)
+    basis = [1.0] * offset + basis
+    nb, nv = len(basis), len(theta) + 1
+    gram = product_sums(
+        [(f, g) for i, f in enumerate(basis) for g in basis[: i + 1]] + [(f, y) for f in basis], y
+    )
+    coef = _solve([gram[i * (i + 1) // 2 :] for i in range(nb)], gram[-nb:])
+    # the residual r and h_q = dmodel/dtheta_q, whose fits on the basis
+    # refine the coefficients once and project h off the basis
+    vectors = [y - sum(c * f for c, f in zip(coef, basis))] + [
+        sum(c * d[q] for c, d in zip(coef[offset:], derivatives)) for q in range(nv - 1)
+    ]
+    sums = product_sums(
+        [(f, v) for f in basis for v in vectors]
+        + [(v, w) for i, v in enumerate(vectors) for w in vectors[: i + 1]], y
+    )
+    cross = sums[: nb * nv].reshape(nb, nv, -1)
+    fits = _solve([gram[i * (i + 1) // 2 :] for i in range(nb)], cross)
+    # v^T P w is v^T w less the part of it that w's fit on the basis explains
+    explained = sum(c[:, None] * f[None] for c, f in zip(cross, fits))
+    projected = sums[nb * nv + _lower(nv)] - explained
+    step = _solve(projected[1:, 1:], projected[1:, 0])
+    size = np.abs(step).max(0) / np.abs(scale)
+    normal = projected[1:, 1:].reshape((nv - 1) ** 2, -1)
+    coef = np.array(coef) + np.array(fits)[:, 0]
+    return np.concatenate([projected[:1, 0], size[None], projected[1:, 0], step, normal, coef])
+
+
+def variable_projection(model, x, y, theta, lo, hi, *, offset, tol):
+    """Damped Gauss-Newton fit of every column of y (m, k) to a constant, if
+    `offset`, plus sum_j c_j f_j(x; theta), from the start theta (q, k), the
+    linear coefficients c projected out (Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 413 (1973)) with Kaufman's Jacobian (BIT 15, 49 (1975)).
+
+    model(x, *theta) returns the f_j (m, k), [[df_j/dtheta_q for q] for j]
+    and the (k,) scale a step is measured in. A step solves the normal
+    matrix with its diagonal scaled by 1 + damping, and is accepted if all
+    is finite, lo <= theta <= hi holds and the SSR falls by more than its
+    rounding error, or stays within it while the undamped step shrinks. A
+    rejected step multiplies the damping by 10, to FIT_DAMPING at least; an
+    accepted one divides it by 10 or takes the secant's. Each column stops
+    once its undamped step is below `tol` scales or no damping helps, and
+    every operation acts on each column alone. Returns theta, the linear
+    coefficients (constant first), the SSR and a mask of the columns that
+    stopped within FIT_ITERATIONS steps.
+    """
+    theta = np.array(theta)
+    q, k = theta.shape
+    # rows of the state: SSR, size, gradient, step, normal matrix, coefficients
+    grad, step = slice(2, 2 + q), slice(2 + q, 2 + 2 * q)
+    normal = slice(2 + 2 * q, 2 + 2 * q + q * q)
+    lo, hi = np.broadcast_to(lo, theta.shape), np.broadcast_to(hi, theta.shape)
+    diagonal = np.eye(q)[..., None]
+    with np.errstate(all="ignore"):
+        # each residual carries a rounding error of about eps |y|
+        rounding = 4.0 * np.finfo(float).eps * np.sqrt(column_sums(y * y))
+        state = _projection(model, x, y, theta, offset)
+        lam = np.full(k, FIT_DAMPING)
+        for _ in range(FIT_ITERATIONS):
+            # past a damping of 1e16 no step moves theta to the SSR's precision
+            live = np.flatnonzero((state[1] > tol) & (lam <= 1e16))
+            if live.size == 0:
+                break
+            s, damping = state[:, live], lam[live]
+            # the normal matrix with its diagonal scaled by 1 + damping
+            damped = s[normal].reshape(q, q, -1) * (1.0 + damping * diagonal)
+            theta_try = theta[:, live] + _solve(damped, s[grad])
+            trial = _projection(model, x[:, live], y[:, live], theta_try, offset)
+            band = rounding[live] * np.sqrt(s[0])
+            better = (
+                np.isfinite(trial).all(0)
+                & ((lo[:, live] <= theta_try) & (theta_try <= hi[:, live])).all(0)
+                & ((trial[0] < s[0] - band) | (trial[0] <= s[0] + band) & (trial[1] < s[1]))
+            )
+            # the change of the gradient over an accepted step measures the
+            # curvature Gauss-Newton leaves out (large residuals): where the
+            # next undamped step turns back by over half of the last one, or
+            # continues at over half its size, the secant ratio of true to
+            # Gauss-Newton curvature sets the damping, below 0 to lengthen it
+            turn = column_sums(trial[step] * s[step]) / column_sums(s[step] ** 2)
+            secant = (np.abs(turn) > 0.5) & (turn < 0.9)
+            lam[live] = np.where(
+                better,
+                np.where(secant, (1.0 + damping) * (1.0 - turn) - 1.0, damping / 10.0),
+                np.maximum(damping * 10.0, FIT_DAMPING),
+            )
+            theta[:, live] = np.where(better, theta_try, theta[:, live])
+            state[:, live] = np.where(better, trial, s)
+    converged = ~((state[1] > tol) & (lam <= 1e16))
+    return theta, state[normal.stop :], state[0], converged
 
 
 def as_int(value):

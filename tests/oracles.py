@@ -68,24 +68,17 @@ def fock_two_photon_distribution(u, a, b, x):
     case is the convex mix of the bosonic and fully classical statistics.
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    bosonic = {}
-    classical = {}
-    for c in range(n):
-        for d in range(c, n):
-            if c == d:
-                amp = np.sqrt(2.0) * u[c, a] * u[c, b]
-                bosonic[(c, d)] = abs(amp) ** 2
-                classical[(c, d)] = (abs(u[c, a]) * abs(u[c, b])) ** 2
-            else:
-                amp = u[c, a] * u[d, b] + u[c, b] * u[d, a]
-                bosonic[(c, d)] = abs(amp) ** 2
-                classical[(c, d)] = (
-                    abs(u[c, a] * u[d, b]) ** 2 + abs(u[c, b] * u[d, a]) ** 2
-                )
-    return {
-        key: (1.0 - x) * classical[key] + x * bosonic[key] for key in bosonic
-    }
+    ua, ub = u[:, a], u[:, b]
+    # direct[c, d] = u[c, a] u[d, b]; its transpose is u[c, b] u[d, a]
+    direct = np.outer(ua, ub)
+    bosonic = np.abs(direct + direct.T) ** 2
+    classical = np.abs(direct) ** 2 + np.abs(direct.T) ** 2
+    # c == d: both photons leave by mode c
+    np.fill_diagonal(bosonic, np.abs(np.sqrt(2.0) * ua * ub) ** 2)
+    np.fill_diagonal(classical, (np.abs(ua) * np.abs(ub)) ** 2)
+    mixed = (1.0 - x) * classical + x * bosonic
+    rows, cols = np.triu_indices(len(u))
+    return dict(zip(zip(rows.tolist(), cols.tolist()), mixed[rows, cols].tolist()))
 
 
 def _coupler(kappa):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshsim import experiments, hardware, mesh, quantum
+from meshsim import experiments, hardware, mesh, quantum, util
 from meshsim.quantum import (
     BAR,
     CROSS,
@@ -596,6 +596,66 @@ def test_dip_fit_center_stays_on_the_scan():
         except ValidationError:
             continue
         assert d[0] <= fit.center_um <= d[-1], seed
+
+
+def _core_dip_case():
+    # the n=20 map scans, each on its own shifted copy of the delay grid,
+    # as pass one of the dip fit starts them
+    d, scans = _map_scans(20, 3, 0.02)
+    shift = np.random.default_rng(np.random.SeedSequence([5, 3])).uniform(-40, 40, len(scans))
+    t = (d[None] + shift[:, None]).T.copy()
+    k = t.shape[1]
+    start = (t[np.argmin(scans, axis=1), np.arange(k)], np.full(k, 40.0))
+    lo = np.stack([t.min(0), np.full(k, -np.inf)])
+    hi = np.stack([t.max(0), np.full(k, np.inf)])
+    return quantum._dip_model, t, scans.T.copy(), start, lo, hi, quantum._FIT_STEP_TOL
+
+
+def _core_fringe_case():
+    # every heater of an n=20 device, each on its own power grid, from 2%
+    # off its true alpha
+    prof = hardware.calibrated_profile(20, disorder_seed=5)
+    v, signal = hardware._sweeps(prof, np.arange(len(prof.heater_ids)), 16, 5, 0.05)
+    p = (v**2 / prof.resistance_ohm[:, None]).T.copy()
+    start = (1.02 * prof.alpha_rad_per_w,)
+    return hardware._fringe_model, p, signal.T.copy(), start, 0.0, np.inf, hardware._FIT_STEP_TOL
+
+
+@pytest.mark.parametrize("case", [_core_dip_case, _core_fringe_case])
+def test_fit_core_fits_a_column_to_the_same_bits_in_any_stack(case):
+    # every operation of util.variable_projection acts on each column alone,
+    # so a column fits to the same bits alone, in a stack of 7 and in the
+    # full n=20 stack, for both models
+    model, x, y, start, lo, hi, tol = case()
+    k = y.shape[1]
+
+    def fit(cols):
+        bounds = [np.broadcast_to(b, (len(start), k))[:, cols] for b in (lo, hi)]
+        out = util.variable_projection(
+            model, x[:, cols], y[:, cols], [s[cols] for s in start], *bounds,
+            offset=True, tol=tol,
+        )
+        columns = [part.reshape(-1, len(cols)) for part in out]
+        return [b"".join(part[:, i].tobytes() for part in columns) for i in range(len(cols))]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = fit(np.arange(k))
+        picks = np.random.default_rng(np.random.SeedSequence([5, 4])).choice(k, 7, replace=False)
+        assert fit(picks) == [full[i] for i in picks]
+        assert [fit(np.array([i]))[0] for i in range(k)] == full
+
+
+def test_dip_fit_stopped_at_the_cap_is_uncertain(monkeypatch):
+    # a pass that stops at the iteration cap has not reached its optimum, so
+    # its scan is flagged however plausible its visibility
+    d = default_delay_grid()
+    values = 1.0 - 0.9 * np.exp(-0.5 * ((d - 7.0) / 55.0) ** 2)
+    assert not fit_gaussian_dip(d, values).uncertain
+    monkeypatch.setattr(util, "FIT_ITERATIONS", 1)
+    stalled = fit_gaussian_dip(d, values)
+    assert stalled.uncertain
+    assert stalled.visibility == pytest.approx(0.9, abs=0.05)
 
 
 def _dip_ssr(d, values, visibility, center, width, baseline):

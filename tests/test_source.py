@@ -348,6 +348,60 @@ def test_only_util_converts_number_arrays(module):
     assert number_array_conversions((PACKAGE / module).read_text()) == []
 
 
+# the fit core and its two models solve their small systems by elementwise
+# elimination; a batched np.linalg.solve or a BLAS product there would change
+# a column's bits with its stack and with the CPU dispatch, which the
+# goldens of `calibration` and `hom-map` are checked under
+FIT_FUNCTIONS = {
+    "util.py": {"product_sums", "_solve", "_lower", "_projection", "variable_projection"},
+    "quantum.py": {"_dip_model"},
+    "hardware.py": {"_fringe_model"},
+}
+LINEAR_ALGEBRA = {"linalg", "dot", "matmul", "einsum"}
+
+
+def linear_algebra_uses(source, names):
+    """(line, what) of every @ and every name or attribute linalg, dot,
+    matmul or einsum inside the top-level functions `names`, and the names
+    that no top-level function of the source has, as (0, name)."""
+    uses = []
+    functions = {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+    uses.extend((0, name) for name in sorted(names - functions.keys()))
+    for name in names & functions.keys():
+        for node in ast.walk(functions[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                uses.append((node.lineno, "@"))
+            elif getattr(node, "attr", getattr(node, "id", None)) in LINEAR_ALGEBRA:
+                uses.append((node.lineno, getattr(node, "attr", getattr(node, "id", None))))
+    return sorted(uses)
+
+
+def test_linear_algebra_check_finds_uses():
+    source = (
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "def fit(a, b):\n"
+        "    x = np.linalg.solve(a, b)\n"
+        "    y = a @ b\n"
+        "    y @= a\n"
+        "    return np.dot(a, b) + einsum('ij,j', a, b) + np.matmul(a, b)\n"
+        "def other(a, b):\n"
+        "    return a @ b\n"
+    )
+    assert linear_algebra_uses(source, {"fit", "gone"}) == [
+        (0, "gone"), (4, "linalg"), (5, "@"), (6, "@"), (7, "dot"), (7, "einsum"),
+        (7, "matmul"),
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(FIT_FUNCTIONS))
+def test_fit_core_uses_no_batched_linear_algebra(module):
+    source = (PACKAGE / module).read_text()
+    assert linear_algebra_uses(source, FIT_FUNCTIONS[module]) == []
+
+
 def test_readme_library_quick_start_runs(capsys):
     # the README's library example is documented API; run it as written
     readme = (ROOT / "README.md").read_text()
