@@ -174,43 +174,55 @@ def variable_projection(model, x, y, theta, lo, hi, *, offset, tol):
     normal = slice(2 + 2 * q, 2 + 2 * q + q * q)
     lo, hi = np.broadcast_to(lo, theta.shape), np.broadcast_to(hi, theta.shape)
     diagonal = np.eye(q)[..., None]
+    live, final, converged = np.arange(k), theta.copy(), np.zeros(k, bool)
     with np.errstate(all="ignore"):
         # each residual carries a rounding error of about eps |y|
         rounding = 4.0 * np.finfo(float).eps * np.sqrt(column_sums(y * y))
         state = _projection(model, x, y, theta, offset)
+        states = np.empty_like(state)
         lam = np.full(k, FIT_DAMPING)
-        for _ in range(FIT_ITERATIONS):
+        for iteration in range(FIT_ITERATIONS + 1):
             # past a damping of 1e16 no step moves theta to the SSR's precision
-            live = np.flatnonzero((state[1] > tol) & (lam <= 1e16))
-            if live.size == 0:
+            going = (state[1] > tol) & (lam <= 1e16)
+            if not going.all():
+                # a stopped column leaves the stack that the loop works on
+                done = live[~going]
+                final[:, done], states[:, done] = theta[:, ~going], state[:, ~going]
+                converged[done] = True
+                live, theta, state, lam, x, y, rounding, lo, hi = (
+                    a[..., going] for a in (live, theta, state, lam, x, y, rounding, lo, hi)
+                )
+            if live.size == 0 or iteration == FIT_ITERATIONS:
                 break
-            s, damping = state[:, live], lam[live]
             # the normal matrix with its diagonal scaled by 1 + damping
-            damped = s[normal].reshape(q, q, -1) * (1.0 + damping * diagonal)
-            theta_try = theta[:, live] + _solve(damped, s[grad])
-            trial = _projection(model, x[:, live], y[:, live], theta_try, offset)
-            band = rounding[live] * np.sqrt(s[0])
+            damped = state[normal].reshape(q, q, -1) * (1.0 + lam * diagonal)
+            theta_try = theta + _solve(damped, state[grad])
+            trial = _projection(model, x, y, theta_try, offset)
+            band = rounding * np.sqrt(state[0])
             better = (
                 np.isfinite(trial).all(0)
-                & ((lo[:, live] <= theta_try) & (theta_try <= hi[:, live])).all(0)
-                & ((trial[0] < s[0] - band) | (trial[0] <= s[0] + band) & (trial[1] < s[1]))
+                & ((lo <= theta_try) & (theta_try <= hi)).all(0)
+                & (
+                    (trial[0] < state[0] - band)
+                    | (trial[0] <= state[0] + band) & (trial[1] < state[1])
+                )
             )
             # the change of the gradient over an accepted step measures the
             # curvature Gauss-Newton leaves out (large residuals): where the
             # next undamped step turns back by over half of the last one, or
             # continues at over half its size, the secant ratio of true to
             # Gauss-Newton curvature sets the damping, below 0 to lengthen it
-            turn = column_sums(trial[step] * s[step]) / column_sums(s[step] ** 2)
+            turn = column_sums(trial[step] * state[step]) / column_sums(state[step] ** 2)
             secant = (np.abs(turn) > 0.5) & (turn < 0.9)
-            lam[live] = np.where(
+            lam = np.where(
                 better,
-                np.where(secant, (1.0 + damping) * (1.0 - turn) - 1.0, damping / 10.0),
-                np.maximum(damping * 10.0, FIT_DAMPING),
+                np.where(secant, (1.0 + lam) * (1.0 - turn) - 1.0, lam / 10.0),
+                np.maximum(lam * 10.0, FIT_DAMPING),
             )
-            theta[:, live] = np.where(better, theta_try, theta[:, live])
-            state[:, live] = np.where(better, trial, s)
-    converged = ~((state[1] > tol) & (lam <= 1e16))
-    return theta, state[normal.stop :], state[0], converged
+            theta = np.where(better, theta_try, theta)
+            state = np.where(better, trial, state)
+    final[:, live], states[:, live] = theta, state
+    return final, states[normal.stop :], states[0], converged
 
 
 def as_int(value):
