@@ -1,4 +1,5 @@
-"""Shared plumbing: error types, deterministic seeds, canonical JSON, atomic writes."""
+"""Shared plumbing: error types, deterministic seeds, the batched fit core,
+canonical JSON, atomic writes."""
 
 from __future__ import annotations
 
@@ -127,7 +128,8 @@ def _projection(model, x, y, theta, offset):
     gram = product_sums(
         [(f, g) for i, f in enumerate(basis) for g in basis[: i + 1]] + [(f, y) for f in basis], y
     )
-    coef = _solve([gram[i * (i + 1) // 2 :] for i in range(nb)], gram[-nb:])
+    lower = [gram[i * (i + 1) // 2 :] for i in range(nb)]
+    coef = _solve(lower, gram[-nb:])
     # the residual r and h_q = dmodel/dtheta_q, whose fits on the basis
     # refine the coefficients once and project h off the basis
     vectors = [y - sum(c * f for c, f in zip(coef, basis))] + [
@@ -138,7 +140,7 @@ def _projection(model, x, y, theta, offset):
         + [(v, w) for i, v in enumerate(vectors) for w in vectors[: i + 1]], y
     )
     cross = sums[: nb * nv].reshape(nb, nv, -1)
-    fits = _solve([gram[i * (i + 1) // 2 :] for i in range(nb)], cross)
+    fits = _solve(lower, cross)
     # v^T P w is v^T w less the part of it that w's fit on the basis explains
     explained = sum(c[:, None] * f[None] for c, f in zip(cross, fits))
     projected = sums[nb * nv + _lower(nv)] - explained
