@@ -10,7 +10,6 @@ MESHSIM_OUT_DIR.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -21,6 +20,7 @@ from .util import (
     atomic_write_text,
     child_seed,
     dumps_canonical,
+    factorial_reaches,
 )
 
 OUT_DIR_ENV = "MESHSIM_OUT_DIR"
@@ -152,7 +152,7 @@ def _run_ensemble(args, kind):
         raise UsageError(f"--n must be >= 2, got {args.n}")
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    if kind == "perm" and args.count > math.factorial(args.n):
+    if kind == "perm" and not factorial_reaches(args.n, args.count):
         raise UsageError(f"--count must be <= {args.n}!, got {args.count}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")

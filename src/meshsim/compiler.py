@@ -24,7 +24,7 @@ from .mesh import (
     cell_transfers,
     mesh_unitary,
 )
-from .util import ValidationError, as_int, as_reals, seeded_rng, wrap_phase
+from .util import ValidationError, as_int, as_reals, factorial_reaches, seeded_rng, wrap_phase
 
 DECOMPOSE_INPUT_TOL = 1e-8
 # entries at or below this magnitude count as already nulled; the deterministic
@@ -235,9 +235,8 @@ def permutation_ensemble(n, count, seed):
         raise ValidationError("mode count must be >= 1")
     if as_int(count) < 1:
         raise ValidationError("count must be >= 1")
-    total = math.factorial(n)
-    if count > total:
-        raise ValidationError(f"count {count} exceeds {n}! = {total}")
+    if not factorial_reaches(n, count):
+        raise ValidationError(f"count {count} exceeds {n}! = {math.factorial(n)}")
     rng = seeded_rng(seed, _PERMUTATION_STREAM)
     seen = set()
     out: List[Tuple[int, ...]] = []

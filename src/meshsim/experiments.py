@@ -26,6 +26,7 @@ from .util import (
     atomic_write_text,
     child_seed,
     dumps_canonical,
+    factorial_reaches,
     seeded_rng,
     wrap_phase,
     wrap_signed,
@@ -170,7 +171,7 @@ def validate_config(doc):
     if spec.default_count is None and count != 1:
         raise UsageError(f"config field 'count' must be 1 for kind {kind!r}")
     # fidelity-perm draws `count` distinct permutations of n modes
-    if kind == "fidelity-perm" and count > math.factorial(n):
+    if kind == "fidelity-perm" and not factorial_reaches(n, count):
         raise UsageError(
             f"config field 'count' must be <= {n}! for kind {kind!r}, got {count}"
         )

@@ -74,10 +74,10 @@ _SWEEP_STREAM = 303
 SOLVE_MAX_SWEEPS = 500
 
 # programs a campaign holds at once: the fidelity campaigns draw, compile,
-# solve, realize and score CHUNK targets at a time, and the routed scans and
-# dip fits take CHUNK scans at a time. No bit depends on it, only time and
-# memory do (README, "Fidelity campaigns"): 32 cost fidelity-haar 10% and
-# hom-map 13% of their items/s, and 190 raised hom-map's peak RSS by 11%.
+# solve, realize and score CHUNK targets at a time, and the routed scans are
+# realized CHUNK at a time. No bit depends on it, only time and memory do
+# (README, "Fidelity campaigns"): 32 cost fidelity-haar 10% of its items/s,
+# and 190 raised hom-map's peak RSS by 12%.
 CHUNK = 64
 
 
@@ -376,9 +376,6 @@ class CalibrationEntry:
 _FIT_STEP_TOL = 4.4e-16
 # the alpha grid, relative to the FFT seed; its size is measured (README)
 _ALPHA_GRID = np.linspace(0.75, 1.25, 15)
-# grid points x samples x heaters screened in one pass: at 64 samples a pass
-# holds 68 heaters and each of the six rows of its terms 0.5 MB
-_SCREEN_CELLS = 1 << 16
 
 
 def _fringe_seeds(power, signal, low, high):
@@ -405,34 +402,30 @@ def _fringe_screen(p, y, alpha0, step, points):
     A + B cos(alpha p) + C sin(alpha p) is linear; with A eliminated, the
     fit explains E = b^T M^-1 b of the centred signal's sum of squares, so
     the point of least SSR is the one of largest E. The screen only seeds
-    the polish, so E comes from the normal equations, and cos and sin along
-    the grid come from rotations, since one cos costs about 60
-    multiplications: the first 2^b grid points are rotated by 2^b steps,
-    whose rotation is the square of the one before.
+    the polish, so E comes from the normal equations, and the grid is
+    walked one point at a time, cos and sin rotated by one step per point,
+    since one cos costs about 60 multiplications.
     """
-    m = len(p)
-    # cos, sin, cos^2, cos sin, y cos, y sin at every grid point
-    terms = np.empty((6, points) + p.shape)
-    trig = terms[:2]
+    m, k = p.shape
+    # cos, sin, cos^2, cos sin, y cos, y sin at the current grid point
+    terms = np.empty((m, 6, k))
+    trig = terms[:, :2]
     phase = p * alpha0
-    np.cos(phase, out=trig[0, 0])
-    np.sin(phase, out=trig[1, 0])
+    np.cos(phase, out=trig[:, 0])
+    np.sin(phase, out=trig[:, 1])
     phase = p * step
-    rc, rs = np.cos(phase), np.sin(phase)
-    swapped = np.empty_like(trig[:, : points // 2])
-    done = 1
-    while done < points:
-        n = min(done, points - done)
-        turned = trig[:, done : done + n]
-        np.multiply(trig[:, :n], rc, out=turned)
-        np.multiply(trig[::-1, :n], rs, out=swapped[:, :n])
-        turned[0] -= swapped[0, :n]
-        turned[1] += swapped[1, :n]
-        rc, rs = rc * rc - rs * rs, 2.0 * rc * rs
-        done += n
-    np.multiply(trig[0], trig, out=terms[2:4])
-    np.multiply(y, trig, out=terms[4:6])
-    sc, ss, scc, scs, syc, sys = column_sums(np.moveaxis(terms, 2, 0))
+    rc, rs = np.cos(phase)[:, None], np.sin(phase)
+    sums = np.empty((6, points, k))
+    for j in range(points):
+        if j:
+            turned = trig * rc
+            turned[:, 0] -= trig[:, 1] * rs
+            turned[:, 1] += trig[:, 0] * rs
+            trig[...] = turned
+        np.multiply(trig[:, :1], trig, out=terms[:, 2:4])
+        np.multiply(y[:, None], trig, out=terms[:, 4:6])
+        sums[:, j] = column_sums(terms)
+    sc, ss, scc, scs, syc, sys = sums
     # cos^2 + sin^2 = 1 to rounding, which the screen can ignore
     mcc, mcs, mss = scc - sc * sc / m, scs - sc * ss / m, m - scc - ss * ss / m
     sy = column_sums(y)
@@ -517,14 +510,7 @@ def fit_phase_responses(power, signal, heater_ids):
     seed = _fringe_seeds(power, signal, low, high)
     p, y = power.T.copy(), signal.T.copy()
     grid_step = _ALPHA_GRID[1] - _ALPHA_GRID[0]
-    best = np.empty(fitted)
-    chunk = max(1, _SCREEN_CELLS // (_ALPHA_GRID.size * m))
-    for start in range(0, fitted, chunk):
-        cols = slice(start, start + chunk)
-        best[cols] = _fringe_screen(
-            p[:, cols], y[:, cols], seed[cols] * _ALPHA_GRID[0],
-            seed[cols] * grid_step, _ALPHA_GRID.size,
-        )
+    best = _fringe_screen(p, y, seed * _ALPHA_GRID[0], seed * grid_step, _ALPHA_GRID.size)
     # alpha = 0 is a degenerate fringe, which no step may cross
     (alpha,), (_, b, c), ssr, converged = variable_projection(
         _fringe_model, p, y, seed[None] * (_ALPHA_GRID[0] + best * grid_step), 0.0, np.inf,

@@ -373,9 +373,9 @@ def fit_gaussian_dips(delays_um, values):
     from the center and pass two refits the remaining three with the
     baseline held fixed, which keeps count noise on the dip from tilting
     the visibility. Both passes are linear in the baseline and visibility,
-    so those are projected out and only (center, width) iterate, for
-    hardware.CHUNK scans at once. Every operation acts on each scan alone, so
-    a scan's fit is the same bits in any stack. util.as_reals checks the
+    so those are projected out and only (center, width) iterate, for all
+    scans in one pass. Every operation acts on each scan alone, so a scan's
+    fit is the same bits in any stack. util.as_reals checks the
     "delays" and "values"; a scan with no sample off the dip raises, as its
     baseline is then undefined. Returns the
     GaussianDipFit fields as arrays in stack order: (visibility, center_um,
@@ -399,12 +399,11 @@ def fit_gaussian_dips(delays_um, values):
         np.zeros(k), np.full(k, np.mean(d, axis=-1)), np.full(k, span / 4.0),
         np.mean(v, axis=1), np.full(k, np.inf), np.ones(k, dtype=bool),
     )
-    grid = np.broadcast_to(d, v.shape)
     dips = np.flatnonzero(~flat)
-    for start in range(0, dips.size, hardware.CHUNK):
-        chunk = dips[start : start + hardware.CHUNK]
-        for column, part in zip(fits, _fit_dips(grid[chunk].T.copy(), v[chunk].T.copy())):
-            column[chunk] = part
+    if dips.size:
+        t = np.broadcast_to(d, v.shape)[dips].T.copy()
+        for column, part in zip(fits, _fit_dips(t, v[dips].T.copy())):
+            column[dips] = part
     return fits
 
 

@@ -289,6 +289,15 @@ def as_reals(value, what, shape=None, lo=None, hi=None, *, dtype=float, finite=T
     return arr
 
 
+def factorial_reaches(n, count):
+    """Whether n! >= count, multiplying 2 * 3 * ... only until the product
+    reaches count (n! itself takes a minute to compute at n = 3e6)."""
+    product, factor = 1, 2
+    while product < count and factor <= n:
+        product, factor = product * factor, factor + 1
+    return product >= count
+
+
 def _seed_sequence(key):
     """SeedSequence of a key of non-negative integers such as (seed, stream,
     index); a part that as_int rejects or a negative part raises

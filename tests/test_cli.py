@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,18 @@ def test_ensemble_out_of_range_values_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert argv[-2] in err
+
+
+def test_perm_count_check_does_not_compute_n_factorial(monkeypatch, capsys):
+    # 3e6! takes about a minute to compute; with no output directory the
+    # command draws nothing and must answer at once
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(["perm", "--n", "3000000", "--count", "1"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["n"] == 3000000
+    code, out, err = run_cli(["perm", "--n", "3", "--count", "7"], capsys)
+    assert code == 2 and "--count must be <= 3!, got 7" in err
 
 
 def test_fidelity_perm_count_above_n_factorial_is_usage_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from meshsim import compiler, mesh
-from meshsim.util import ValidationError, dumps_canonical
+from meshsim.util import ValidationError, dumps_canonical, factorial_reaches
 
 from oracles import gram_schmidt_unitary, scalar_clements_decompose
 
@@ -279,8 +279,16 @@ def test_permutation_ensemble_deterministic_and_distinct():
     assert a != c
 
 
+def test_factorial_reaches_agrees_with_the_factorial():
+    for n in range(25):
+        total = math.factorial(n)
+        for count in (1, total - 1, total, total + 1):
+            assert factorial_reaches(n, count) == (total >= count), (n, count)
+    assert factorial_reaches(10**7, 10**100)
+
+
 def test_permutation_ensemble_count_bounds():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^count 7 exceeds 3! = 6$"):
         compiler.permutation_ensemble(3, 7, seed=0)
     with pytest.raises(ValidationError):
         compiler.permutation_ensemble(3, 0, seed=0)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -123,6 +124,20 @@ def test_config_rejects_more_permutations_than_exist():
     assert validate_config({"kind": "fidelity-perm", "n": 3, "count": 6}).count == 6
     with pytest.raises(UsageError, match="count"):
         validate_config({"kind": "fidelity-perm", "n": 3, "count": 7})
+
+
+def test_permutation_count_check_does_not_compute_n_factorial():
+    # 10^6! takes about 10 s to compute; the check multiplies only until
+    # the product reaches the count
+    start = time.perf_counter()
+    cfg = validate_config({"kind": "fidelity-perm", "n": 10**6, "count": 190})
+    assert time.perf_counter() - start < 1.0
+    assert (cfg.n, cfg.count) == (10**6, 190)
+    with pytest.raises(UsageError) as caught:
+        validate_config({"kind": "fidelity-perm", "n": 3, "count": 7})
+    assert str(caught.value) == (
+        "config field 'count' must be <= 3! for kind 'fidelity-perm', got 7"
+    )
 
 
 def test_config_rejects_unknown_param():
@@ -861,22 +876,6 @@ def test_calibration_solves_its_checks_in_one_call(monkeypatch):
     ]
     assert solves[0].tolist() == np.array(want).tolist()
     assert len(report["results"]["solve_check_errors_rad"]) == 5
-
-
-def test_calibration_payload_independent_of_screen_cells(monkeypatch):
-    # the fringe screen takes _SCREEN_CELLS // (grid points x 16 samples)
-    # heaters per pass: the cell counts below screen the 12 heaters of n=4
-    # one at a time, five at a time (5, 5, 2) and all at once; none may
-    # change a byte
-    doc = {
-        "kind": "calibration", "n": 4, "seed": 5, "profile": "calibrated",
-        "params": {"points": 16, "detector_noise_sigma": 0.01},
-    }
-    payload = report_payload_bytes(run_campaign(validate_config(doc)))
-    for cells in (1, 5 * hardware._ALPHA_GRID.size * 16, 1 << 22):
-        monkeypatch.setattr(hardware, "_SCREEN_CELLS", cells)
-        got = report_payload_bytes(run_campaign(validate_config(doc)))
-        assert got == payload, cells
 
 
 @pytest.mark.parametrize("shift", [2 * np.pi, -2 * np.pi])

@@ -432,6 +432,28 @@ def test_fringe_seeds_take_one_fft_per_stack(monkeypatch):
     assert hardware._fringe_seeds(power, signal, low, high).tolist() == loop
 
 
+def test_fringe_screen_takes_the_whole_stack_in_one_call(monkeypatch):
+    # the 380 heaters of an n=20 calibration are screened in one pass
+    prof = calibrated_profile(20, disorder_seed=2)
+    shapes = []
+    screen = hardware._fringe_screen
+
+    def counted_screen(p, y, *args):
+        shapes.append(p.shape)
+        return screen(p, y, *args)
+
+    monkeypatch.setattr(hardware, "_fringe_screen", counted_screen)
+    calibrate_profile(prof, points=64, seed=2, detector_noise_sigma=1e-3)
+    assert shapes == [(64, 380)]
+
+
+def test_fringe_fit_of_an_empty_stack_is_empty():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = hardware.fit_phase_responses(np.empty((0, 16)), np.empty((0, 16)), [])
+    assert [a.shape for a in fits] == [(0,)] * 3
+
+
 def test_fit_raises_the_first_failure_in_stack_order():
     # a batch raises what a heater-order loop of single fits raises first
     v = np.linspace(0.0, 10.0, 40)

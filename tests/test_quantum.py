@@ -583,6 +583,44 @@ def test_flat_scans_fill_their_rows_of_a_stack():
     ]
 
 
+def test_dip_fit_edge_stacks_warn_nothing():
+    # an empty stack, on one grid or on a grid per scan, an all-flat stack
+    # and a stack that mixes flat and dip scans; each row is that scan's fit
+    # alone, and the all-flat stack fits nothing
+    d = default_delay_grid()
+    flat = np.full(d.size, 0.7)
+    dip = 1.0 - 0.9 * np.exp(-0.5 * (d / 50.0) ** 2)
+    mixed = np.stack([flat, dip, 1.1 * dip, 2.0 * flat])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in (d, np.empty((0, d.size))):
+            empty = fit_gaussian_dips(grid, np.empty((0, d.size)))
+            assert [column.shape for column in empty] == [(0,)] * 6
+            assert empty[5].dtype == bool
+        alone = [_fit_hex(fit_gaussian_dip(d, scan)) for scan in mixed]
+        assert _fits_hex(fit_gaussian_dips(d, mixed)) == alone
+        assert _fits_hex(fit_gaussian_dips(d, mixed[[0, 3]])) == [alone[0], alone[3]]
+
+
+def test_dip_map_takes_one_fit_pass(monkeypatch):
+    # the 190 scans of an n=20 map are fitted in one _fit_dips call, and an
+    # all-flat stack makes none
+    shapes = []
+    fit = quantum._fit_dips
+
+    def counted_fit(t, y):
+        shapes.append(y.shape)
+        return fit(t, y)
+
+    monkeypatch.setattr(quantum, "_fit_dips", counted_fit)
+    profile = hardware.calibrated_profile(20, disorder_seed=1)
+    hom_visibility_map(20, PhotonPairSource(), profile, seed=1, count_noise_sigma=0.02)
+    assert shapes == [(default_delay_grid().size, 190)]
+    shapes.clear()
+    fit_gaussian_dips(default_delay_grid(), np.ones((3, default_delay_grid().size)))
+    assert shapes == []
+
+
 def test_dip_fit_center_stays_on_the_scan():
     # on flat noise the projected fit could lower the SSR without bound by
     # moving a huge dip far off the scan and fitting the noise with its

@@ -402,6 +402,49 @@ def test_fit_core_uses_no_batched_linear_algebra(module):
     assert linear_algebra_uses(source, FIT_FUNCTIONS[module]) == []
 
 
+# hardware.CHUNK bounds the realized transfers a campaign holds at once, so
+# only the two loops that realize them read it (README, "Fidelity
+# campaigns"); every fit takes its whole stack in one pass
+CHUNK_READERS = {"experiments.py": {"_run_fidelity"}, "quantum.py": {"_routed_scans"}}
+
+
+def chunk_reads(source):
+    """(line, where) of every read or import of a name or attribute CHUNK,
+    `where` the top-level function or class it sits in, "" at module level."""
+    reads = []
+    for node in ast.parse(source).body:
+        where = getattr(node, "name", "")
+        for inner in ast.walk(node):
+            if (
+                isinstance(inner, ast.Attribute) and inner.attr == "CHUNK"
+                or isinstance(inner, ast.Name) and inner.id == "CHUNK"
+                and not isinstance(inner.ctx, ast.Store)
+                or isinstance(inner, ast.ImportFrom)
+                and any(alias.name == "CHUNK" for alias in inner.names)
+            ):
+                reads.append((inner.lineno, where))
+    return sorted(reads)
+
+
+def test_chunk_read_check_finds_reads():
+    source = (
+        "from .hardware import CHUNK\n"
+        "CHUNK = 64\n"
+        "def loop(k):\n"
+        "    for start in range(0, k, hardware.CHUNK):\n"
+        "        def inner():\n            return CHUNK\n"
+        "def other():\n    return 'CHUNK', hardware.chunk\n"
+        "class Fit:\n    size = CHUNK\n"
+    )
+    assert chunk_reads(source) == [(1, ""), (4, "loop"), (6, "loop"), (10, "Fit")]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_only_the_campaign_loops_read_chunk(module):
+    readers = {where for _, where in chunk_reads((PACKAGE / module).read_text())}
+    assert readers == CHUNK_READERS.get(module, set())
+
+
 def test_readme_library_quick_start_runs(capsys):
     # the README's library example is documented API; run it as written
     readme = (ROOT / "README.md").read_text()
