@@ -550,7 +550,7 @@ class CalibrationRecord:
     """Fitted (phi0, alpha) for every heater of one device.
 
     Immutable, entries included (they are kept as a read-only copy):
-    solve_voltages keeps the inverted drive system of the last profile it
+    solve_voltages keeps the factored drive system of the last profile it
     was solved against on the record.
     """
 
@@ -637,16 +637,79 @@ def _heater_rows(profile, values, what, lo=None):
     return arr
 
 
+def _block_factor(coupling, heater_ids):
+    """Block-tridiagonal LU factor of the coupling, without pivoting.
+
+    The block size is the coupling's bandwidth w, the largest |i - j| of a
+    nonzero entry (1 at least), so block I couples only to blocks I - 1 and
+    I + 1. With S_I the pivot blocks, S_0 = D_0, G_I = S_I^-1 E_I and
+    S_I+1 = D_I+1 - B_I+1 G_I (D, B and E the diagonal, sub- and
+    super-diagonal blocks), C = L U with L the blocks S_I on its diagonal
+    and B_I below it, U the identity with G_I above it. Returns the block
+    edges, the forward rows [-S_I^-1 B_I, S_I^-1] (S_0^-1 alone for the
+    first block), which act on [z_I-1; r_I], and the G_I. Raises
+    ValidationError naming the first heater of the first pivot block that
+    is singular or not finite.
+    """
+    nonzero, heaters = coupling != 0, np.arange(len(coupling))
+    # each row's first and last nonzero column; the diagonal is nonzero
+    first, last = nonzero.argmax(1), len(coupling) - 1 - nonzero[:, ::-1].argmax(1)
+    width = max(int(np.max(heaters - first)), int(np.max(last - heaters)), 1)
+    edges = list(range(0, len(coupling), width)) + [len(coupling)]
+    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    forward, back = [], []
+    pivot = coupling[blocks[0], blocks[0]]
+    # a bad block may overflow on its way to the pivot check, which names it
+    with np.errstate(all="ignore"):
+        for i, block in enumerate(blocks):
+            try:
+                inverse = np.linalg.inv(pivot)
+            except np.linalg.LinAlgError:  # an exactly singular block
+                inverse = np.full_like(pivot, np.nan)
+            bad = ~(np.isfinite(pivot) & np.isfinite(inverse))
+            if bad.any():
+                raise ValidationError(
+                    f"heater {heater_ids[block.start]}: the drive coupling is singular "
+                    f"in the block of heaters {heater_ids[block.start]} to "
+                    f"{heater_ids[block.stop - 1]}"
+                )
+            forward.append(
+                np.hstack([-(inverse @ coupling[block, blocks[i - 1]]), inverse]) if i else inverse
+            )
+            if i + 1 < len(blocks):
+                after = blocks[i + 1]
+                back.append(inverse @ coupling[block, after])
+                pivot = coupling[after, after] - coupling[after, block] @ back[-1]
+    return edges, forward, back
+
+
+def _block_solve(factor, r):
+    """x of C x = r for a (heaters,) vector or a (k, heaters) stack, by a
+    forward and a back block substitution over the factor of _block_factor.
+    Every product is one matrix-vector product per row, so a row's bits do
+    not depend on the stack it is in."""
+    edges, forward, back = factor
+    x = np.array(r)
+    for i, rows in enumerate(forward):
+        lo, mid, hi = edges[max(i - 1, 0)], edges[i], edges[i + 1]
+        x[..., mid:hi] = (rows @ x[..., lo:hi, None])[..., 0]
+    for i in reversed(range(len(back))):
+        mid, hi, top = edges[i], edges[i + 1], edges[i + 2]
+        x[..., mid:hi] -= (back[i] @ x[..., hi:top, None])[..., 0]
+    return x
+
+
 def _drive_system(profile, calibration):
-    """(phi0, coupling, inverse) for one (profile, calibration): the
+    """(phi0, coupling, factor) for one (profile, calibration): the
     calibrated phi0, the coupling diag(fitted alpha) + the profile's
-    crosstalk, and its read-only inverse, built once per pair. Raises
+    crosstalk, and its _block_factor, built once per pair. Raises
     ValidationError naming the first heater whose phi0 is not finite or
-    whose alpha is not finite and > 0.
+    whose alpha is not finite and > 0, or a heater of a singular pivot
+    block.
 
     They live in a single slot on the record, keyed by the profile's
-    identity, so a record solved against another profile is inverted
-    again, never served a stale inverse. Concurrent first calls may each
+    identity, so a record solved against another profile is factored
+    again, never served a stale factor. Concurrent first calls may each
     build them; they build identical values, so the unlocked slot write is
     harmless.
     """
@@ -663,9 +726,7 @@ def _drive_system(profile, calibration):
             "be finite and alpha finite and > 0"
         )
     coupling = np.diag(alpha) + profile.crosstalk.offdiagonal()
-    inverse = np.linalg.inv(coupling)
-    inverse.setflags(write=False)
-    system = (phi0, coupling, inverse)
+    system = (phi0, coupling, _block_factor(coupling, profile.heater_ids))
     object.__setattr__(calibration, "_drive_memo", (profile, system))
     return system
 
@@ -679,20 +740,21 @@ def solve_voltages(profile, calibration, target):
     whose solved power comes out negative (its crosstalk background already
     overshoots the residual) is moved up one branch and the system is
     re-solved; backgrounds are bounded well below 2*pi, so each heater moves
-    at most once. C is inverted once per (profile, calibration), so each
-    round is one matrix-vector product per target, the same bits alone or
-    in a (k, heaters) stack. Raises ValidationError ("target phases ...")
-    for a target util.as_reals rejects, and InfeasibleError, naming a
-    stack's first such row, when a required power exceeds a heater's budget.
+    at most once. C is factored once per (profile, calibration) into
+    blocks as wide as its bandwidth, so each round is a forward and a back
+    block substitution, the same bits alone or in a (k, heaters) stack.
+    Raises ValidationError ("target phases ...") for a target
+    util.as_reals rejects, and InfeasibleError, naming a stack's first such
+    row, when a required power exceeds a heater's budget.
     """
     t = _heater_rows(profile, target, "target phases")
-    phi0, coupling, inverse = _drive_system(profile, calibration)
+    phi0, coupling, factor = _drive_system(profile, calibration)
     p_max = profile.v_max_v**2 / profile.resistance_ohm
 
     residual = wrap_phase(t - phi0)
     iterations = np.ones(t.shape[:-1], int)
     for _ in range(SOLVE_MAX_SWEEPS):
-        p = (inverse @ residual[..., None])[..., 0]
+        p = _block_solve(factor, residual)
         below = p < -1e-12
         if not below.any():
             break

@@ -14,7 +14,10 @@ from scipy.optimize import OptimizeWarning
 
 from meshsim import analysis, compiler, hardware, mesh
 from meshsim.hardware import (
+    CalibrationEntry,
     CalibrationRecord,
+    CrosstalkMatrix,
+    DriveSolution,
     HeaterModel,
     SweepRecord,
     calibrate_profile,
@@ -596,6 +599,98 @@ def test_solve_matches_dense_oracle_fitted_record():
     for _ in range(6):
         target = rng.uniform(0, 2 * np.pi, len(prof.heater_ids))
         assert_matches_dense_solve(prof, cal, target, solve_voltages(prof, cal, target))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_solve_matches_dense_oracle_property(n, seed, k, draw):
+    prof, cal = _solve_device("calibrated", n, seed, True)
+    targets = np.random.default_rng(draw).uniform(0, 2 * np.pi, (k, len(prof.heater_ids)))
+    sol = solve_voltages(prof, cal, targets)
+    for row, target in enumerate(targets):
+        one = DriveSolution(
+            sol.voltages_v[row], sol.powers_w[row], sol.iterations[row], sol.residual_rad[row]
+        )
+        assert_matches_dense_solve(prof, cal, target, one)
+
+
+def test_solve_spans_a_full_width_band():
+    # one coupling between the first and the last heater makes the band as
+    # wide as the coupling: its blocks are all heaters but the last, and the last
+    doc = json.loads(profile_to_json(calibrated_profile(4, disorder_seed=1)))
+    first, last = doc["heaters"][0]["id"], doc["heaters"][-1]["id"]
+    doc["crosstalk_rad_per_w"].append({"i": first, "j": last, "rad_per_w": 0.05})
+    prof = profile_from_json(json.dumps(doc))
+    cal = calibrate_profile(prof, seed=2, detector_noise_sigma=1e-4)
+    assert hardware._drive_system(prof, cal)[2][0] == [0, 11, 12]
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        target = rng.uniform(0, 2 * np.pi, len(prof.heater_ids))
+        assert_matches_dense_solve(prof, cal, target, solve_voltages(prof, cal, target))
+
+
+class _LinalgSpy:
+    """np.linalg, recording the name and argument shapes of every call."""
+
+    LinAlgError = np.linalg.LinAlgError
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append((name, [np.shape(a) for a in args]))
+            return getattr(np.linalg, name)(*args, **kwargs)
+        return call
+
+
+class _NumpySpy:
+    """numpy with np.linalg replaced by a _LinalgSpy."""
+
+    def __init__(self):
+        self.linalg = _LinalgSpy()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_n20_factor_inverts_nothing_wider_than_the_band(monkeypatch):
+    prof = calibrated_profile(20, disorder_seed=0)
+    rows, cols = np.nonzero(prof.crosstalk.matrix)
+    band = int(np.max(np.abs(rows - cols)))
+    assert band == 21
+    spy = _NumpySpy()
+    monkeypatch.setattr(hardware, "np", spy)
+    cal = CalibrationRecord.exact_from_profile(prof)
+    targets = np.random.default_rng(3).uniform(0, 2 * np.pi, (5, len(prof.heater_ids)))
+    solve_voltages(prof, cal, targets)
+    # one block inverse per 21 heaters, 380 = 18 * 21 + 2, and nothing else
+    assert [name for name, _ in spy.linalg.calls] == ["inv"] * 19
+    assert max(max(shape) for _, shapes in spy.linalg.calls for shape in shapes) == band
+
+
+def _two_heater_device(crosstalk, alphas):
+    """An n=2 profile with the given 2x2 crosstalk and a record of the given
+    fitted alphas."""
+    prof = dataclasses.replace(ideal_profile(2), crosstalk=CrosstalkMatrix(np.array(crosstalk)))
+    entries = {
+        hid: CalibrationEntry(hid, 0.0, alpha, 0.0) for hid, alpha in zip(prof.heater_ids, alphas)
+    }
+    return prof, CalibrationRecord(entries=entries)
+
+
+@pytest.mark.parametrize("crosstalk, alphas", [
+    # alpha0 * alpha1 = c01 * c10: the second pivot is exactly 0
+    ([[8.0, 1.0], [2.0, 8.0]], [1.0, 2.0]),
+    # the second pivot overflows to -inf
+    ([[1e11, 1e10], [1e10, 1e11]], [1e-300, 1.0]),
+], ids=["singular", "overflow"])
+def test_solve_names_a_heater_of_a_bad_pivot_block(crosstalk, alphas):
+    prof, cal = _two_heater_device(crosstalk, alphas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^heater c00r00.phi: the drive coupling is sin"):
+            solve_voltages(prof, cal, np.array([1.0, 2.0]))
 
 
 def test_solve_record_reused_across_profiles():
