@@ -342,9 +342,87 @@ def normalize_floats(obj):
     return obj
 
 
+def _float_text(x):
+    """JSON text of a float rounded to 15 significant digits."""
+    x = float(format(float(x), ".15g"))
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _key_text(key):
+    """JSON text of a dict key, converted as json.dumps converts it."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (bool, int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key, allow_nan=False)
+    return json.encoder.encode_basestring_ascii(key)
+
+
+# the text of each exact built-in scalar type; subclasses and numpy scalars
+# take _scalar_text
+_SCALAR_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_text(obj):
+    """JSON text of a scalar as normalize_floats and json.dumps would give it."""
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        return _float_text(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_canonical(obj, pad, out):
+    """Append the canonical text of obj, indented from `pad`, to out."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        out.append(text(obj))
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _key_text(key) + ": ")
+            _write_canonical(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _write_canonical(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]" if obj else "[]")
+    elif isinstance(obj, np.ndarray):
+        _write_canonical(obj.tolist(), pad, out)
+    else:
+        out.append(_scalar_text(obj))
+
+
 def dumps_canonical(payload):
-    """Canonical JSON text: normalized floats, sorted keys, trailing newline."""
-    return json.dumps(normalize_floats(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: normalized floats, sorted keys, trailing newline.
+
+    The bytes of json.dumps(normalize_floats(payload), sort_keys=True,
+    indent=2, allow_nan=False) + "\n", written in one pass: with an indent,
+    json.dumps runs its pure-Python encoder over a normalized copy.
+    """
+    out = []
+    _write_canonical(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def atomic_write_text(path, text):

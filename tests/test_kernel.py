@@ -396,6 +396,62 @@ def test_json_round_trips_are_exact(program):
         assert np.array_equal(getattr(back, name), wrap_phase(rounded))
 
 
+def _reference_canonical(payload):
+    """dumps_canonical as json's own encoder writes it."""
+    return json.dumps(normalize_floats(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _text_or_error(dumps, payload):
+    try:
+        return dumps(payload)
+    except ValueError:
+        # a float of over 15 digits near the top of the range rounds to inf
+        return ValueError
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_canonical_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), _finite, st.text(max_size=6),
+    st.booleans().map(np.bool_), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _finite.map(np.float64), st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+)
+_canonical_arrays = st.one_of(
+    st.lists(_finite, max_size=6).map(np.array),
+    st.lists(st.integers(-(2**31), 2**31), max_size=6).map(lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=4).map(lambda xs: np.array(xs, dtype=bool)),
+    st.lists(_finite, min_size=2, max_size=2).map(lambda xs: np.array(xs).reshape(1, 2, 1)),
+    _finite.map(np.array),
+)
+_canonical_payloads = st.recursive(
+    st.one_of(_canonical_scalars, _canonical_arrays),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_canonical_payloads)
+def test_canonical_text_is_the_json_encoder_text(payload):
+    assert _text_or_error(dumps_canonical, payload) == _text_or_error(
+        _reference_canonical, payload
+    )
+
+
+@pytest.mark.parametrize("payload", [
+    float("nan"), float("inf"), -np.inf, np.float64("nan"), np.float32("inf"),
+    np.array([1.0, np.inf]), {"a": [0.5, {"b": (np.nan,)}]},
+], ids=["nan", "inf", "-inf", "np-nan", "np32-inf", "array", "nested"])
+def test_canonical_text_rejects_non_finite_floats(payload):
+    with pytest.raises(ValueError):
+        _reference_canonical(payload)
+    with pytest.raises(ValueError):
+        dumps_canonical(payload)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 10), st.sampled_from(["theta", "phi", "output_phases"]),
        st.sampled_from([-1, 1]))
